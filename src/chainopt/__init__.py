@@ -10,7 +10,7 @@ from .bandit import (BanditState, OptimizerConfig, RegretBoundSeries,
                      RegretRecord, depth_half_log2, depth_omega_threshold,
                      gp_ucb_step, regret_bound_rhs, run_gp_ucb,
                      run_squared_gp_ucb)
-from .chaining import (ChainingTree, TreeNode, build_forward,
+from .chaining import (ChainingTree, TreeNode, build_forward, build_tree,
                        lower_bound_functional, lower_value, omega, omega_table,
                        parent_at_depth, phi, prune_backward, validate_tree,
                        write_tree)
@@ -27,7 +27,7 @@ from .harness import (ExperimentConfig, ValidationClaim, ValidationReport,
                       space_from_spec, validate_lemmas, validate_lower,
                       validate_upper)
 from .metric import (CoverResult, FiniteMetricSpace, brute_force_min_cover,
-                     distance, greedy_cover, is_cover, load_distance_matrix,
+                     greedy_cover, is_cover, load_distance_matrix,
                      load_point_cloud, load_space, metric_entropy,
                      sample_cover_compact, write_cover_csv)
 from .smoothness import (SmoothnessModel, confidence_level_u_i, ell_u,

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .chaining import ChainingTree, build_forward, omega_table, prune_backward
+from .chaining import ChainingTree, build_tree, omega_table
 from .errors import ArgumentError, NumericError
-from .gp import (GPPosterior, Kernel, c_eta, gram, posterior_predict_many)
+from .gp import (_REBUILD_EVERY, GPPosterior, Kernel, c_eta, gram,
+                 posterior_predict_many)
 from .metric import FiniteMetricSpace
 from .smoothness import SmoothnessModel, confidence_level_u_i
 
@@ -35,7 +36,6 @@ class OptimizerConfig:
     depth_rule: str = "halflog2"
     schedule: str = "geometric"
     shift: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.u <= 0:
@@ -96,22 +96,16 @@ class BanditState:
     omega_values: np.ndarray | None = None
 
 
-def _select_depth(state: BanditState, i: int) -> int:
-    cfg = state.config
-    if cfg.depth_rule == "halflog2":
-        h = depth_half_log2(i, state.tree.max_depth)
+def _select_depth(tree: ChainingTree, config: OptimizerConfig, model: SmoothnessModel,
+                  omega_values: np.ndarray | None, i: int, last_depth: int) -> int:
+    """Depth h(i) under the configured rule, never below the previous depth."""
+    if config.depth_rule == "halflog2":
+        h = depth_half_log2(i, tree.max_depth)
     else:
-        if i < 2:
-            h = 0
-        else:
-            if state.omega_values is None:
-                state.omega_values = omega_table(state.tree, cfg.u, cfg.a, state.model)
-            h = depth_omega_threshold(state.tree, state.model, cfg.u, cfg.a, i,
-                                      omega_values=state.omega_values)
+        h = 0 if i < 2 else depth_omega_threshold(tree, model, config.u, config.a, i,
+                                                  omega_values=omega_values)
     # the recorded depth schedule must be non-decreasing in i
-    h = max(h, state.last_depth)
-    state.last_depth = h
-    return h
+    return max(h, last_depth)
 
 
 def gp_ucb_step(state: BanditState, i: int) -> StepChoice:
@@ -124,7 +118,10 @@ def gp_ucb_step(state: BanditState, i: int) -> StepChoice:
     if i < 1:
         raise ArgumentError("iteration index must be positive")
     tree, cfg = state.tree, state.config
-    h = _select_depth(state, i)
+    if cfg.depth_rule == "omega" and state.omega_values is None:
+        state.omega_values = omega_table(tree, cfg.u, cfg.a, state.model)
+    h = state.last_depth = _select_depth(tree, cfg, state.model, state.omega_values,
+                                         i, state.last_depth)
     u_i = confidence_level_u_i(cfg.u, tree.capacity(h), i, cfg.a)
     cand = tree.candidate_locations(h)
     if cand.size == 0:
@@ -143,25 +140,23 @@ class _SharedPosterior:
 
     Keeps ``V = L^{-1} K(queries, points)`` and ``B = L^{-1} Y`` so one
     iteration costs O(t n) instead of O(t^2 n); refactored from scratch
-    every ``rebuild_every`` updates to cap round-off drift.  Supports
+    every ``_REBUILD_EVERY`` updates to cap round-off drift.  Supports
     several output channels sharing the same query locations.
     """
 
     def __init__(self, kernel: Kernel, eta2: float, coords: np.ndarray,
-                 n_outputs: int, t_max: int, rebuild_every: int = 64):
+                 n_outputs: int, t_max: int):
         self.Kcc = gram(kernel, coords)
         self.diag = np.diag(self.Kcc).copy()
         self.eta2 = float(eta2)
         n = self.Kcc.shape[0]
         cap = max(t_max, 1)
-        self.L = np.zeros((cap, cap))
         self.V = np.zeros((cap, n))
         self.B = np.zeros((cap, n_outputs))
         self.Yraw = np.zeros((cap, n_outputs))
         self.q = np.zeros(cap, dtype=int)
         self.sumsq = np.zeros(n)
         self.t = 0
-        self.rebuild_every = rebuild_every
 
     def predict(self) -> tuple[np.ndarray, np.ndarray]:
         var = np.clip(self.diag - self.sumsq, 0.0, None)
@@ -180,15 +175,13 @@ class _SharedPosterior:
         if d2 <= 0:
             raise NumericError(f"posterior factor extension failed (pivot {d2:g})")
         d = math.sqrt(d2)
-        self.L[t, :t] = w
-        self.L[t, t] = d
         self.V[t] = (self.Kcc[j] - w @ self.V[:t]) / d
         self.B[t] = (np.asarray(y_row, dtype=float) - w @ self.B[:t]) / d
         self.Yraw[t] = y_row
         self.q[t] = j
         self.sumsq += self.V[t] * self.V[t]
         self.t += 1
-        if self.t % self.rebuild_every == 0:
+        if self.t % _REBUILD_EVERY == 0:
             self._rebuild()
 
     def _rebuild(self) -> None:
@@ -199,7 +192,6 @@ class _SharedPosterior:
             L = np.linalg.cholesky(C)
         except np.linalg.LinAlgError as exc:
             raise NumericError("posterior refactorization failed") from exc
-        self.L[:t, :t] = L
         self.V[:t] = solve_triangular(L, self.Kcc[sel, :], lower=True)
         self.B[:t] = solve_triangular(L, self.Yraw[:t], lower=True)
         self.sumsq = np.einsum("ij,ij->j", self.V[:t], self.V[:t])
@@ -250,14 +242,131 @@ def _tree_signature(tree: ChainingTree) -> tuple:
             len(tree.nodes), tree.restart_count, tree.u)
 
 
-def _prepare_tree(space: FiniteMetricSpace, config: OptimizerConfig,
-                  tree: ChainingTree | None) -> ChainingTree:
-    if tree is not None:
-        return tree
-    built = build_forward(space, schedule=config.schedule, shift=config.shift)
-    if config.schedule == "geometric":
-        built = prune_backward(built, config.u)
-    return built
+def _plain_ucb(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float):
+    """GP-UCB ``mu + sigma sqrt(2 u_i)`` on the candidate rows, with its widths."""
+    beta = math.sqrt(2.0 * u_i)
+    return mu[cand, 0] + sig[cand] * beta, 2.0 * sig[cand] * beta, None
+
+
+def _squared_ucb(truth: np.ndarray):
+    """Bound for f = -(sum of squared channels) on the candidate rows.
+
+    Each channel's squared interval at level ``u_i + log n`` is negated and
+    swapped: the UCB is minus the sum of the lower ends, and the width runs
+    down to minus the sum of the upper ends.  The third output says whether
+    every latent squared channel lies inside its interval.
+    """
+    log_n = math.log(truth.shape[0])
+
+    def acquire(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float):
+        spread = math.sqrt(2.0 * (u_i + log_n)) * sig[cand, None]
+        hi = (np.abs(mu[cand]) + spread) ** 2
+        lo = np.clip(np.abs(mu[cand]) - spread, 0.0, None) ** 2
+        ucb = -lo.sum(axis=1)
+        g_sq = truth[:, cand].T ** 2
+        covered = np.all((g_sq >= lo - 1e-12) & (g_sq <= hi + 1e-12), axis=1)
+        return ucb, ucb + hi.sum(axis=1), covered
+    return acquire
+
+
+def _check_truth(truth, shape: tuple) -> np.ndarray:
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != shape:
+        raise ArgumentError(f"truth must have shape {shape}")
+    if not np.all(np.isfinite(truth)):
+        raise NumericError("truth holds NaN or inf")
+    return truth
+
+
+def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
+              seed, tree: ChainingTree | None, model: SmoothnessModel, acquire,
+              objective, truth: np.ndarray | None, observe=None) -> RegretRecord:
+    """The UCB loop behind both run functions.
+
+    ``truth`` holds the latent channels, shape (channels, n); each query
+    observes all of them with noise.  Without it, ``observe(point_id, rng)``
+    returns the single channel and regrets are left blank.
+    ``acquire(cand, mu, sig, u_i)`` scores the candidate rows and returns the
+    UCBs, their widths and per-row channel coverage (or None);
+    ``objective`` maps channel values to f.
+    """
+    if space.coords is None:
+        raise ArgumentError("optimization needs a coordinate-backed space")
+    if tree is None:
+        tree = build_tree(space, config.schedule, config.shift, config.u)
+    rng = np.random.default_rng(seed)
+    n_out = 1 if truth is None else truth.shape[0]
+    shared = _SharedPosterior(kernel, config.eta2, space.coords, n_out, config.t_max)
+    f = None if truth is None else objective(truth)
+    sup_f = None if f is None else float(np.max(f))
+    omega_vals = None
+    if config.depth_rule == "omega":
+        omega_vals = omega_table(tree, config.u, config.a, model)
+
+    t_max = config.t_max
+    cols = {name: np.zeros(t_max) for name in
+            ("u_is", "ucbs", "ys", "inst", "cum", "simple", "sigma", "width",
+             "info", "ssq")}
+    iters = np.arange(1, t_max + 1)
+    depths = np.zeros(t_max, dtype=int)
+    points = np.zeros(t_max, dtype=int)
+    y_channels = np.zeros((t_max, n_out))
+    covered = np.zeros(t_max, dtype=bool)
+
+    noise_sd = math.sqrt(config.eta2)
+    h = 0
+    cum = 0.0
+    best_f = -math.inf
+    info = 0.0
+    ssq = 0.0
+    for k in range(t_max):
+        i = k + 1
+        h = _select_depth(tree, config, model, omega_vals, i, h)
+        u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
+        cand = tree.candidate_locations(h)
+        mu, sig = shared.predict()
+        ucb, width, cover = acquire(cand, mu, sig, u_i)
+        j = int(np.argmax(ucb))                  # first maximum = smallest id
+        x = int(cand[j])
+
+        sigma_b = float(sig[x])
+        var_b = float(shared.noiseless_variance()[x])
+        if truth is not None:
+            y_row = truth[:, x] + rng.normal(0.0, noise_sd, size=n_out)
+        else:
+            y_row = np.array([float(observe(x, rng))])
+        if not np.all(np.isfinite(y_row)):
+            raise NumericError(f"non-finite observation at point {x} (iteration {i})")
+        info += 0.5 * math.log1p(var_b / config.eta2)
+        ssq += var_b
+        shared.add(x, y_row)
+
+        depths[k] = h
+        points[k] = x
+        y_channels[k] = y_row
+        covered[k] = cover is not None and cover[j]
+        cols["u_is"][k] = u_i
+        cols["ucbs"][k] = ucb[j]
+        cols["ys"][k] = objective(y_row)
+        cols["sigma"][k] = sigma_b
+        cols["width"][k] = width[j]
+        cols["info"][k] = info
+        cols["ssq"][k] = ssq
+        if f is not None:
+            inst = sup_f - float(f[x])
+            cum += inst
+            best_f = max(best_f, float(f[x]))
+            cols["inst"][k] = inst
+            cols["cum"][k] = cum
+            cols["simple"][k] = sup_f - best_f
+        else:
+            cols["inst"][k] = cols["cum"][k] = cols["simple"][k] = math.nan
+
+    return RegretRecord(config, space.n, sup_f, _tree_signature(tree),
+                        iters, depths, cols["u_is"], points, cols["ucbs"],
+                        cols["ys"], cols["inst"], cols["cum"], cols["simple"],
+                        cols["sigma"], cols["width"], cols["info"], cols["ssq"],
+                        y_channels=y_channels, channel_covered=covered)
 
 
 def run_gp_ucb(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
@@ -272,80 +381,12 @@ def run_gp_ucb(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig
     """
     if truth is None and observe is None:
         raise ArgumentError("need either a truth vector or an observe callback")
-    if space.coords is None:
-        raise ArgumentError("optimization needs a coordinate-backed space")
-    tree = _prepare_tree(space, config, tree)
-    rng = np.random.default_rng(seed)
-    shared = _SharedPosterior(kernel, config.eta2, space.coords, 1, config.t_max)
-    sup_f = float(np.max(truth)) if truth is not None else None
-    omega_vals = None
-    if config.depth_rule == "omega":
-        omega_vals = omega_table(tree, config.u, config.a, SmoothnessModel.gaussian())
-
-    t_max = config.t_max
-    out = {name: np.zeros(t_max) for name in
-           ("u_is", "ucbs", "ys", "inst", "cum", "simple", "sigma", "width",
-            "info", "ssq")}
-    iters = np.arange(1, t_max + 1)
-    depths = np.zeros(t_max, dtype=int)
-    points = np.zeros(t_max, dtype=int)
-
-    noise_sd = math.sqrt(config.eta2)
-    last_h = 0
-    cum = 0.0
-    best_f = -math.inf
-    info = 0.0
-    ssq = 0.0
-    for k in range(t_max):
-        i = k + 1
-        if config.depth_rule == "halflog2":
-            h = depth_half_log2(i, tree.max_depth)
-        else:
-            h = 0 if i < 2 else depth_omega_threshold(
-                tree, SmoothnessModel.gaussian(), config.u, config.a, i,
-                omega_values=omega_vals)
-        h = max(h, last_h)
-        last_h = h
-        u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
-        cand = tree.candidate_locations(h)
-        mu, sig = shared.predict()
-        mu = mu[:, 0]
-        ucb = mu[cand] + sig[cand] * math.sqrt(2.0 * u_i)
-        x = int(cand[int(np.argmax(ucb))])
-
-        sigma_b = float(sig[x])
-        var_b = float(shared.noiseless_variance()[x])
-        if truth is not None:
-            y = float(truth[x]) + rng.normal(0.0, noise_sd)
-        else:
-            y = float(observe(x, rng))
-        info += 0.5 * math.log1p(var_b / config.eta2)
-        ssq += var_b
-        shared.add(x, np.array([y]))
-
-        depths[k] = h
-        points[k] = x
-        out["u_is"][k] = u_i
-        out["ucbs"][k] = float(np.max(ucb))
-        out["ys"][k] = y
-        out["sigma"][k] = sigma_b
-        out["width"][k] = 2.0 * sigma_b * math.sqrt(2.0 * u_i)
-        out["info"][k] = info
-        out["ssq"][k] = ssq
-        if truth is not None:
-            inst = sup_f - float(truth[x])
-            cum += inst
-            best_f = max(best_f, float(truth[x]))
-            out["inst"][k] = inst
-            out["cum"][k] = cum
-            out["simple"][k] = sup_f - best_f
-        else:
-            out["inst"][k] = out["cum"][k] = out["simple"][k] = math.nan
-
-    return RegretRecord(config, space.n, sup_f, _tree_signature(tree),
-                        iters, depths, out["u_is"], points, out["ucbs"], out["ys"],
-                        out["inst"], out["cum"], out["simple"], out["sigma"],
-                        out["width"], out["info"], out["ssq"])
+    if truth is not None:
+        truth = _check_truth(truth, (space.n,))[None, :]
+    record = _run_loop(space, kernel, config, seed, tree, SmoothnessModel.gaussian(),
+                       _plain_ucb, lambda g: g[0], truth, observe)
+    record.y_channels = record.channel_covered = None   # single-channel run
+    return record
 
 
 def run_squared_gp_ucb(space: FiniteMetricSpace, kernel: Kernel, n_channels: int,
@@ -359,90 +400,12 @@ def run_squared_gp_ucb(space: FiniteMetricSpace, kernel: Kernel, n_channels: int
     """
     if kernel.family == "linear":
         raise ArgumentError("squared-process optimization needs a stationary kernel")
-    if space.coords is None:
-        raise ArgumentError("optimization needs a coordinate-backed space")
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (n_channels, space.n):
-        raise ArgumentError(f"truth must have shape ({n_channels}, {space.n})")
-    tree = _prepare_tree(space, config, tree)
-    rng = np.random.default_rng(seed)
-    shared = _SharedPosterior(kernel, config.eta2, space.coords, n_channels,
-                              config.t_max)
-    f_true = -np.sum(truth * truth, axis=0)
-    sup_f = float(f_true.max())
-    log_n = math.log(n_channels)
-
-    t_max = config.t_max
-    iters = np.arange(1, t_max + 1)
-    depths = np.zeros(t_max, dtype=int)
-    points = np.zeros(t_max, dtype=int)
-    cols = {name: np.zeros(t_max) for name in
-            ("u_is", "ucbs", "ys", "inst", "cum", "simple", "sigma", "width",
-             "info", "ssq")}
-    y_channels = np.zeros((t_max, n_channels))
-    covered = np.zeros(t_max, dtype=bool)
-
-    omega_vals = None
-    if config.depth_rule == "omega":
-        model = SmoothnessModel.squared_gp(n_channels, kernel.variance)
-        omega_vals = omega_table(tree, config.u, config.a, model)
-
-    noise_sd = math.sqrt(config.eta2)
-    last_h = 0
-    cum = 0.0
-    best_f = -math.inf
-    info = 0.0
-    ssq = 0.0
-    for k in range(t_max):
-        i = k + 1
-        if config.depth_rule == "halflog2":
-            h = depth_half_log2(i, tree.max_depth)
-        else:
-            model = SmoothnessModel.squared_gp(n_channels, kernel.variance)
-            h = 0 if i < 2 else depth_omega_threshold(
-                tree, model, config.u, config.a, i, omega_values=omega_vals)
-        h = max(h, last_h)
-        last_h = h
-        u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
-        cand = tree.candidate_locations(h)
-        mu, sig = shared.predict()
-        spread = math.sqrt(2.0 * (u_i + log_n)) * sig[:, None]
-        hi = (np.abs(mu) + spread) ** 2
-        lo = np.clip(np.abs(mu) - spread, 0.0, None) ** 2
-        ucb_f = -lo.sum(axis=1)
-        x = int(cand[int(np.argmax(ucb_f[cand]))])
-
-        sigma_b = float(sig[x])
-        var_b = float(shared.noiseless_variance()[x])
-        y_row = truth[:, x] + rng.normal(0.0, noise_sd, size=n_channels)
-        g_sq = truth[:, x] ** 2
-        covered[k] = bool(np.all((g_sq >= lo[x] - 1e-12) & (g_sq <= hi[x] + 1e-12)))
-        info += 0.5 * math.log1p(var_b / config.eta2)
-        ssq += var_b
-        shared.add(x, y_row)
-
-        depths[k] = h
-        points[k] = x
-        y_channels[k] = y_row
-        cols["u_is"][k] = u_i
-        cols["ucbs"][k] = float(ucb_f[x])
-        cols["ys"][k] = -float(np.sum(y_row * y_row))
-        cols["sigma"][k] = sigma_b
-        cols["width"][k] = float(ucb_f[x] + hi[x].sum())   # U_f - L_f at the query
-        cols["info"][k] = info
-        cols["ssq"][k] = ssq
-        inst = sup_f - float(f_true[x])
-        cum += inst
-        best_f = max(best_f, float(f_true[x]))
-        cols["inst"][k] = inst
-        cols["cum"][k] = cum
-        cols["simple"][k] = sup_f - best_f
-
-    return RegretRecord(config, space.n, sup_f, _tree_signature(tree),
-                        iters, depths, cols["u_is"], points, cols["ucbs"],
-                        cols["ys"], cols["inst"], cols["cum"], cols["simple"],
-                        cols["sigma"], cols["width"], cols["info"], cols["ssq"],
-                        y_channels=y_channels, channel_covered=covered)
+    if n_channels < 1:
+        raise ArgumentError("n_channels must be at least 1")
+    truth = _check_truth(truth, (n_channels, space.n))
+    model = SmoothnessModel.squared_gp(n_channels, kernel.variance)
+    return _run_loop(space, kernel, config, seed, tree, model, _squared_ucb(truth),
+                     lambda g: -np.sum(g * g, axis=0), truth)
 
 
 @dataclass

@@ -50,8 +50,8 @@ class ChainingTree:
     """A leveled discretization tree over a finite metric space.
 
     Instances are produced by :func:`build_forward` (and transformed by
-    :func:`prune_backward`); a finished tree is treated as immutable and is
-    safe for concurrent readers.
+    :func:`prune_backward`; :func:`build_tree` does both); a finished tree
+    is treated as immutable and is safe for concurrent readers.
     """
 
     def __init__(self, space: FiniteMetricSpace, schedule: str, shift: int):
@@ -332,6 +332,16 @@ def prune_backward(tree: ChainingTree, u: float) -> ChainingTree:
                 f"pruning restarted more than {limit} times on {tree.space.n} points")
     work.recompute_geometry()
     return work
+
+
+def build_tree(space: FiniteMetricSpace, schedule: str = "geometric", shift: int = 1,
+               u: float = 2.0) -> ChainingTree:
+    """Build the forward tree and, under the geometric schedule, prune it at level ``u``.
+
+    The entropy schedule has no pruning values, so its forward tree is final.
+    """
+    tree = build_forward(space, schedule=schedule, shift=shift)
+    return prune_backward(tree, u) if schedule == "geometric" else tree
 
 
 def _prune_pass(tree: ChainingTree) -> bool:

@@ -78,9 +78,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_tree_build(args) -> int:
     space = metric.load_space(args.space)
-    tree = chaining.build_forward(space, schedule=args.schedule, shift=args.shift)
-    if args.schedule == "geometric":
-        tree = chaining.prune_backward(tree, args.u)
+    tree = chaining.build_tree(space, args.schedule, args.shift, args.u)
     check = chaining.validate_tree(tree)
     if not check.ok:
         raise InternalError("tree validation failed: " + "; ".join(check.errors))
@@ -96,8 +94,7 @@ def _cmd_optimize(args) -> int:
         raise ArgumentError("optimize needs a coordinate-backed space file")
     kernel = parse_kernel(args.kernel)
     config = OptimizerConfig(u=args.u, a=args.a, eta2=args.eta2, t_max=args.t,
-                             depth_rule=args.depth_rule, schedule=args.schedule,
-                             seed=args.seed)
+                             depth_rule=args.depth_rule, schedule=args.schedule)
     truth = sample_prior(kernel, space.coords, [args.seed, 0])
     record = run_gp_ucb(space, kernel, config, truth, seed=[args.seed, 1])
     record.to_csv(args.out)
@@ -134,8 +131,7 @@ def _cmd_bench(args) -> int:
         best = float("inf")
         for _ in range(args.repeats):
             start = time.perf_counter()
-            tree = chaining.build_forward(space)
-            chaining.prune_backward(tree, 2.0)
+            chaining.build_tree(space, u=2.0)
             best = min(best, time.perf_counter() - start)
         rows.append((n, best))
         print(f"n={n}: best of {args.repeats} builds {best:.4f}s")

@@ -12,15 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bandit import (OptimizerConfig, RegretRecord, regret_bound_rhs,
                      run_gp_ucb, run_squared_gp_ucb)
-from .chaining import (ChainingTree, build_forward, lower_bound_functional,
-                       omega_table, phi, prune_backward, validate_tree)
+from .chaining import (build_tree, lower_bound_functional, omega_table, phi,
+                       validate_tree)
 from .errors import ArgumentError, CapacityError, ParseError
 from .gp import (Kernel, c_eta, canonical_metric_space, chol_with_jitter, gram,
                  parse_kernel, squared_gaussian_interval,
@@ -82,6 +82,14 @@ def _parse_kv(rest: str) -> dict[str, str]:
     return out
 
 
+def _number(raw: str, key: str, kind=float):
+    """``kind(raw)`` for option ``key``; a non-numeric value is an ArgumentError."""
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ArgumentError(f"option {key!r} needs a number, got {raw!r}") from exc
+
+
 def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpace:
     """Build a space from a generator spec or a file reference.
 
@@ -98,18 +106,19 @@ def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpac
         return load_space(rest)
     if kind == "star":
         opts = _parse_kv(rest)
-        return make_star(int(opts.get("n", "16")))
+        return make_star(_number(opts.get("n", "16"), "n", int))
     if kind == "grid":
         opts = _parse_kv(rest)
-        coords = make_grid(int(opts.get("dim", "1")), int(opts.get("per_dim", "16")),
-                           float(opts.get("extent", "1.0")))
+        coords = make_grid(_number(opts.get("dim", "1"), "dim", int),
+                           _number(opts.get("per_dim", "16"), "per_dim", int),
+                           _number(opts.get("extent", "1.0"), "extent"))
     elif kind == "line":
         opts = _parse_kv(rest)
-        coords = make_line(int(opts.get("n", "16")))
+        coords = make_line(_number(opts.get("n", "16"), "n", int))
     elif kind == "ellipsoid":
         opts = _parse_kv(rest)
-        axes = [float(v) for v in opts.get("axes", "1.0").split(":")]
-        coords = make_ellipsoid(axes)
+        coords = make_ellipsoid([_number(v, "axes")
+                                 for v in opts.get("axes", "1.0").split(":")])
     else:
         raise ArgumentError(f"unknown space spec {spec!r}")
     if kernel is not None:
@@ -139,28 +148,6 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
 
 # -- configuration ------------------------------------------------------------
 
-_CONFIG_DEFAULTS = {
-    "space": "line:n=16",
-    "kernel": "se:ls=1.0",
-    "model": "gaussian",
-    "u": 2.0,
-    "a": 2.0,
-    "eta2": 0.01,
-    "t_max": 100,
-    "replicates": 1,
-    "seed_base": 0,
-    "trials": 1000,
-    "n_channels": 1,
-    "depth_rule": "halflog2",
-    "schedule": "geometric",
-    "shift": 1,
-    "out_dir": ".",
-}
-
-_INT_KEYS = {"t_max", "replicates", "seed_base", "trials", "n_channels", "shift"}
-_FLOAT_KEYS = {"u", "a", "eta2"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed experiment description; see :func:`parse_config` for the format."""
@@ -182,18 +169,11 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.a <= 1:
-            raise ArgumentError("a must exceed 1")
-        if self.eta2 <= 0:
-            raise ArgumentError("eta2 must be positive")
-        if self.u <= 0:
-            raise ArgumentError("u must be positive")
+        self.optimizer_config()          # checks the loop fields
         if self.replicates < 1:
             raise ArgumentError("replicates must be at least 1")
         if self.trials < 1:
             raise ArgumentError("trials must be at least 1")
-        if self.t_max < 0:
-            raise ArgumentError("t_max must be nonnegative")
 
     def build_kernel(self) -> Kernel:
         return parse_kernel(self.kernel)
@@ -208,17 +188,22 @@ class ExperimentConfig:
         if head == "gaussian":
             return SmoothnessModel.gaussian()
         if head == "subgamma":
-            return SmoothnessModel.sub_gamma(float(opts.get("nu", "1.0")),
-                                             float(opts.get("c", "0.0")))
+            return SmoothnessModel.sub_gamma(_number(opts.get("nu", "1.0"), "nu"),
+                                             _number(opts.get("c", "0.0"), "c"))
         if head == "squaredgp":
-            return SmoothnessModel.squared_gp(int(opts.get("n", str(self.n_channels))),
-                                              float(opts.get("kappa", "1.0")))
+            return SmoothnessModel.squared_gp(
+                _number(opts.get("n", str(self.n_channels)), "n", int),
+                _number(opts.get("kappa", "1.0"), "kappa"))
         raise ArgumentError(f"unknown model spec {self.model!r}")
 
-    def optimizer_config(self, seed: int = 0) -> OptimizerConfig:
+    def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(u=self.u, a=self.a, eta2=self.eta2, t_max=self.t_max,
                                depth_rule=self.depth_rule, schedule=self.schedule,
-                               shift=self.shift, seed=seed)
+                               shift=self.shift)
+
+
+# key -> value parser, read off the ExperimentConfig defaults
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -228,7 +213,7 @@ def parse_config(path: str) -> ExperimentConfig:
     hard errors carrying the line number.  An empty file yields all
     defaults.
     """
-    values = dict(_CONFIG_DEFAULTS)
+    values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for num, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -239,15 +224,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise ParseError(f"expected 'key = value', got {line!r}", line=num)
             key = key.strip()
             val = val.strip()
-            if key not in values:
+            if key not in _CONFIG_TYPES:
                 raise ParseError(f"unknown key {key!r}", line=num)
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                else:
-                    values[key] = val
+                values[key] = _CONFIG_TYPES[key](val)
             except ValueError as exc:
                 raise ParseError(f"bad value for {key!r}: {val!r}", line=num) from exc
     cfg = ExperimentConfig(**values)
@@ -313,13 +293,6 @@ class ValidationReport:
 
 # -- Monte Carlo suites -------------------------------------------------------
 
-def _build_tree(space: FiniteMetricSpace, cfg: ExperimentConfig) -> ChainingTree:
-    tree = build_forward(space, schedule=cfg.schedule, shift=cfg.shift)
-    if cfg.schedule == "geometric":
-        tree = prune_backward(tree, cfg.u)
-    return tree
-
-
 def validate_upper(config: ExperimentConfig) -> ValidationReport:
     """Check the joint discretization-error bound on sampled paths.
 
@@ -332,7 +305,7 @@ def validate_upper(config: ExperimentConfig) -> ValidationReport:
     space = config.build_space(canonical=True)
     if space.n > 256:
         raise CapacityError("upper-bound validation limited to 256 points")
-    tree = _build_tree(space, config)
+    tree = build_tree(space, config.schedule, config.shift, config.u)
     model = config.build_model()
     omega_vals = omega_table(tree, config.u, config.a, model)
     paths = sample_paths(space, kernel, config.trials, [config.seed_base, 0])
@@ -369,7 +342,7 @@ def validate_lower(config: ExperimentConfig) -> ValidationReport:
     space = config.build_space(canonical=False)
     if config.schedule != "geometric":
         raise ArgumentError("lower-bound validation needs the geometric schedule")
-    tree = _build_tree(space, config)
+    tree = build_tree(space, config.schedule, config.shift, config.u)
     kernel = config.build_kernel() if space.coords is not None else None
     paths = sample_paths(space, kernel, config.trials, [config.seed_base, 1])
 
@@ -494,7 +467,7 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
     model = config.build_model()
     squared = model.variant == "squaredgp"
     space = config.build_space(canonical=not squared)
-    tree = _build_tree(space, config)
+    tree = build_tree(space, config.schedule, config.shift, config.u)
     check = validate_tree(tree)
     if not check.ok:
         raise ArgumentError("tree validation failed: " + "; ".join(check.errors))
@@ -505,8 +478,8 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
     var_info_ok: list[bool] = []
     ceta = c_eta(config.eta2)
     files: dict[str, str] = {}
+    opt_cfg = config.optimizer_config()
     for r in range(config.replicates):
-        opt_cfg = config.optimizer_config(seed=config.seed_base + r)
         if squared:
             truth = sample_paths(space, kernel, model.n_processes,
                                  [config.seed_base, r, 0])

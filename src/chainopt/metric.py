@@ -195,11 +195,6 @@ class CoverResult:
         return len(self.centers)
 
 
-def distance(space: FiniteMetricSpace, i: int, j: int) -> float:
-    """Distance between two points of the space."""
-    return space.distance(i, j)
-
-
 def greedy_cover(space: FiniteMetricSpace, epsilon: float,
                  subset: Iterable[int] | None = None) -> CoverResult:
     """Greedy epsilon-cover of ``subset`` (default: the whole space).
@@ -382,7 +377,10 @@ def load_distance_matrix(path: str) -> np.ndarray:
         parts = ln.split()
         if len(parts) != n:
             raise ParseError(f"expected {n} entries, got {len(parts)}", line=num)
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"bad entry in {ln!r}", line=num) from exc
     return np.asarray(rows, dtype=float)
 
 

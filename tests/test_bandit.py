@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from chainopt import (ArgumentError, BanditState, ChainingTree,
-                      FiniteMetricSpace, GPPosterior, Kernel, OptimizerConfig,
-                      build_forward, c_eta, canonical_metric_space,
+                      FiniteMetricSpace, GPPosterior, Kernel, NumericError,
+                      OptimizerConfig, build_forward, build_tree, c_eta,
+                      canonical_metric_space,
                       depth_half_log2, depth_omega_threshold, gp_ucb_step,
                       information_gain, make_grid, omega_table,
                       posterior_predict_many, posterior_update,
@@ -149,12 +150,16 @@ class TestRunGpUcb:
         r3 = run_gp_ucb(grid16, kernel, config, truth, seed=8)
         assert not np.array_equal(r1.ys, r3.ys)
 
-    def test_matches_step_by_step_loop(self, grid16):
+    @pytest.mark.parametrize("depth_rule,schedule", [
+        ("halflog2", "geometric"), ("halflog2", "entropy"),
+        ("omega", "geometric"), ("omega", "entropy")])
+    def test_matches_step_by_step_loop(self, grid16, depth_rule, schedule):
         # the fast path must reproduce the reference one-step operation
         kernel = Kernel("se", 0.3)
-        config = OptimizerConfig(t_max=20, eta2=0.05)
+        config = OptimizerConfig(t_max=20, eta2=0.05, depth_rule=depth_rule,
+                                 schedule=schedule)
         truth = sample_paths(grid16, kernel, 1, seed=2)[0]
-        tree = prune_backward(build_forward(grid16), config.u)
+        tree = build_tree(grid16, config.schedule, config.shift, config.u)
         record = run_gp_ucb(grid16, kernel, config, truth, seed=3, tree=tree)
 
         rng = np.random.default_rng(3)
@@ -241,6 +246,19 @@ class TestRunGpUcb:
         with pytest.raises(ArgumentError):
             run_gp_ucb(grid16, Kernel("se"), OptimizerConfig(t_max=3), seed=0)
 
+    def test_non_finite_observation_rejected(self, grid16):
+        with pytest.raises(NumericError):
+            run_gp_ucb(grid16, Kernel("se", 0.3), OptimizerConfig(t_max=5), seed=0,
+                       observe=lambda x, rng: math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_truth_rejected(self, grid16, bad):
+        truth = np.zeros(16)
+        truth[3] = bad
+        with pytest.raises(NumericError):
+            run_gp_ucb(grid16, Kernel("se", 0.3), OptimizerConfig(t_max=5), truth,
+                       seed=0)
+
 
 class TestRunSquaredGpUcb:
     def test_zero_truth_zero_regret(self, grid16):
@@ -276,6 +294,18 @@ class TestRunSquaredGpUcb:
         with pytest.raises(ArgumentError):
             run_squared_gp_ucb(grid16, Kernel("se"), 2,
                                OptimizerConfig(t_max=2), np.zeros((1, 16)), seed=0)
+
+    def test_zero_channels_rejected(self, grid16):
+        with pytest.raises(ArgumentError):
+            run_squared_gp_ucb(grid16, Kernel("se"), 0,
+                               OptimizerConfig(t_max=2), np.zeros((0, 16)), seed=0)
+
+    def test_non_finite_truth_rejected(self, grid16):
+        truth = np.zeros((2, 16))
+        truth[1, 5] = math.inf
+        with pytest.raises(NumericError):
+            run_squared_gp_ucb(grid16, Kernel("se"), 2, OptimizerConfig(t_max=2),
+                               truth, seed=0)
 
 
 class TestRegretBoundRhs:

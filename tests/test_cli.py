@@ -44,6 +44,14 @@ class TestCover:
                      "--epsilon", "0.5", "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_non_numeric_matrix_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dist.txt"
+        path.write_text("2\n0 1\nabc 0\n")
+        code = main(["cover", "--space", str(path), "--epsilon", "0.5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_bad_epsilon(self, tmp_path, cloud_file):
         code = main(["cover", "--space", cloud_file, "--epsilon", "-1",
                      "--out", str(tmp_path / "o.csv")])
@@ -117,6 +125,13 @@ class TestValidateCommands:
         cfg = tmp_path / "v.cfg"
         cfg.write_text("a = 1.0\n")
         assert main(["validate-lemmas", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("spec", ["grid:dim=x", "line:n=abc", "star:n=1.5",
+                                      "ellipsoid:axes=1:x"])
+    def test_non_numeric_space_option_exits_2(self, tmp_path, spec):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"space = {spec}\ntrials = 10\n")
+        assert main(["validate-upper", "--config", str(cfg)]) == 2
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["validate-lemmas", "--config", str(tmp_path / "no.cfg")]) == 2

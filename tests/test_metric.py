@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
-                      ParseError, brute_force_min_cover, distance,
-                      greedy_cover, is_cover, load_distance_matrix,
+                      ParseError, brute_force_min_cover, greedy_cover,
+                      is_cover, load_distance_matrix,
                       load_point_cloud, load_space, metric_entropy,
                       sample_cover_compact, write_cover_csv)
 
@@ -45,20 +45,20 @@ def _random_space(rng, n, dim=2):
 class TestFiniteMetricSpace:
     def test_distance_identity_is_zero(self, line5):
         for i in range(5):
-            assert distance(line5, i, i) == 0.0
+            assert line5.distance(i, i) == 0.0
 
     def test_line_endpoints(self, line5):
-        assert distance(line5, 0, 4) == pytest.approx(4.0)
+        assert line5.distance(0, 4) == pytest.approx(4.0)
 
     def test_diameter_is_max_over_pairs(self, line5):
-        pairs = max(distance(line5, i, j) for i in range(5) for j in range(5))
+        pairs = max(line5.distance(i, j) for i in range(5) for j in range(5))
         assert line5.diameter == pytest.approx(pairs)
 
     def test_out_of_range_id_raises(self, line5):
         with pytest.raises(ArgumentError):
-            distance(line5, 0, 5)
+            line5.distance(0, 5)
         with pytest.raises(ArgumentError):
-            distance(line5, -1, 0)
+            line5.distance(-1, 0)
 
     def test_matrix_symmetry_enforced(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -296,6 +296,13 @@ class TestFileFormats:
         path.write_text("3\n0 1 1\n1 0 1\n")
         with pytest.raises(ParseError):
             load_distance_matrix(str(path))
+
+    def test_distance_matrix_non_numeric_entry(self, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_text("3\n0 1 1\n1 0 abc\n1 1 0\n")
+        with pytest.raises(ParseError) as err:
+            load_distance_matrix(str(path))
+        assert "line 3" in str(err.value)
 
     def test_cover_csv(self, tmp_path):
         sp = FiniteMetricSpace.from_coordinates(np.arange(5.0))
