@@ -6,21 +6,20 @@ the process over each cell, and runs optimistic (upper-confidence-bound)
 query loops whose cumulative regret admits computable certificates.
 """
 
-from .bandit import (BanditState, OptimizerConfig, RegretBoundSeries,
-                     RegretRecord, depth_half_log2, depth_omega_threshold,
-                     gp_ucb_step, regret_bound_rhs, run_gp_ucb,
-                     run_squared_gp_ucb)
+from .bandit import (BanditState, GPPosterior, OptimizerConfig,
+                     RegretBoundSeries, RegretRecord, depth_half_log2,
+                     depth_omega_threshold, gamma_t, gp_ucb_step,
+                     regret_bound_rhs, run_gp_ucb, run_squared_gp_ucb)
 from .chaining import (ChainingTree, TreeNode, build_forward, build_tree,
                        lower_bound_functional, lower_value, omega, omega_table,
                        parent_at_depth, phi, prune_backward, validate_tree,
                        write_tree)
 from .errors import (ArgumentError, CapacityError, ChainoptError, InternalError,
                      NumericError, ParseError)
-from .gp import (GPPosterior, Kernel, c_eta, canonical_metric_space, gamma_t,
-                 gram, information_gain, kernel_eval, parse_kernel,
-                 posterior_predict, posterior_predict_many, posterior_update,
-                 sample_prior, squared_gaussian_interval,
-                 squared_gaussian_outside_prob, squared_gp_bounds)
+from .gp import (Kernel, c_eta, canonical_metric_space, gram,
+                 information_gain, kernel_eval, parse_kernel, sample_prior,
+                 squared_gaussian_interval, squared_gaussian_outside_prob,
+                 squared_gp_bounds)
 from .harness import (ExperimentConfig, ValidationClaim, ValidationReport,
                       make_ellipsoid, make_grid, make_line, make_star,
                       parse_config, run_experiment, sample_paths,

@@ -3,12 +3,15 @@
 Each iteration picks a discretization depth, forms upper confidence bounds
 over the non-pruned tree nodes at that depth or above, queries the argmax,
 and records cumulative and simple regret against the sampled ground truth.
-A squared-process variant maintains one posterior per channel and combines
-per-channel squared confidence intervals into objective bounds.
+The bounds come from one incremental GP posterior over the space's points.
+A squared-process variant gives that posterior one output channel per
+process and combines per-channel squared confidence intervals into
+objective bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,13 +19,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .chaining import ChainingTree, build_tree, omega_table
-from .errors import ArgumentError, NumericError
-from .gp import (_REBUILD_EVERY, GPPosterior, Kernel, c_eta, gram,
-                 posterior_predict_many)
+from .errors import ArgumentError, CapacityError, NumericError
+from .gp import Kernel, c_eta, gram, information_gain
 from .metric import FiniteMetricSpace
 from .smoothness import SmoothnessModel, confidence_level_u_i
 
 _DEPTH_RULES = ("halflog2", "omega")
+_REBUILD_EVERY = 64       # full refactorization cadence for incremental updates
+_VAR_CLAMP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,109 @@ def depth_omega_threshold(tree: ChainingTree, model: SmoothnessModel, u: float,
     return tree.max_depth
 
 
+class GPPosterior:
+    """Incrementally factored GP posterior over a fixed point set.
+
+    The observations are noisy values at points of ``coords`` (by row id),
+    with noise variance ``eta2``; at most ``capacity`` of them.  Keeps
+    ``V = L^{-1} K(queries, points)`` and ``B = L^{-1} Y``, where L factors
+    K + eta2 I over the queried points, so one update costs O(t n) instead
+    of O(t^2 n); refactored from scratch every ``_REBUILD_EVERY`` updates
+    to cap round-off drift.  Several output channels share the queries.
+    To predict at other locations, include them in ``coords``.
+    """
+
+    def __init__(self, kernel: Kernel, eta2: float, coords, capacity: int,
+                 n_outputs: int = 1):
+        if eta2 <= 0:
+            raise ArgumentError("noise variance must be positive")
+        self.Kcc = gram(kernel, coords)
+        self.diag = np.diag(self.Kcc).copy()
+        self.eta2 = float(eta2)
+        n = self.Kcc.shape[0]
+        self.V = np.zeros((capacity, n))
+        self.B = np.zeros((capacity, n_outputs))
+        self.Yraw = np.zeros((capacity, n_outputs))
+        self.q = np.zeros(capacity, dtype=int)
+        self.sumsq = np.zeros(n)
+        self.t = 0
+
+    def variance(self) -> np.ndarray:
+        """Posterior variance of the latent process at every point, shape (n,)."""
+        return np.clip(self.diag - self.sumsq, 0.0, None)
+
+    def predict(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means, shape (n, channels), and deviations, shape (n,)."""
+        return self.V[: self.t].T @ self.B[: self.t], np.sqrt(self.variance())
+
+    def add(self, j: int, y_row) -> None:
+        """Condition on a noisy observation ``y_row`` (one value per channel) at point j."""
+        t = self.t
+        if t == self.V.shape[0]:
+            raise ArgumentError(f"posterior capacity {t} exhausted")
+        w = self.V[:t, j]
+        ww = float(w @ w)
+        var = self.diag[j] - ww
+        if var < -_VAR_CLAMP_TOL * max(self.diag[j], 1.0):
+            raise NumericError(f"negative posterior variance {var:g} at point {j}")
+        d2 = self.diag[j] + self.eta2 - ww
+        if d2 <= 0:
+            raise NumericError(f"posterior factor extension failed (pivot {d2:g})")
+        d = math.sqrt(d2)
+        self.V[t] = (self.Kcc[j] - w @ self.V[:t]) / d
+        self.B[t] = (np.asarray(y_row, dtype=float) - w @ self.B[:t]) / d
+        self.Yraw[t] = y_row
+        self.q[t] = j
+        self.sumsq += self.V[t] * self.V[t]
+        self.t += 1
+        if self.t % _REBUILD_EVERY == 0:
+            self._rebuild()
+
+    def _rebuild(self) -> None:
+        t = self.t
+        sel = self.q[:t]
+        C = self.Kcc[np.ix_(sel, sel)] + self.eta2 * np.eye(t)
+        try:
+            L = np.linalg.cholesky(C)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("posterior refactorization failed") from exc
+        self.V[:t] = solve_triangular(L, self.Kcc[sel, :], lower=True)
+        self.B[:t] = solve_triangular(L, self.Yraw[:t], lower=True)
+        self.sumsq = np.einsum("ij,ij->j", self.V[:t], self.V[:t])
+
+
+def gamma_t(kernel: Kernel, space: FiniteMetricSpace, t: int, eta2: float,
+            mode: str = "greedy") -> float:
+    """Maximum information gain over t-point designs: exact search or greedy.
+
+    Exact mode enumerates all subsets (capped at 1e6 combinations) and is
+    meant as a test oracle; greedy runs the sequential argmax of marginal
+    gain and never exceeds the exact value.
+    """
+    if space.coords is None:
+        raise ArgumentError("gamma_t needs a coordinate-backed space")
+    if t < 1 or t > space.n:
+        raise ArgumentError(f"t must lie in 1..{space.n}")
+    coords = space.coords
+    if mode == "exact":
+        if math.comb(space.n, t) > 1_000_000:
+            raise CapacityError("exact gamma_t limited to 1e6 subsets")
+        best = -math.inf
+        for combo in itertools.combinations(range(space.n), t):
+            best = max(best, information_gain(kernel, coords[list(combo)], eta2))
+        return best
+    if mode != "greedy":
+        raise ArgumentError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    post = GPPosterior(kernel, eta2, coords, t)
+    total = 0.0
+    for _ in range(t):
+        gains = 0.5 * np.log1p(post.variance() / eta2)
+        j = int(np.argmax(gains))            # first max = smallest id
+        total += float(gains[j])
+        post.add(j, 0.0)                     # variance ignores Y
+    return total
+
+
 @dataclass
 class StepChoice:
     point: int
@@ -86,7 +193,10 @@ class StepChoice:
 
 @dataclass
 class BanditState:
-    """State consumed by :func:`gp_ucb_step`: posterior, tree and config."""
+    """State consumed by :func:`gp_ucb_step`: posterior, tree and config.
+
+    ``posterior`` is over the coordinates of ``tree.space``, in point order.
+    """
 
     posterior: GPPosterior
     tree: ChainingTree
@@ -124,77 +234,12 @@ def gp_ucb_step(state: BanditState, i: int) -> StepChoice:
                                          i, state.last_depth)
     u_i = confidence_level_u_i(cfg.u, tree.capacity(h), i, cfg.a)
     cand = tree.candidate_locations(h)
-    if cand.size == 0:
-        raise NumericError("empty candidate level")  # structurally impossible
-    coords = tree.space.coords
-    if coords is None:
-        raise ArgumentError("optimization needs a coordinate-backed space")
-    mu, sig = posterior_predict_many(state.posterior, coords[cand])
-    ucb = mu + sig * math.sqrt(2.0 * u_i)
+    mu, sig = state.posterior.predict()
+    if mu.shape[0] != tree.space.n:
+        raise ArgumentError("the posterior's point set must be the tree's space")
+    ucb = _plain_ucb(cand, mu, sig, u_i)[0]
     j = int(np.argmax(ucb))                  # first maximum = smallest id
     return StepChoice(int(cand[j]), u_i, h, float(ucb[j]))
-
-
-class _SharedPosterior:
-    """Incrementally factored posterior over a fixed point set.
-
-    Keeps ``V = L^{-1} K(queries, points)`` and ``B = L^{-1} Y`` so one
-    iteration costs O(t n) instead of O(t^2 n); refactored from scratch
-    every ``_REBUILD_EVERY`` updates to cap round-off drift.  Supports
-    several output channels sharing the same query locations.
-    """
-
-    def __init__(self, kernel: Kernel, eta2: float, coords: np.ndarray,
-                 n_outputs: int, t_max: int):
-        self.Kcc = gram(kernel, coords)
-        self.diag = np.diag(self.Kcc).copy()
-        self.eta2 = float(eta2)
-        n = self.Kcc.shape[0]
-        cap = max(t_max, 1)
-        self.V = np.zeros((cap, n))
-        self.B = np.zeros((cap, n_outputs))
-        self.Yraw = np.zeros((cap, n_outputs))
-        self.q = np.zeros(cap, dtype=int)
-        self.sumsq = np.zeros(n)
-        self.t = 0
-
-    def predict(self) -> tuple[np.ndarray, np.ndarray]:
-        var = np.clip(self.diag - self.sumsq, 0.0, None)
-        if self.t == 0:
-            return np.zeros((self.Kcc.shape[0], self.B.shape[1])), np.sqrt(var)
-        mu = self.V[: self.t].T @ self.B[: self.t]
-        return mu, np.sqrt(var)
-
-    def noiseless_variance(self) -> np.ndarray:
-        return np.clip(self.diag - self.sumsq, 0.0, None)
-
-    def add(self, j: int, y_row: np.ndarray) -> None:
-        t = self.t
-        w = self.V[:t, j]
-        d2 = self.diag[j] + self.eta2 - float(w @ w)
-        if d2 <= 0:
-            raise NumericError(f"posterior factor extension failed (pivot {d2:g})")
-        d = math.sqrt(d2)
-        self.V[t] = (self.Kcc[j] - w @ self.V[:t]) / d
-        self.B[t] = (np.asarray(y_row, dtype=float) - w @ self.B[:t]) / d
-        self.Yraw[t] = y_row
-        self.q[t] = j
-        self.sumsq += self.V[t] * self.V[t]
-        self.t += 1
-        if self.t % _REBUILD_EVERY == 0:
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        t = self.t
-        sel = self.q[:t]
-        C = self.Kcc[np.ix_(sel, sel)] + self.eta2 * np.eye(t)
-        try:
-            L = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("posterior refactorization failed") from exc
-        self.V[:t] = solve_triangular(L, self.Kcc[sel, :], lower=True)
-        self.B[:t] = solve_triangular(L, self.Yraw[:t], lower=True)
-        self.sumsq = np.einsum("ij,ij->j", self.V[:t], self.V[:t])
 
 
 @dataclass
@@ -296,7 +341,7 @@ def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
         tree = build_tree(space, config.schedule, config.shift, config.u)
     rng = np.random.default_rng(seed)
     n_out = 1 if truth is None else truth.shape[0]
-    shared = _SharedPosterior(kernel, config.eta2, space.coords, n_out, config.t_max)
+    post = GPPosterior(kernel, config.eta2, space.coords, config.t_max, n_out)
     f = None if truth is None else objective(truth)
     sup_f = None if f is None else float(np.max(f))
     omega_vals = None
@@ -324,13 +369,13 @@ def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
         h = _select_depth(tree, config, model, omega_vals, i, h)
         u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
         cand = tree.candidate_locations(h)
-        mu, sig = shared.predict()
+        mu, sig = post.predict()
         ucb, width, cover = acquire(cand, mu, sig, u_i)
         j = int(np.argmax(ucb))                  # first maximum = smallest id
         x = int(cand[j])
 
         sigma_b = float(sig[x])
-        var_b = float(shared.noiseless_variance()[x])
+        var_b = float(post.variance()[x])
         if truth is not None:
             y_row = truth[:, x] + rng.normal(0.0, noise_sd, size=n_out)
         else:
@@ -339,7 +384,7 @@ def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
             raise NumericError(f"non-finite observation at point {x} (iteration {i})")
         info += 0.5 * math.log1p(var_b / config.eta2)
         ssq += var_b
-        shared.add(x, y_row)
+        post.add(x, y_row)
 
         depths[k] = h
         points[k] = x

@@ -1,33 +1,26 @@
-"""Gaussian process machinery: kernels, sampling, posteriors, information gain.
+"""Gaussian process machinery: kernels, prior sampling, information gain.
 
-Posterior inference follows the standard noisy-observation form
-
-    mu(x)     = k(x, X) (K + eta2 I)^{-1} Y
-    sigma2(x) = k(x, x) - k(x, X) (K + eta2 I)^{-1} k(X, x)
-
-computed through a lower-triangular factorization with escalating jitter.
-Also provides the squared-Gaussian confidence intervals used by the
-squared-process optimizer, together with their exact tail probability as
-an erf-based oracle for tests.
+Provides covariance kernels, the canonical process metric, prior draws
+through a lower-triangular factorization with escalating jitter, and the
+squared-Gaussian confidence intervals used by the squared-process
+optimizer, together with their exact tail probability as an erf-based
+oracle for tests.  The posterior over a point set lives in
+:mod:`chainopt.bandit`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from .errors import ArgumentError, CapacityError, NumericError
+from .errors import ArgumentError, NumericError
 from .metric import FiniteMetricSpace
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
-_REBUILD_EVERY = 64       # full refactorization cadence for incremental updates
-_VAR_CLAMP_TOL = 1e-10
 
 _MATERN_P = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
 
@@ -131,15 +124,6 @@ def gram(kernel: Kernel, X) -> np.ndarray:
     return _scaled_dist(kernel, cdist(X, X))
 
 
-def cross_gram(kernel: Kernel, X, Z) -> np.ndarray:
-    """Covariance matrix between two coordinate arrays."""
-    X = _as_points(X)
-    Z = _as_points(Z)
-    if kernel.family == "linear":
-        return kernel.variance * (X @ Z.T)
-    return _scaled_dist(kernel, cdist(X, Z))
-
-
 def canonical_metric_space(kernel: Kernel, coords) -> FiniteMetricSpace:
     """Space whose metric is the process distance sqrt(k(x,x) - 2k(x,y) + k(y,y))."""
     coords = _as_points(coords)
@@ -153,11 +137,14 @@ def canonical_metric_space(kernel: Kernel, coords) -> FiniteMetricSpace:
 
 def chol_with_jitter(M: np.ndarray, start: float = _JITTER_START,
                      limit: float = _JITTER_LIMIT) -> np.ndarray:
-    """Lower-triangular factor of M, escalating diagonal jitter on failure."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
+    """Lower-triangular factor of M + jitter I, the smallest jitter that works.
+
+    The jitter starts at ``start`` and grows tenfold per failure up to
+    ``limit``.  There is no unjittered attempt: it always fails on the
+    centered Gram matrix of a matrix space (whose first row is zero) and on
+    the squared-exponential Gram matrix of a fine grid, so it would cost
+    one wasted factorization per draw.
+    """
     jitter = start
     eye = np.eye(M.shape[0])
     while jitter <= limit * (1 + 1e-12):
@@ -177,107 +164,6 @@ def sample_prior(kernel: Kernel, coords, seed) -> np.ndarray:
     return L @ rng.standard_normal(K.shape[0])
 
 
-@dataclass(frozen=True)
-class GPPosterior:
-    """Immutable posterior state; updates return new values.
-
-    ``L`` is the lower-triangular factor of K + eta2 I over the observed
-    inputs and ``b = L^{-1} Y``; both are rebuilt from scratch every
-    ``_REBUILD_EVERY`` updates to cap round-off drift.
-    """
-
-    kernel: Kernel
-    eta2: float
-    X: np.ndarray          # (t, D) observed inputs
-    Y: np.ndarray          # (t,)  observed outputs
-    L: np.ndarray          # (t, t) lower-triangular factor of K + eta2 I
-    b: np.ndarray          # (t,)  L^{-1} Y
-    updates_since_rebuild: int = 0
-
-    @classmethod
-    def empty(cls, kernel: Kernel, eta2: float, dim: int = 1) -> "GPPosterior":
-        if eta2 <= 0:
-            raise ArgumentError("noise variance must be positive")
-        z = np.zeros((0, dim))
-        return cls(kernel, float(eta2), z, np.zeros(0), np.zeros((0, 0)), np.zeros(0))
-
-    @property
-    def n_obs(self) -> int:
-        return self.X.shape[0]
-
-
-def posterior_predict(post: GPPosterior, x) -> tuple[float, float]:
-    """Posterior mean and standard deviation at a single point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    kxx = kernel_eval(post.kernel, x, x)
-    if post.n_obs == 0:
-        return 0.0, math.sqrt(max(kxx, 0.0))
-    kvec = cross_gram(post.kernel, post.X, x[None, :])[:, 0]
-    v = solve_triangular(post.L, kvec, lower=True)
-    mu = float(v @ post.b)
-    var = kxx - float(v @ v)
-    if var < -_VAR_CLAMP_TOL * max(kxx, 1.0):
-        raise NumericError(f"negative posterior variance {var:g}")
-    return mu, math.sqrt(max(var, 0.0))
-
-
-def posterior_predict_many(post: GPPosterior, Xq) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized posterior mean and deviation over query rows."""
-    Xq = _as_points(Xq)
-    diag = np.array([kernel_eval(post.kernel, r, r) for r in Xq])
-    if post.n_obs == 0:
-        return np.zeros(Xq.shape[0]), np.sqrt(np.maximum(diag, 0.0))
-    Kq = cross_gram(post.kernel, post.X, Xq)
-    V = solve_triangular(post.L, Kq, lower=True)
-    mu = V.T @ post.b
-    var = np.maximum(diag - np.einsum("ij,ij->j", V, V), 0.0)
-    return mu, np.sqrt(var)
-
-
-def _rebuild(post: GPPosterior) -> GPPosterior:
-    K = gram(post.kernel, post.X)
-    try:
-        L = np.linalg.cholesky(K + post.eta2 * np.eye(post.n_obs))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("posterior refactorization failed") from exc
-    b = solve_triangular(L, post.Y, lower=True)
-    return replace(post, L=L, b=b, updates_since_rebuild=0)
-
-
-def posterior_update(post: GPPosterior, x, y: float) -> GPPosterior:
-    """Posterior with one observation appended (rank-one factor extension)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if post.n_obs and x.shape[0] != post.X.shape[1]:
-        raise ArgumentError("observation dimension mismatch")
-    t = post.n_obs
-    kxx = kernel_eval(post.kernel, x, x)
-    X_new = np.vstack([post.X, x[None, :]]) if t else x[None, :].copy()
-    Y_new = np.append(post.Y, float(y))
-    if t == 0:
-        d2 = kxx + post.eta2
-        L_new = np.array([[math.sqrt(d2)]])
-        b_new = Y_new / L_new[0, 0]
-        return replace(post, X=X_new, Y=Y_new, L=L_new, b=b_new,
-                       updates_since_rebuild=1)
-    kvec = cross_gram(post.kernel, post.X, x[None, :])[:, 0]
-    w = solve_triangular(post.L, kvec, lower=True)
-    d2 = kxx + post.eta2 - float(w @ w)
-    if d2 <= 0:
-        raise NumericError(f"factor extension failed (pivot {d2:g}); "
-                           f"jitter would exceed {_JITTER_LIMIT:g}")
-    d = math.sqrt(d2)
-    L_new = np.zeros((t + 1, t + 1))
-    L_new[:t, :t] = post.L
-    L_new[t, :t] = w
-    L_new[t, t] = d
-    b_new = np.append(post.b, (float(y) - float(w @ post.b)) / d)
-    out = replace(post, X=X_new, Y=Y_new, L=L_new, b=b_new,
-                  updates_since_rebuild=post.updates_since_rebuild + 1)
-    if out.updates_since_rebuild >= _REBUILD_EVERY:
-        out = _rebuild(out)
-    return out
-
-
 def information_gain(kernel: Kernel, X, eta2: float) -> float:
     """Half log-determinant of I + K/eta2 over the design X."""
     if eta2 <= 0:
@@ -292,41 +178,6 @@ def information_gain(kernel: Kernel, X, eta2: float) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericError("information-gain factorization failed") from exc
     return float(np.log(np.diag(L)).sum())
-
-
-def gamma_t(kernel: Kernel, space: FiniteMetricSpace, t: int, eta2: float,
-            mode: str = "greedy") -> float:
-    """Maximum information gain over t-point designs: exact search or greedy.
-
-    Exact mode enumerates all subsets (capped at 1e6 combinations) and is
-    meant as a test oracle; greedy runs the sequential argmax of marginal
-    gain and never exceeds the exact value.
-    """
-    if space.coords is None:
-        raise ArgumentError("gamma_t needs a coordinate-backed space")
-    if t < 1 or t > space.n:
-        raise ArgumentError(f"t must lie in 1..{space.n}")
-    coords = space.coords
-    if mode == "exact":
-        if math.comb(space.n, t) > 1_000_000:
-            raise CapacityError("exact gamma_t limited to 1e6 subsets")
-        best = -math.inf
-        for combo in itertools.combinations(range(space.n), t):
-            best = max(best, information_gain(kernel, coords[list(combo)], eta2))
-        return best
-    if mode != "greedy":
-        raise ArgumentError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    chosen: list[int] = []
-    post = GPPosterior.empty(kernel, eta2, dim=coords.shape[1])
-    total = 0.0
-    for _ in range(t):
-        _, sig = posterior_predict_many(post, coords)
-        gains = 0.5 * np.log1p(sig * sig / eta2)
-        j = int(np.argmax(gains))            # first max = smallest id
-        total += float(gains[j])
-        post = posterior_update(post, coords[j], 0.0)  # variance ignores Y
-        chosen.append(j)
-    return total
 
 
 def c_eta(eta2: float) -> float:

@@ -38,14 +38,15 @@ class FiniteMetricSpace:
     """Points ``0..n-1`` with a pseudo-metric and a cached diameter.
 
     Construct through :meth:`from_coordinates` or
-    :meth:`from_distance_matrix`.  Construction validates the pseudo-metric
-    axioms: zero diagonal, symmetry, nonnegativity and the triangle
-    inequality (exhaustive for n <= 64, on 10 000 random triples beyond).
+    :meth:`from_distance_matrix`.  Construction validates the input: finite
+    coordinates and distances, then the pseudo-metric axioms: zero
+    diagonal, symmetry, nonnegativity and the triangle inequality
+    (exhaustive for n <= 64, on 10 000 random triples beyond).
     Instances are immutable once built and safe for concurrent readers.
     """
 
     def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None,
-                 rule: str, validate: bool = True):
+                 rule: str):
         if coords is None and matrix is None:
             raise ArgumentError("need coordinates or a distance matrix")
         self._coords = None if coords is None else np.asarray(coords, dtype=float)
@@ -65,8 +66,7 @@ class FiniteMetricSpace:
             self._dist = cdist(self._coords, self._coords)
         else:
             self._dist = None  # rows computed on the fly from coordinates
-        if validate:
-            self._validate()
+        self._validate()
         self._diameter = self._compute_diameter()
 
     # -- constructors ------------------------------------------------------
@@ -134,6 +134,10 @@ class FiniteMetricSpace:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
+        for what, arr in (("coordinate", self._coords), ("distance", self._dist)):
+            if arr is not None and not np.all(np.isfinite(arr)):
+                bad = arr[~np.isfinite(arr)][0]
+                raise ArgumentError(f"every {what} must be finite, found {bad}")
         if self._dist is not None:
             d = self._dist
             if np.any(np.abs(np.diag(d)) > 0):

@@ -135,11 +135,12 @@ def test_criterion_5_posterior_oracle_equivalence():
         X = rng.normal(size=(t, 2))
         Y = rng.normal(size=t)
         eta2 = float(rng.uniform(0.05, 1.0))
-        post = co.GPPosterior.empty(kernel, eta2, dim=2)
-        for xi, yi in zip(X, Y):
-            post = co.posterior_update(post, xi, yi)
         x = rng.normal(size=2)
-        mu, sig = co.posterior_predict(post, x)
+        post = co.GPPosterior(kernel, eta2, np.vstack([X, x]), t)  # query row last
+        for j, yi in enumerate(Y):
+            post.add(j, yi)
+        mu_all, sig_all = post.predict()
+        mu, sig = mu_all[t, 0], sig_all[t]
         K = gram(kernel, X)
         C_inv = np.linalg.inv(K + eta2 * np.eye(t))
         kvec = np.array([kernel_eval(kernel, xi, x) for xi in X])

@@ -8,10 +8,9 @@ import pytest
 from chainopt import (ArgumentError, BanditState, ChainingTree,
                       FiniteMetricSpace, GPPosterior, Kernel, NumericError,
                       OptimizerConfig, build_forward, build_tree, c_eta,
-                      canonical_metric_space,
+                      canonical_metric_space, gram,
                       depth_half_log2, depth_omega_threshold, gp_ucb_step,
                       information_gain, make_grid, omega_table,
-                      posterior_predict_many, posterior_update,
                       prune_backward, regret_bound_rhs, run_gp_ucb,
                       run_squared_gp_ucb, sample_paths)
 from chainopt.smoothness import SmoothnessModel, confidence_level_u_i
@@ -26,6 +25,15 @@ def _chain_tree(depth):
         prev = tree.new_node(i, i, prev.node_id)
     tree.recompute_geometry()
     return tree
+
+
+def _dense_posterior(kernel, eta2, coords, obs, ys):
+    """Posterior mean and deviation over coords through an explicit inverse."""
+    K = gram(kernel, coords)
+    C_inv = np.linalg.inv(K[np.ix_(obs, obs)] + eta2 * np.eye(len(obs)))
+    Kq = K[:, obs]
+    var = np.diag(K) - np.einsum("ij,jk,ik->i", Kq, C_inv, Kq)
+    return Kq @ C_inv @ np.asarray(ys), np.sqrt(np.maximum(var, 0.0))
 
 
 @pytest.fixture
@@ -84,7 +92,7 @@ class TestGpUcbStep:
     def test_first_step_breaks_ties_to_smallest_id(self, grid16):
         config = OptimizerConfig(u=2.0, t_max=5)
         tree = prune_backward(build_forward(grid16), config.u)
-        post = GPPosterior.empty(Kernel("se", 0.3), config.eta2, dim=1)
+        post = GPPosterior(Kernel("se", 0.3), config.eta2, grid16.coords, config.t_max)
         state = BanditState(post, tree, config)
         choice = gp_ucb_step(state, 1)
         assert choice.point == int(tree.candidate_locations(0).min())
@@ -96,17 +104,18 @@ class TestGpUcbStep:
         config = OptimizerConfig(u=1.5, a=2.5, eta2=0.2, t_max=5)
         tree = prune_backward(build_forward(grid16), config.u)
         kernel = Kernel("se", 0.3)
-        post = GPPosterior.empty(kernel, config.eta2, dim=1)
-        post = posterior_update(post, grid16.coords[3], 0.8)
-        post = posterior_update(post, grid16.coords[11], -0.2)
+        post = GPPosterior(kernel, config.eta2, grid16.coords, config.t_max)
+        post.add(3, 0.8)
+        post.add(11, -0.2)
         state = BanditState(post, tree, config)
         i = 6
         choice = gp_ucb_step(state, i)
         h = choice.depth
         cand = tree.candidate_locations(h)
         u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
-        mu, sig = posterior_predict_many(post, grid16.coords[cand])
-        scores = mu + sig * math.sqrt(2 * u_i)
+        mu, sig = _dense_posterior(kernel, config.eta2, grid16.coords, [3, 11],
+                                   [0.8, -0.2])
+        scores = mu[cand] + sig[cand] * math.sqrt(2 * u_i)
         assert choice.point == int(cand[int(np.argmax(scores))])
         assert choice.ucb == pytest.approx(float(scores.max()))
         assert choice.u_i == pytest.approx(u_i)
@@ -115,13 +124,13 @@ class TestGpUcbStep:
         config = OptimizerConfig(eta2=0.2, t_max=5)
         tree = prune_backward(build_forward(grid16), config.u)
         kernel = Kernel("se", 0.3)
-        post = GPPosterior.empty(kernel, config.eta2, dim=1)
-        post = posterior_update(post, grid16.coords[5], 1.0)
+        post = GPPosterior(kernel, config.eta2, grid16.coords, config.t_max)
+        post.add(5, 1.0)
         state = BanditState(post, tree, config)
         choice = gp_ucb_step(state, 4)
         cand = tree.candidate_locations(choice.depth)
-        mu, sig = posterior_predict_many(post, grid16.coords[cand])
-        scores = mu + sig * math.sqrt(2 * choice.u_i)
+        mu, sig = post.predict()
+        scores = mu[cand, 0] + sig[cand] * math.sqrt(2 * choice.u_i)
         for transform in (lambda s: s + 17.5, lambda s: 3.0 * s):
             assert int(cand[int(np.argmax(transform(scores)))]) == choice.point
 
@@ -163,7 +172,7 @@ class TestRunGpUcb:
         record = run_gp_ucb(grid16, kernel, config, truth, seed=3, tree=tree)
 
         rng = np.random.default_rng(3)
-        post = GPPosterior.empty(kernel, config.eta2, dim=1)
+        post = GPPosterior(kernel, config.eta2, grid16.coords, config.t_max)
         state = BanditState(post, tree, config)
         for k in range(config.t_max):
             choice = gp_ucb_step(state, k + 1)
@@ -173,8 +182,7 @@ class TestRunGpUcb:
             assert choice.ucb == pytest.approx(record.ucbs[k], abs=1e-8)
             y = float(truth[choice.point]) + rng.normal(0.0, math.sqrt(config.eta2))
             assert y == pytest.approx(record.ys[k])
-            state.posterior = posterior_update(state.posterior,
-                                               grid16.coords[choice.point], y)
+            state.posterior.add(choice.point, y)
 
     def test_regret_identities(self, grid16):
         kernel = Kernel("se", 0.25)

@@ -52,6 +52,21 @@ class TestCover:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text,what", [
+        ("# dim=1\n0\nnan\n1\n", "coordinate"),
+        ("# dim=1\n0\ninf\n1\n", "coordinate"),
+        ("2\n0 nan\nnan 0\n", "distance")], ids=["nan-cloud", "inf-cloud", "nan-matrix"])
+    def test_non_finite_space_exits_2(self, tmp_path, capsys, text, what):
+        path = tmp_path / "space.txt"
+        path.write_text(text)
+        code = main(["cover", "--space", str(path), "--epsilon", "0.5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"every {what} must be finite" in err
+        assert "symmetric" not in err
+
     def test_bad_epsilon(self, tmp_path, cloud_file):
         code = main(["cover", "--space", cloud_file, "--epsilon", "-1",
                      "--out", str(tmp_path / "o.csv")])

@@ -7,11 +7,10 @@ import pytest
 from scipy.special import erf, erfinv
 
 from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
-                      GPPosterior, Kernel, c_eta, canonical_metric_space,
-                      gamma_t, gram, information_gain, kernel_eval,
-                      parse_kernel, posterior_predict, posterior_predict_many,
-                      posterior_update, sample_prior,
-                      squared_gaussian_interval,
+                      GPPosterior, Kernel, NumericError, c_eta,
+                      canonical_metric_space, gamma_t, gram,
+                      information_gain, kernel_eval, parse_kernel,
+                      sample_prior, squared_gaussian_interval,
                       squared_gaussian_outside_prob, squared_gp_bounds)
 
 ALL_FAMILIES = ("se", "matern12", "matern32", "matern52", "linear")
@@ -25,6 +24,20 @@ def _dense_oracle(kernel, X, Y, eta2, x):
     mu = float(kvec @ C_inv @ Y)
     var = kernel_eval(kernel, x, x) - float(kvec @ C_inv @ kvec)
     return mu, max(var, 0.0)
+
+
+def _predict_at(kernel, eta2, X, Y, Xq):
+    """Posterior means and deviations at the rows of Xq after observing Y at X.
+
+    The query rows join the posterior's point set after the observed ones.
+    """
+    X = np.asarray(X, dtype=float).reshape(len(Y), -1)
+    Xq = np.asarray(Xq, dtype=float).reshape(-1, X.shape[1])
+    post = GPPosterior(kernel, eta2, np.vstack([X, Xq]), len(Y))
+    for j, y in enumerate(Y):
+        post.add(j, y)
+    mu, sig = post.predict()
+    return mu[len(Y):, 0], sig[len(Y):]
 
 
 class TestKernels:
@@ -123,17 +136,17 @@ class TestSamplePrior:
 
 class TestPosterior:
     def test_prior_prediction(self):
-        post = GPPosterior.empty(Kernel("se"), 1.0)
-        mu, sig = posterior_predict(post, [0.3])
-        assert mu == 0.0
-        assert sig == pytest.approx(1.0)
+        post = GPPosterior(Kernel("se"), 1.0, [[0.3]], 0)
+        mu, sig = post.predict()
+        assert mu.shape == (1, 1) and mu[0, 0] == 0.0
+        assert sig[0] == pytest.approx(1.0)
 
     def test_single_observation_closed_form(self):
-        post = GPPosterior.empty(Kernel("se"), eta2=1.0)
-        post = posterior_update(post, [0.0], 1.0)
-        mu, sig = posterior_predict(post, [0.0])
-        assert mu == pytest.approx(0.5)
-        assert sig * sig == pytest.approx(0.5)
+        post = GPPosterior(Kernel("se"), 1.0, [[0.0]], 1)
+        post.add(0, 1.0)
+        mu, sig = post.predict()
+        assert mu[0, 0] == pytest.approx(0.5)
+        assert sig[0] ** 2 == pytest.approx(0.5)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
@@ -144,69 +157,83 @@ class TestPosterior:
             X = rng.normal(size=(t, 2))
             Y = rng.normal(size=t)
             eta2 = float(rng.uniform(0.05, 1.0))
-            post = GPPosterior.empty(k, eta2, dim=2)
-            for xi, yi in zip(X, Y):
-                post = posterior_update(post, xi, yi)
             x = rng.normal(size=2)
-            mu, sig = posterior_predict(post, x)
+            mu, sig = _predict_at(k, eta2, X, Y, x)
             mu_o, var_o = _dense_oracle(k, X, Y, eta2, x)
-            assert mu == pytest.approx(mu_o, abs=1e-8)
-            assert sig * sig == pytest.approx(var_o, abs=1e-8)
+            assert mu[0] == pytest.approx(mu_o, abs=1e-8)
+            assert sig[0] ** 2 == pytest.approx(var_o, abs=1e-8)
 
     def test_update_equals_rebuild(self):
+        # 70 updates cross the periodic refactorization; points repeat
         rng = np.random.default_rng(8)
         k = Kernel("se", 0.6)
         eta2 = 0.1
-        post = GPPosterior.empty(k, eta2, dim=1)
-        X, Y = [], []
-        for _ in range(70):  # crosses the periodic refactorization boundary
-            x = rng.normal(size=1)
-            y = float(rng.normal())
-            post = posterior_update(post, x, y)
-            X.append(x)
-            Y.append(y)
-        fresh = GPPosterior.empty(k, eta2, dim=1)
-        for x, y in zip(X, Y):
-            fresh = posterior_update(fresh, x, y)
-        xq = rng.normal(size=1)
-        mu1, sig1 = posterior_predict(post, xq)
-        mu2, sig2 = posterior_predict(fresh, xq)
-        assert mu1 == pytest.approx(mu2, abs=1e-9)
-        assert sig1 == pytest.approx(sig2, abs=1e-9)
+        coords = rng.normal(size=(12, 1))
+        post = GPPosterior(k, eta2, coords, 70, n_outputs=2)
+        q = rng.integers(0, 12, size=70)
+        Y = rng.normal(size=(70, 2))
+        for j, y in zip(q, Y):
+            post.add(int(j), y)
+        assert len(set(q.tolist())) < 70
+        mu, sig = post.predict()
+        K = gram(k, coords)
+        Kq = K[:, q]
+        C_inv = np.linalg.inv(K[np.ix_(q, q)] + eta2 * np.eye(70))
+        mu_o = Kq @ C_inv @ Y
+        var_o = np.maximum(np.diag(K) - np.einsum("ij,jk,ik->i", Kq, C_inv, Kq), 0.0)
+        assert np.allclose(mu, mu_o, rtol=0.0, atol=1e-9)
+        assert np.allclose(sig * sig, var_o, rtol=0.0, atol=1e-9)
+
+    def test_rejects_nonpositive_noise(self):
+        for eta2 in (0.0, -0.1):
+            with pytest.raises(ArgumentError):
+                GPPosterior(Kernel("se"), eta2, [[0.0]], 1)
+
+    def test_capacity_exhausted(self):
+        post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
+        post.add(0, 1.0)
+        post.add(1, 0.5)
+        with pytest.raises(ArgumentError):
+            post.add(0, 0.2)
+
+    def test_negative_variance_raises(self):
+        post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
+        post.add(0, 1.0)
+        post.V[0, 1] = 2.0        # a corrupted factor: w @ w exceeds k(x, x)
+        with pytest.raises(NumericError):
+            post.add(1, 0.5)
 
     def test_variance_decreases_at_observed_point(self):
-        post = GPPosterior.empty(Kernel("se"), eta2=0.5)
-        _, sig0 = posterior_predict(post, [0.0])
-        post = posterior_update(post, [0.0], 0.7)
-        _, sig1 = posterior_predict(post, [0.0])
+        post = GPPosterior(Kernel("se"), 0.5, [[0.0]], 1)
+        sig0 = post.predict()[1][0]
+        post.add(0, 0.7)
+        sig1 = post.predict()[1][0]
         assert sig1 < sig0
 
     def test_variance_monotone_everywhere(self):
         rng = np.random.default_rng(12)
         k = Kernel("matern32", 0.8)
-        post = GPPosterior.empty(k, eta2=0.2, dim=1)
-        grid = np.linspace(-1, 1, 15)[:, None]
-        _, sig_prev = posterior_predict_many(post, grid)
-        for _ in range(10):
-            post = posterior_update(post, rng.normal(size=1), float(rng.normal()))
-            _, sig = posterior_predict_many(post, grid)
+        coords = np.vstack([np.linspace(-1, 1, 15)[:, None], rng.normal(size=(10, 1))])
+        post = GPPosterior(k, 0.2, coords, 10)
+        sig_prev = post.predict()[1][:15]
+        for j in range(15, 25):
+            post.add(j, float(rng.normal()))
+            sig = post.predict()[1][:15]
             assert np.all(sig <= sig_prev + 1e-9)
             sig_prev = sig
 
     def test_duplicate_observations_accepted(self):
-        post = GPPosterior.empty(Kernel("se"), eta2=0.3)
-        post = posterior_update(post, [0.2], 1.0)
-        post = posterior_update(post, [0.2], 0.8)
-        mu, sig = posterior_predict(post, [0.2])
-        assert np.isfinite(mu) and sig >= 0.0
+        post = GPPosterior(Kernel("se"), 0.3, [[0.2]], 2)
+        post.add(0, 1.0)
+        post.add(0, 0.8)
+        mu, sig = post.predict()
+        assert np.isfinite(mu[0, 0]) and sig[0] >= 0.0
 
     def test_sigma_bounded_by_prior(self):
         rng = np.random.default_rng(13)
-        post = GPPosterior.empty(Kernel("se", 0.5), eta2=0.1, dim=1)
-        for _ in range(8):
-            post = posterior_update(post, rng.normal(size=1), float(rng.normal()))
-        grid = rng.normal(size=(20, 1))
-        _, sig = posterior_predict_many(post, grid)
+        X = rng.normal(size=(8, 1))
+        _, sig = _predict_at(Kernel("se", 0.5), 0.1, X, rng.normal(size=8),
+                             rng.normal(size=(20, 1)))
         assert np.all(sig * sig <= 1.0 + 1e-9)
 
 

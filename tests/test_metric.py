@@ -77,6 +77,20 @@ class TestFiniteMetricSpace:
         with pytest.raises(ArgumentError):
             FiniteMetricSpace.from_distance_matrix(D)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(ArgumentError, match=f"coordinate must be finite, found {bad}"):
+            FiniteMetricSpace.from_coordinates([[0.0], [bad], [1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        D = np.ones((3, 3)) - np.eye(3)
+        D[0, 2] = D[2, 0] = bad
+        with pytest.raises(ArgumentError, match=f"distance must be finite, found {bad}"):
+            FiniteMetricSpace.from_distance_matrix(D)
+
     def test_pseudo_metric_duplicates_allowed(self):
         # distance zero between distinct points is legal
         D = np.zeros((3, 3))
@@ -303,6 +317,20 @@ class TestFileFormats:
         with pytest.raises(ParseError) as err:
             load_distance_matrix(str(path))
         assert "line 3" in str(err.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_point_cloud_rejected(self, tmp_path):
+        path = tmp_path / "cloud.txt"
+        path.write_text("# dim=2\n0 0\n1 nan\n2 2\n")
+        with pytest.raises(ArgumentError, match="coordinate must be finite, found nan"):
+            load_space(str(path))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_distance_matrix_rejected(self, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_text("3\n0 1 nan\n1 0 1\nnan 1 0\n")
+        with pytest.raises(ArgumentError, match="distance must be finite, found nan"):
+            load_space(str(path))
 
     def test_cover_csv(self, tmp_path):
         sp = FiniteMetricSpace.from_coordinates(np.arange(5.0))
