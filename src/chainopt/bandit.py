@@ -474,12 +474,8 @@ def regret_bound_rhs(record: RegretRecord, tree: ChainingTree,
     if record.space_n != tree.space.n or record.tree_signature != _tree_signature(tree):
         raise ArgumentError("record was produced with a different tree")
     omega_vals = omega_table(tree, config.u, config.a, model)
-
-    def om(h: int) -> float:
-        return float(omega_vals[h]) if h < len(omega_vals) else 0.0
-
     t = len(record)
-    om_seq = np.array([om(int(h)) for h in record.depths])
+    om_seq = omega_vals[record.depths]
     per_step = np.cumsum(om_seq + record.widths)
     om_cum = np.cumsum(om_seq)
     ceta = c_eta(config.eta2)

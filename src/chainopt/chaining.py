@@ -114,7 +114,7 @@ class ChainingTree:
         return out
 
     def descendant_points(self, node_id: int) -> np.ndarray:
-        """Point ids of the leaves below (and including) a node."""
+        """Point ids of the leaves below (and including) a node; shared, do not modify."""
         return self._desc[node_id]
 
     # -- schedules ----------------------------------------------------------
@@ -165,15 +165,19 @@ class ChainingTree:
         """Rebuild descendant point sets and radii from the current structure."""
         self._desc.clear()
         self._cand_cache.clear()
-        order = sorted(self.nodes.values(), key=lambda nd: (-nd.depth, nd.node_id))
-        for nd in order:
-            if not nd.children:
-                self._desc[nd.node_id] = np.array([nd.location], dtype=int)
-            else:
-                self._desc[nd.node_id] = np.unique(np.concatenate(
-                    [self._desc[c] for c in nd.children]))
-            pts = self._desc[nd.node_id]
-            nd.radius = float(self.space.row(nd.location)[pts].max())
+        for nd in sorted(self.nodes.values(), key=lambda nd: (-nd.depth, nd.node_id)):
+            self._set_geometry(nd)
+
+    def _set_geometry(self, nd: TreeNode) -> None:
+        """Set a node's descendant points and radius from its children's."""
+        if not nd.children:
+            pts = np.array([nd.location], dtype=int)
+        elif len(nd.children) == 1:
+            pts = self._desc[nd.children[0]]     # already sorted and unique
+        else:
+            pts = np.unique(np.concatenate([self._desc[c] for c in nd.children]))
+        self._desc[nd.node_id] = pts
+        nd.radius = float(self.space.row(nd.location)[pts].max())
 
     def copy(self) -> "ChainingTree":
         out = ChainingTree(self.space, self.schedule, self.shift)
@@ -185,7 +189,7 @@ class ChainingTree:
         out.restart_count = self.restart_count
         out._next_id = self._next_id
         out._entropy_caps = dict(self._entropy_caps)
-        out.recompute_geometry()
+        out._desc = dict(self._desc)     # the arrays are never written in place
         return out
 
 
@@ -204,8 +208,8 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     centers join the tree, attached to their nearest earlier tree point
     (ties toward the smaller point id).  Points at distance exactly zero
     from a tree point can never become uncovered; they are attached at
-    distance zero once everything else has entered.  Radii are computed by
-    a downward sweep at the end.
+    distance zero once everything else has entered.  Descendant point sets
+    and radii are then set by one bottom-up sweep, deepest level first.
     """
     if schedule not in ("geometric", "entropy"):
         raise ArgumentError(f"schedule must be 'geometric' or 'entropy', got {schedule!r}")
@@ -312,7 +316,8 @@ def prune_backward(tree: ChainingTree, u: float) -> ChainingTree:
     """Backward pass: enforce child capacities and compute node values.
 
     Requires the geometric budget schedule.  Returns a new tree; the input
-    is left untouched.
+    is left untouched.  Descendant point sets and radii are carried over
+    from the input, and only each new pruned node has its own computed.
     """
     if u <= 0:
         raise ArgumentError("u must be positive")
@@ -330,7 +335,9 @@ def prune_backward(tree: ChainingTree, u: float) -> ChainingTree:
         if work.restart_count > limit:
             raise InternalError(
                 f"pruning restarted more than {limit} times on {tree.space.n} points")
-    work.recompute_geometry()
+    # No closing sweep: splicing a dropped node's children under a pruned
+    # node, or moving a dropped leaf one level down under it, leaves the leaf
+    # set, and so the radius, of every existing node unchanged.
     return work
 
 
@@ -377,11 +384,7 @@ def _prune_pass(tree: ChainingTree) -> bool:
                 else:
                     # a leaf has no self-copy below; displace the leaf itself
                     _move_node_down(tree, d_nd, pruned.node_id)
-            desc = np.unique(np.concatenate(
-                [tree._desc.get(c, np.array([tree.nodes[c].location], dtype=int))
-                 for c in pruned.children]))
-            tree._desc[pruned.node_id] = desc
-            pruned.radius = float(tree.space.row(pruned.location)[desc].max())
+            tree._set_geometry(pruned)
             if len(pruned.children) > tree.child_capacity(h):
                 return False    # restart the pruning on the updated tree
             pruned.value = max((tree.nodes[c].value for c in pruned.children),
@@ -443,19 +446,15 @@ def omega_table(tree: ChainingTree, u: float, a: float, model: SmoothnessModel,
         return u_cache[i]
 
     space = tree.space
-    for leaf in tree.leaves():
-        chain = tree.chain(leaf)
-        depth = len(chain) - 1
-        if depth == 0:
-            continue
-        terms = np.zeros(depth + 1)
-        for i in range(1, depth + 1):
-            cur, prev = tree.nodes[chain[i]], tree.nodes[chain[i - 1]]
-            dist = prev.radius if majorized else space.distance(cur.location, prev.location)
-            terms[i] = psi_star_inv(model, level_u(i), dist)
-        suffix = np.cumsum(terms[::-1])[::-1]     # suffix[h+1] = sum_{i>h} terms[i]
-        for h in range(depth):
-            table[h] = max(table[h], suffix[h + 1])
+    below: dict[int, float] = {}   # largest tail sum from a node down to a leaf
+    for h in range(H, 0, -1):
+        for nid in tree.levels[h]:
+            nd = tree.nodes[nid]
+            parent = tree.nodes[nd.parent]
+            dist = parent.radius if majorized else space.distance(nd.location, parent.location)
+            below[nid] = (max((below[c] for c in nd.children), default=0.0)
+                          + psi_star_inv(model, level_u(h), dist))
+        table[h - 1] = max((below[nid] for nid in tree.levels[h]), default=0.0)
     return table
 
 
@@ -540,10 +539,8 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     for h, lvl in enumerate(tree.levels):
         locs = [tree.nodes[nid].location for nid in lvl if not tree.nodes[nid].pruned]
         if len(locs) > 1:
-            D = space.pairwise(np.array(locs))
-            iu = np.triu_indices(len(locs), k=1)
-            vals = D[iu]
-            vals = vals[vals > 0]     # zero-distance points are indistinguishable
+            D = space.pairwise(np.array(locs))     # symmetric, zero diagonal
+            vals = D[D > 0]     # zero-distance points are indistinguishable
             if vals.size and vals.min() < tree.epsilon(h) * (1 - _REL_TOL):
                 errors.append(f"depth {h}: separation {vals.min():g} below eps={tree.epsilon(h):g}")
         budget = tree.capacity(h)

@@ -316,7 +316,7 @@ def validate_upper(config: ExperimentConfig) -> ValidationReport:
         desc = tree.descendant_points(nid)
         if desc.size <= 1:
             continue
-        bound = float(omega_vals[nd.depth]) if nd.depth < len(omega_vals) else 0.0
+        bound = float(omega_vals[nd.depth])
         excess = paths[:, desc].max(axis=1) - paths[:, nd.location]
         depth_viol[nd.depth] |= excess > bound + 1e-9
     joint = depth_viol.any(axis=0)

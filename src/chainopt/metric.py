@@ -58,7 +58,7 @@ class FiniteMetricSpace:
             raise ArgumentError("space must contain at least one point")
         self.n = int(n)
         if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
+            matrix = np.array(matrix, dtype=float, order="C")   # own copy, not the caller's
             if matrix.shape != (n, n):
                 raise ArgumentError(f"distance matrix must be square, got {matrix.shape}")
             self._dist = matrix
@@ -142,10 +142,11 @@ class FiniteMetricSpace:
             d = self._dist
             if np.any(np.abs(np.diag(d)) > 0):
                 raise ArgumentError("d(i,i) must be zero for every point")
-            scale = max(np.abs(d).max(), 1.0)
-            if not np.allclose(d, d.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * scale):
-                raise ArgumentError("distance matrix is not symmetric")
-            self._dist = 0.5 * (d + d.T)  # make symmetry exact after tolerance check
+            if not np.array_equal(d, d.T):
+                scale = max(np.abs(d).max(), 1.0)
+                if not np.allclose(d, d.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * scale):
+                    raise ArgumentError("distance matrix is not symmetric")
+                self._dist = 0.5 * (d + d.T)  # make symmetry exact after tolerance check
             if np.any(self._dist < 0):
                 raise ArgumentError("distances must be nonnegative")
         self._validate_triangle()

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
-                      build_forward, canonical_metric_space, is_cover,
+                      build_forward, build_tree, canonical_metric_space, is_cover,
                       lower_bound_functional, lower_value, make_star, omega,
                       omega_table, parent_at_depth, phi, prune_backward,
                       sample_paths, validate_tree, write_tree, zeta)
-from chainopt.smoothness import SmoothnessModel
+from chainopt.smoothness import SmoothnessModel, confidence_level_u_i, psi_star_inv
 
 
 @pytest.fixture
@@ -397,3 +399,58 @@ class TestSerialization:
         assert len(lines) == 4 + len(tree.nodes)
         root_row = lines[4].split(",")
         assert root_row[0] == "0" and root_row[3] == "" and root_row[4] == "0"
+
+
+def _omega_by_leaf_chains(tree, u, a, model, majorized):
+    """omega_table's definition: a suffix sum along every leaf's root chain."""
+    table = np.zeros(tree.max_depth + 1)
+    for leaf in tree.leaves():
+        chain = tree.chain(leaf)
+        depth = len(chain) - 1
+        terms = np.zeros(depth + 1)
+        for i in range(1, depth + 1):
+            cur, prev = tree.nodes[chain[i]], tree.nodes[chain[i - 1]]
+            dist = (prev.radius if majorized
+                    else tree.space.distance(cur.location, prev.location))
+            u_i = confidence_level_u_i(u, tree.capacity(i), i, a)
+            terms[i] = psi_star_inv(model, u_i, dist)
+        suffix = np.cumsum(terms[::-1])[::-1]
+        for h in range(depth):
+            table[h] = max(table[h], suffix[h + 1])
+    return table
+
+
+@st.composite
+def _small_spaces(draw):
+    """Stars, or clouds on a 1/64 lattice (ties and exact duplicates are common)."""
+    if draw(st.integers(0, 3)) == 0:
+        return make_star(draw(st.integers(1, 60)))
+    dim = draw(st.integers(1, 2))
+    coord = st.integers(0, 256).map(lambda k: k / 64.0)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=45))
+    dups = draw(st.lists(st.integers(0, len(pts) - 1), max_size=15))
+    return FiniteMetricSpace.from_coordinates(np.array(pts + [pts[i] for i in dups]))
+
+
+class TestTreeProperties:
+    @given(space=_small_spaces(), schedule=st.sampled_from(["geometric", "entropy"]),
+           shift=st.sampled_from([0, 1]), u=st.sampled_from([0.5, 2.0]))
+    def test_built_tree_invariants(self, space, schedule, shift, u):
+        tree = build_tree(space, schedule, shift, u)
+        fresh = tree.copy()
+        fresh.recompute_geometry()
+        below = {nid: set() for nid in tree.nodes}
+        for leaf in tree.leaves():
+            for nid in tree.chain(leaf):
+                below[nid].add(tree.nodes[leaf].location)
+        for nid, nd in tree.nodes.items():
+            assert np.array_equal(tree.descendant_points(nid), fresh.descendant_points(nid))
+            assert tree.descendant_points(nid).tolist() == sorted(below[nid])
+            assert nd.radius == fresh.nodes[nid].radius
+        for model in (SmoothnessModel.gaussian(), SmoothnessModel.sub_gamma(1.5, 0.3),
+                      SmoothnessModel.squared_gp(2, 1.0)):
+            for majorized in (False, True):
+                got = omega_table(tree, u, 2.0, model, majorized=majorized)
+                want = _omega_by_leaf_chains(tree, u, 2.0, model, majorized)
+                assert np.array_equal(got, want)
+        assert validate_tree(tree).ok

@@ -65,6 +65,21 @@ class TestFiniteMetricSpace:
         with pytest.raises(ArgumentError):
             FiniteMetricSpace.from_distance_matrix(D)
 
+    def test_matrix_near_symmetry_made_exact(self):
+        D = np.array([[0.0, 1.0, 2.0],
+                      [1.0, 0.0, 1.0],
+                      [2.0, 1.0 + 1e-14, 0.0]])
+        sp = FiniteMetricSpace.from_distance_matrix(D)
+        rows = np.array([sp.row(i) for i in range(3)])
+        assert np.array_equal(rows, rows.T)
+        assert sp.distance(1, 2) == sp.distance(2, 1) == 0.5 * (1.0 + (1.0 + 1e-14))
+
+    def test_matrix_is_copied(self):
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sp = FiniteMetricSpace.from_distance_matrix(D)
+        D[0, 1] = D[1, 0] = 7.0
+        assert sp.distance(0, 1) == 1.0
+
     def test_matrix_triangle_enforced(self):
         D = np.array([[0.0, 1.0, 5.0],
                       [1.0, 0.0, 1.0],
