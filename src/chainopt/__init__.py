@@ -17,14 +17,13 @@ from .chaining import (ChainingTree, TreeNode, build_forward, build_tree,
 from .errors import (ArgumentError, CapacityError, ChainoptError, InternalError,
                      NumericError, ParseError)
 from .gp import (Kernel, c_eta, canonical_metric_space, gram,
-                 information_gain, kernel_eval, parse_kernel, sample_prior,
-                 squared_gaussian_interval, squared_gaussian_outside_prob,
-                 squared_gp_bounds)
+                 information_gain, kernel_eval, parse_kernel, sample_paths,
+                 sample_prior, squared_gaussian_interval,
+                 squared_gaussian_outside_prob, squared_gp_bounds)
 from .harness import (ExperimentConfig, ValidationClaim, ValidationReport,
                       make_ellipsoid, make_grid, make_line, make_star,
-                      parse_config, run_experiment, sample_paths,
-                      space_from_spec, validate_lemmas, validate_lower,
-                      validate_upper)
+                      parse_config, run_experiment, space_from_spec,
+                      validate_lemmas, validate_lower, validate_upper)
 from .metric import (CoverResult, FiniteMetricSpace, brute_force_min_cover,
                      greedy_cover, is_cover, load_distance_matrix,
                      load_point_cloud, load_space, metric_entropy,

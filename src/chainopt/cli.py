@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: ``cover``, ``tree build``, ``optimize``, ``validate-upper``,
-``validate-lower``, ``validate-lemmas``, ``bench``.  Exit codes: 0 success,
+``validate-lower``, ``validate-lemmas``.  Exit codes: 0 success,
 1 a validation claim failed, 2 usage or config error, 3 numeric error.
 """
 
@@ -9,16 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-
-import numpy as np
 
 from . import chaining, harness, metric
 from .bandit import OptimizerConfig, run_gp_ucb
 from .errors import (ArgumentError, CapacityError, InternalError, NumericError,
                      ParseError)
 from .gp import parse_kernel, sample_prior
-from .metric import FiniteMetricSpace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,12 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name.split('-')[1]} validation suite")
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-
-    p = sub.add_parser("bench", help="time tree construction over space sizes")
-    p.add_argument("--sizes", default="256,512,1024")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default=None)
     return parser
 
 
@@ -121,31 +111,6 @@ def _cmd_validate(args, which: str) -> int:
     return 0 if report.all_pass else 1
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for n in sizes:
-        coords = rng.uniform(0.0, 1.0, size=(n, 2))
-        space = FiniteMetricSpace.from_coordinates(coords)
-        best = float("inf")
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            chaining.build_tree(space, u=2.0)
-            best = min(best, time.perf_counter() - start)
-        rows.append((n, best))
-        print(f"n={n}: best of {args.repeats} builds {best:.4f}s")
-    for (n0, t0), (n1, t1) in zip(rows, rows[1:]):
-        ratio = t1 / t0 if t0 > 0 else float("inf")
-        print(f"time({n1})/time({n0}) = {ratio:.2f} (quadratic predicts {((n1 / n0) ** 2):.1f})")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("n,seconds\n")
-            for n, t in rows:
-                fh.write(f"{n},{t:.12g}\n")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -162,8 +127,6 @@ def main(argv=None) -> int:
             return _cmd_validate(args, "lower")
         if args.command == "validate-lemmas":
             return _cmd_validate(args, "lemmas")
-        if args.command == "bench":
-            return _cmd_bench(args)
         parser.error(f"unknown command {args.command!r}")
     except (ParseError, ArgumentError, CapacityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,14 +72,6 @@ def parse_kernel(spec: str) -> Kernel:
     return Kernel(head, **kwargs)
 
 
-def kernel_spec(kernel: Kernel) -> str:
-    """Inverse of :func:`parse_kernel` (canonical family names)."""
-    out = f"{kernel.family}:ls={kernel.lengthscale:g}"
-    if kernel.variance != 1.0:
-        out += f",var={kernel.variance:g}"
-    return out
-
-
 def _as_points(X) -> np.ndarray:
     """Coerce to an (n, D) coordinate array; 1-D input means n scalar points."""
     X = np.asarray(X, dtype=float)
@@ -131,37 +123,59 @@ def canonical_metric_space(kernel: Kernel, coords) -> FiniteMetricSpace:
     diag = np.diag(K)
     d2 = np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 0.0)
     D = np.sqrt(d2)
-    return FiniteMetricSpace.from_distance_matrix(
-        D, coords=coords, rule=f"canonical:{kernel.family}")
+    return FiniteMetricSpace.from_distance_matrix(D, coords=coords)
 
 
-def chol_with_jitter(M: np.ndarray, start: float = _JITTER_START,
-                     limit: float = _JITTER_LIMIT) -> np.ndarray:
+def chol_with_jitter(M: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of M + jitter I, the smallest jitter that works.
 
-    The jitter starts at ``start`` and grows tenfold per failure up to
-    ``limit``.  There is no unjittered attempt: it always fails on the
-    centered Gram matrix of a matrix space (whose first row is zero) and on
-    the squared-exponential Gram matrix of a fine grid, so it would cost
-    one wasted factorization per draw.
+    The jitter starts at 1e-10 and grows tenfold per failure up to 1e-6.
+    There is no unjittered attempt: it always fails on the centered Gram
+    matrix of a matrix space (whose first row is zero) and on the
+    squared-exponential Gram matrix of a fine grid, so it would cost one
+    wasted factorization per draw.  ``M`` is left unchanged: the jitter is
+    added to the diagonal of one private copy.
     """
-    jitter = start
-    eye = np.eye(M.shape[0])
-    while jitter <= limit * (1 + 1e-12):
+    A = np.array(M, dtype=float)
+    base = A.diagonal().copy()
+    jitter = _JITTER_START
+    while jitter <= _JITTER_LIMIT * (1 + 1e-12):
+        np.fill_diagonal(A, base + jitter)
         try:
-            return np.linalg.cholesky(M + jitter * eye)
+            return np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             jitter *= 10.0
-    raise NumericError(f"factorization failed even with jitter {limit:g}")
+    raise NumericError(f"factorization failed even with jitter {_JITTER_LIMIT:g}")
+
+
+def _draw(K: np.ndarray, n_paths: int, seed) -> np.ndarray:
+    """``n_paths`` centered Gaussian draws with covariance K, shape (n_paths, n)."""
+    L = chol_with_jitter(K)
+    rng = np.random.default_rng(seed)
+    return (L @ rng.standard_normal((K.shape[0], n_paths))).T
 
 
 def sample_prior(kernel: Kernel, coords, seed) -> np.ndarray:
     """One centered prior draw over the coordinate set; deterministic per seed."""
-    coords = _as_points(coords)
-    K = gram(kernel, coords)
-    L = chol_with_jitter(K)
-    rng = np.random.default_rng(seed)
-    return L @ rng.standard_normal(K.shape[0])
+    return _draw(gram(kernel, coords), 1, seed)[0]
+
+
+def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
+                 n_paths: int, seed) -> np.ndarray:
+    """Draw centered process paths whose increments match the space's metric.
+
+    Coordinate spaces use the kernel covariance directly.  Matrix spaces
+    embed the metric through the centered Gram transform, which reproduces
+    the pairwise distances exactly whenever the metric is of negative type.
+    Returns an array of shape (n_paths, n).
+    """
+    if kernel is not None and space.coords is not None:
+        K = gram(kernel, space.coords)
+    else:
+        D = space.pairwise(np.arange(space.n))
+        d0 = D[0]
+        K = 0.5 * (d0[:, None] ** 2 + d0[None, :] ** 2 - D ** 2)
+    return _draw(K, n_paths, seed)
 
 
 def information_gain(kernel: Kernel, X, eta2: float) -> float:

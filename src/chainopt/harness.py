@@ -22,9 +22,8 @@ from .bandit import (OptimizerConfig, RegretRecord, regret_bound_rhs,
 from .chaining import (build_tree, lower_bound_functional, omega_table, phi,
                        validate_tree)
 from .errors import ArgumentError, CapacityError, ParseError
-from .gp import (Kernel, c_eta, canonical_metric_space, chol_with_jitter, gram,
-                 parse_kernel, squared_gaussian_interval,
-                 squared_gaussian_outside_prob)
+from .gp import (Kernel, c_eta, canonical_metric_space, parse_kernel, sample_paths,
+                 squared_gaussian_interval, squared_gaussian_outside_prob)
 from .metric import FiniteMetricSpace, load_space
 from .smoothness import SmoothnessModel
 
@@ -53,7 +52,7 @@ def make_star(n: int) -> FiniteMetricSpace:
     if n < 1:
         raise ArgumentError("star needs n >= 1")
     D = np.ones((n, n)) - np.eye(n)
-    return FiniteMetricSpace.from_distance_matrix(D, rule="star")
+    return FiniteMetricSpace.from_distance_matrix(D)
 
 
 def make_ellipsoid(axes: list[float]) -> np.ndarray:
@@ -124,26 +123,6 @@ def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpac
     if kernel is not None:
         return canonical_metric_space(kernel, coords)
     return FiniteMetricSpace.from_coordinates(coords)
-
-
-def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
-                 n_paths: int, seed) -> np.ndarray:
-    """Draw centered process paths whose increments match the space's metric.
-
-    Coordinate spaces use the kernel covariance directly.  Matrix spaces
-    embed the metric through the centered Gram transform, which reproduces
-    the pairwise distances exactly whenever the metric is of negative type.
-    Returns an array of shape (n_paths, n).
-    """
-    if kernel is not None and space.coords is not None:
-        K = gram(kernel, space.coords)
-    else:
-        D = space.pairwise(np.arange(space.n))
-        d0 = D[0]
-        K = 0.5 * (d0[:, None] ** 2 + d0[None, :] ** 2 - D ** 2)
-    L = chol_with_jitter(K)
-    rng = np.random.default_rng(seed)
-    return (L @ rng.standard_normal((space.n, n_paths))).T
 
 
 # -- configuration ------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Finite pseudo-metric spaces and epsilon-cover construction.
 
 A space is a set of points 0..n-1 together with a pseudo-metric, given
-either as an explicit distance matrix or as coordinate vectors with a
-named rule (Euclidean here; kernel-induced canonical distances are built
-by :mod:`chainopt.gp`, which hands the resulting matrix to this module).
+either as an explicit distance matrix or as coordinate vectors under the
+Euclidean metric (kernel-induced canonical distances are built by
+:mod:`chainopt.gp`, which hands the resulting matrix to this module).
 
 Covers come in three flavours:
 
@@ -38,21 +38,23 @@ class FiniteMetricSpace:
     """Points ``0..n-1`` with a pseudo-metric and a cached diameter.
 
     Construct through :meth:`from_coordinates` or
-    :meth:`from_distance_matrix`.  Construction validates the input: finite
-    coordinates and distances, then the pseudo-metric axioms: zero
-    diagonal, symmetry, nonnegativity and the triangle inequality
-    (exhaustive for n <= 64, on 10 000 random triples beyond).
+    :meth:`from_distance_matrix`.  Coordinates, whichever constructor
+    receives them, must be finite.  A distance matrix handed in through
+    :meth:`from_distance_matrix` (including the canonical matrices of
+    :mod:`chainopt.gp` and the star spaces) is checked against the
+    pseudo-metric axioms: finite entries, zero diagonal, symmetry,
+    nonnegativity and the triangle inequality (exhaustive for n <= 64, on
+    10 000 random triples beyond).  A coordinate space's Euclidean
+    distances satisfy the axioms by construction and are not re-checked.
     Instances are immutable once built and safe for concurrent readers.
     """
 
-    def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None,
-                 rule: str):
+    def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None):
         if coords is None and matrix is None:
             raise ArgumentError("need coordinates or a distance matrix")
         self._coords = None if coords is None else np.asarray(coords, dtype=float)
         if self._coords is not None and self._coords.ndim == 1:
             self._coords = self._coords[:, None]
-        self._rule = rule
         n = matrix.shape[0] if matrix is not None else self._coords.shape[0]
         if n < 1:
             raise ArgumentError("space must contain at least one point")
@@ -61,37 +63,33 @@ class FiniteMetricSpace:
             matrix = np.array(matrix, dtype=float, order="C")   # own copy, not the caller's
             if matrix.shape != (n, n):
                 raise ArgumentError(f"distance matrix must be square, got {matrix.shape}")
-            self._dist = matrix
+        if self._coords is not None:
+            _check_finite("coordinate", self._coords)
+        if matrix is not None:
+            self._dist = _checked_metric(matrix)
         elif self.n <= DENSE_LIMIT:
             self._dist = cdist(self._coords, self._coords)
         else:
             self._dist = None  # rows computed on the fly from coordinates
-        self._validate()
         self._diameter = self._compute_diameter()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coordinates(cls, coords, rule: str = "euclidean") -> "FiniteMetricSpace":
+    def from_coordinates(cls, coords) -> "FiniteMetricSpace":
         """Build a space from coordinate vectors with the Euclidean metric."""
-        if rule != "euclidean":
-            raise ArgumentError(f"unknown coordinate metric rule: {rule!r}")
-        return cls(coords=np.asarray(coords, dtype=float), matrix=None, rule=rule)
+        return cls(coords=np.asarray(coords, dtype=float), matrix=None)
 
     @classmethod
-    def from_distance_matrix(cls, matrix, coords=None, rule: str = "matrix") -> "FiniteMetricSpace":
+    def from_distance_matrix(cls, matrix, coords=None) -> "FiniteMetricSpace":
         """Build a space from an explicit n-by-n distance matrix.
 
         ``coords`` may carry the underlying coordinates (needed by kernel
         machinery) even though distances come from the matrix.
         """
-        return cls(coords=coords, matrix=np.asarray(matrix, dtype=float), rule=rule)
+        return cls(coords=coords, matrix=np.asarray(matrix, dtype=float))
 
     # -- geometry ----------------------------------------------------------
-
-    @property
-    def rule(self) -> str:
-        return self._rule
 
     @property
     def coords(self) -> np.ndarray | None:
@@ -131,50 +129,6 @@ class FiniteMetricSpace:
         if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
             raise ArgumentError(f"point id {i!r} out of range for n={self.n}")
 
-    # -- validation --------------------------------------------------------
-
-    def _validate(self) -> None:
-        for what, arr in (("coordinate", self._coords), ("distance", self._dist)):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                bad = arr[~np.isfinite(arr)][0]
-                raise ArgumentError(f"every {what} must be finite, found {bad}")
-        if self._dist is not None:
-            d = self._dist
-            if np.any(np.abs(np.diag(d)) > 0):
-                raise ArgumentError("d(i,i) must be zero for every point")
-            if not np.array_equal(d, d.T):
-                scale = max(np.abs(d).max(), 1.0)
-                if not np.allclose(d, d.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * scale):
-                    raise ArgumentError("distance matrix is not symmetric")
-                self._dist = 0.5 * (d + d.T)  # make symmetry exact after tolerance check
-            if np.any(self._dist < 0):
-                raise ArgumentError("distances must be nonnegative")
-        self._validate_triangle()
-
-    def _validate_triangle(self) -> None:
-        n = self.n
-        if n <= 2:
-            return
-        slack = _TRIANGLE_SLACK * max(self._max_distance_estimate(), 1.0)
-        if n <= _TRIANGLE_FULL_LIMIT:
-            d = self._dist if self._dist is not None else cdist(self._coords, self._coords)
-            lhs = d[:, None, :]                       # d(i,k)
-            rhs = d[:, :, None] + d[None, :, :]       # d(i,j)+d(j,k)
-            if np.any(lhs > rhs + slack):
-                raise ArgumentError("triangle inequality violated")
-        else:
-            rng = np.random.default_rng(0)
-            trips = rng.integers(0, n, size=(_TRIANGLE_SAMPLES, 3))
-            for i, j, k in trips:
-                if self.distance(i, k) > self.distance(i, j) + self.distance(j, k) + slack:
-                    raise ArgumentError(f"triangle inequality violated on ({i},{j},{k})")
-
-    def _max_distance_estimate(self) -> float:
-        if self._dist is not None:
-            return float(self._dist.max())
-        lo, hi = self._coords.min(axis=0), self._coords.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
-
     def _compute_diameter(self) -> float:
         if self._dist is not None:
             return float(self._dist.max())
@@ -182,6 +136,46 @@ class FiniteMetricSpace:
         for i in range(self.n):
             best = max(best, float(self.row(i).max()))
         return best
+
+
+def _check_finite(what: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        bad = arr[~np.isfinite(arr)][0]
+        raise ArgumentError(f"every {what} must be finite, found {bad}")
+
+
+def _checked_metric(d: np.ndarray) -> np.ndarray:
+    """Check a square matrix against the pseudo-metric axioms.
+
+    Returns the matrix, replaced by its exactly symmetric average when it
+    was symmetric only up to rounding.
+    """
+    _check_finite("distance", d)
+    if np.any(np.abs(np.diag(d)) > 0):
+        raise ArgumentError("d(i,i) must be zero for every point")
+    if not np.array_equal(d, d.T):
+        scale = max(np.abs(d).max(), 1.0)
+        if not np.allclose(d, d.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * scale):
+            raise ArgumentError("distance matrix is not symmetric")
+        d = 0.5 * (d + d.T)  # make symmetry exact after tolerance check
+    if np.any(d < 0):
+        raise ArgumentError("distances must be nonnegative")
+    n = d.shape[0]
+    if n <= 2:
+        return d
+    slack = _TRIANGLE_SLACK * max(float(d.max()), 1.0)
+    if n <= _TRIANGLE_FULL_LIMIT:
+        lhs = d[:, None, :]                       # d(i,k)
+        rhs = d[:, :, None] + d[None, :, :]       # d(i,j)+d(j,k)
+        if np.any(lhs > rhs + slack):
+            raise ArgumentError("triangle inequality violated")
+    else:
+        i, j, k = np.random.default_rng(0).integers(0, n, size=(_TRIANGLE_SAMPLES, 3)).T
+        bad = np.flatnonzero(d[i, k] > d[i, j] + d[j, k] + slack)
+        if bad.size:
+            b = bad[0]
+            raise ArgumentError(f"triangle inequality violated on ({i[b]},{j[b]},{k[b]})")
+    return d
 
 
 @dataclass(frozen=True)

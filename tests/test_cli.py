@@ -159,14 +159,3 @@ class TestValidateCommands:
         assert main(["validate-lower", "--config", str(cfg)]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
-
-class TestBench:
-    def test_small_sizes(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--sizes", "32,64", "--repeats", "1",
-                     "--out", str(out)])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "n=32" in text and "n=64" in text
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,seconds" and len(lines) == 3

@@ -9,9 +9,10 @@ from scipy.special import erf, erfinv
 from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
                       GPPosterior, Kernel, NumericError, c_eta,
                       canonical_metric_space, gamma_t, gram,
-                      information_gain, kernel_eval, parse_kernel,
-                      sample_prior, squared_gaussian_interval,
+                      information_gain, kernel_eval, make_grid, parse_kernel,
+                      sample_paths, sample_prior, squared_gaussian_interval,
                       squared_gaussian_outside_prob, squared_gp_bounds)
+from chainopt.gp import chol_with_jitter
 
 ALL_FAMILIES = ("se", "matern12", "matern32", "matern52", "linear")
 
@@ -132,6 +133,33 @@ class TestSamplePrior:
         inc = draws[:, 0] - draws[:, 1]
         se = math.sqrt(2.0 / n) * d2
         assert abs(np.mean(inc * inc) - d2) <= 3 * se + 1e-12
+
+    @pytest.mark.parametrize("coords", [np.linspace(0, 1, 12), make_grid(2, 4)])
+    def test_equals_single_path(self, coords):
+        k = Kernel("matern32", 0.3)
+        space = FiniteMetricSpace.from_coordinates(coords)
+        for seed in (0, [3, 1]):
+            assert np.array_equal(sample_prior(k, coords, seed),
+                                  sample_paths(space, k, 1, seed)[0])
+
+
+class TestCholWithJitter:
+    def test_input_unchanged(self):
+        M = np.ones((3, 3)) - 5e-9 * np.eye(3)
+        before = M.copy()
+        chol_with_jitter(M)
+        assert np.array_equal(M, before)
+
+    def test_smallest_working_jitter(self):
+        # M + 1e-9 I still has eigenvalue -4e-9; 1e-8 is the first rung that factors
+        M = np.ones((3, 3)) - 5e-9 * np.eye(3)
+        L = chol_with_jitter(M)
+        assert np.array_equal(L, np.tril(L))
+        assert np.allclose(L @ L.T, M + 1e-8 * np.eye(3), rtol=0.0, atol=1e-15)
+
+    def test_indefinite_raises(self):
+        with pytest.raises(NumericError):
+            chol_with_jitter(-np.eye(3))
 
 
 class TestPosterior:

@@ -116,8 +116,16 @@ class TestFiniteMetricSpace:
 
     def test_sampled_triangle_check_on_large_space(self):
         rng = np.random.default_rng(3)
-        sp = _random_space(rng, 80)
+        D = _random_space(rng, 80).pairwise(np.arange(80))
+        sp = FiniteMetricSpace.from_distance_matrix(D)
         assert sp.n == 80  # construction ran the sampled validation
+
+    def test_sampled_triangle_check_reports_triple(self):
+        D = np.ones((100, 100)) - np.eye(100)
+        D[3, 7] = D[7, 3] = 50.0
+        with pytest.raises(ArgumentError,
+                           match=r"^triangle inequality violated on \(7,47,3\)$"):
+            FiniteMetricSpace.from_distance_matrix(D)
 
 
 class TestGreedyCover:
