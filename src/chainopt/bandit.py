@@ -6,7 +6,9 @@ and records cumulative and simple regret against the sampled ground truth.
 The bounds come from one incremental GP posterior over the space's points.
 A squared-process variant gives that posterior one output channel per
 process and combines per-channel squared confidence intervals into
-objective bounds.
+objective bounds.  Both run functions also take a stack of R sampled
+objectives and run them as R replicates through one loop, whose posterior
+arrays carry a leading replicate axis.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .smoothness import SmoothnessModel, confidence_level_u_i
 
 _DEPTH_RULES = ("halflog2", "omega")
 _REBUILD_EVERY = 64       # full refactorization cadence for incremental updates
+_REFACTOR_BYTES = 1 << 20  # t x t stack factored per call in a refactorization
+_BATCH_BYTES = 1 << 25     # V of the replicates one run loop batch carries
 _VAR_CLAMP_TOL = 1e-10
 
 
@@ -81,74 +85,103 @@ def depth_omega_threshold(tree: ChainingTree, model: SmoothnessModel, u: float,
 
 
 class GPPosterior:
-    """Incrementally factored GP posterior over a fixed point set.
+    """Incrementally factored GP posteriors of R replicates over one point set.
 
-    The observations are noisy values at points of ``coords`` (by row id),
-    with noise variance ``eta2``; at most ``capacity`` of them.  Keeps
-    ``V = L^{-1} K(queries, points)`` and ``B = L^{-1} Y``, where L factors
-    K + eta2 I over the queried points, so one update costs O(t n) instead
-    of O(t^2 n); refactored from scratch every ``_REBUILD_EVERY`` updates
-    to cap round-off drift.  Several output channels share the queries.
-    To predict at other locations, include them in ``coords``.
+    Replicate r observes noisy values at points of ``coords`` (by row id),
+    with noise variance ``eta2``; at most ``capacity`` of them, one per
+    replicate in each :meth:`add`.  The arrays carry a leading replicate
+    axis: ``V[r] = L_r^{-1} K(queries_r, points)`` and ``B[r] = L_r^{-1} Y_r``,
+    where L_r factors K + eta2 I over replicate r's queries, and ``mean[r] =
+    V[r]^T B[r]`` is kept by rank-one updates, so one update costs O(t n)
+    per replicate instead of O(t^2 n).  Every ``_REBUILD_EVERY`` updates the
+    factors are rebuilt from scratch to cap round-off drift.  Several output
+    channels share the queries.  ``replicates=1`` is a single posterior.  To
+    predict at other locations, include them in ``coords``.
     """
 
     def __init__(self, kernel: Kernel, eta2: float, coords, capacity: int,
-                 n_outputs: int = 1):
+                 n_outputs: int = 1, replicates: int = 1):
         if eta2 <= 0:
             raise ArgumentError("noise variance must be positive")
+        if replicates < 1:
+            raise ArgumentError("replicates must be at least 1")
         self.Kcc = gram(kernel, coords)
         self.diag = np.diag(self.Kcc).copy()
         self.eta2 = float(eta2)
         n = self.Kcc.shape[0]
-        self.V = np.zeros((capacity, n))
-        self.B = np.zeros((capacity, n_outputs))
-        self.Yraw = np.zeros((capacity, n_outputs))
-        self.q = np.zeros(capacity, dtype=int)
-        self.sumsq = np.zeros(n)
+        self.V = np.zeros((replicates, capacity, n))
+        self.B = np.zeros((replicates, capacity, n_outputs))
+        self.Yraw = np.zeros((replicates, capacity, n_outputs))
+        self.q = np.zeros((replicates, capacity), dtype=int)
+        self.sumsq = np.zeros((replicates, n))
+        self.mean = np.zeros((replicates, n, n_outputs))
         self.t = 0
 
     def variance(self) -> np.ndarray:
-        """Posterior variance of the latent process at every point, shape (n,)."""
+        """Posterior variance of the latent process at every point, shape (R, n)."""
         return np.clip(self.diag - self.sumsq, 0.0, None)
 
-    def predict(self) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means, shape (n, channels), and deviations, shape (n,)."""
-        return self.V[: self.t].T @ self.B[: self.t], np.sqrt(self.variance())
+    def predict(self, r: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Replicate r's posterior means, shape (n, channels), and deviations, shape (n,)."""
+        return self.mean[r].copy(), np.sqrt(self.variance()[r])
 
-    def add(self, j: int, y_row) -> None:
-        """Condition on a noisy observation ``y_row`` (one value per channel) at point j."""
+    def add(self, j, y_row) -> None:
+        """Condition replicate r on a noisy observation ``y_row[r]`` (one value per
+        channel) at point ``j[r]``; with one replicate, ``j`` may be an int and
+        ``y_row`` one row."""
         t = self.t
-        if t == self.V.shape[0]:
+        R = self.V.shape[0]
+        if t == self.V.shape[1]:
             raise ArgumentError(f"posterior capacity {t} exhausted")
-        w = self.V[:t, j]
-        ww = float(w @ w)
-        var = self.diag[j] - ww
-        if var < -_VAR_CLAMP_TOL * max(self.diag[j], 1.0):
-            raise NumericError(f"negative posterior variance {var:g} at point {j}")
-        d2 = self.diag[j] + self.eta2 - ww
-        if d2 <= 0:
-            raise NumericError(f"posterior factor extension failed (pivot {d2:g})")
-        d = math.sqrt(d2)
-        self.V[t] = (self.Kcc[j] - w @ self.V[:t]) / d
-        self.B[t] = (np.asarray(y_row, dtype=float) - w @ self.B[:t]) / d
-        self.Yraw[t] = y_row
-        self.q[t] = j
-        self.sumsq += self.V[t] * self.V[t]
+        js = np.broadcast_to(np.asarray(j, dtype=int), (R,))
+        y = np.asarray(y_row, dtype=float).reshape(R, -1)
+        reps = np.arange(R)
+        w = self.V[reps, :t, js]                             # (R, t)
+        wm = w[:, None, :]
+        ww = np.matmul(wm, w[:, :, None])[:, 0, 0]
+        dj = self.diag[js]
+        var = dj - ww
+        bad = np.flatnonzero(var < -_VAR_CLAMP_TOL * np.maximum(dj, 1.0))
+        if bad.size:
+            r = bad[0]
+            raise NumericError(f"negative posterior variance {var[r]:g} at point "
+                               f"{js[r]} (replicate {r})")
+        d2 = dj + self.eta2 - ww
+        bad = np.flatnonzero(d2 <= 0)
+        if bad.size:
+            r = bad[0]
+            raise NumericError(f"posterior factor extension failed (pivot {d2[r]:g}, "
+                               f"replicate {r})")
+        d = np.sqrt(d2)[:, None]
+        v = self.V[:, t]
+        v[:] = (self.Kcc[js] - np.matmul(wm, self.V[:, :t])[:, 0]) / d
+        b = self.B[:, t]
+        b[:] = (y - np.matmul(wm, self.B[:, :t])[:, 0]) / d
+        self.Yraw[:, t] = y
+        self.q[:, t] = js
+        self.sumsq += v * v
+        self.mean += v[:, :, None] * b[:, None, :]
         self.t += 1
         if self.t % _REBUILD_EVERY == 0:
             self._rebuild()
 
     def _rebuild(self) -> None:
         t = self.t
-        sel = self.q[:t]
-        C = self.Kcc[np.ix_(sel, sel)] + self.eta2 * np.eye(t)
-        try:
-            L = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("posterior refactorization failed") from exc
-        self.V[:t] = solve_triangular(L, self.Kcc[sel, :], lower=True)
-        self.B[:t] = solve_triangular(L, self.Yraw[:t], lower=True)
-        self.sumsq = np.einsum("ij,ij->j", self.V[:t], self.V[:t])
+        step = max(1, _REFACTOR_BYTES // (8 * t * t))    # replicates per factorization call
+        for lo in range(0, self.q.shape[0], step):
+            sel = self.q[lo:lo + step, :t]
+            C = self.Kcc[sel[:, :, None], sel[:, None, :]]
+            C.reshape(len(sel), t * t)[:, ::t + 1] += self.eta2
+            try:
+                L = np.linalg.cholesky(C)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError("posterior refactorization failed") from exc
+            self.V[lo:lo + step, :t] = solve_triangular(L, self.Kcc[sel], lower=True)
+            self.B[lo:lo + step, :t] = solve_triangular(L, self.Yraw[lo:lo + step, :t],
+                                                        lower=True)
+        V = self.V[:, :t]
+        self.sumsq = np.einsum("rij,rij->rj", V, V)
+        self.mean = np.matmul(V.transpose(0, 2, 1), self.B[:, :t])
 
 
 def gamma_t(kernel: Kernel, space: FiniteMetricSpace, t: int, eta2: float,
@@ -176,7 +209,7 @@ def gamma_t(kernel: Kernel, space: FiniteMetricSpace, t: int, eta2: float,
     post = GPPosterior(kernel, eta2, coords, t)
     total = 0.0
     for _ in range(t):
-        gains = 0.5 * np.log1p(post.variance() / eta2)
+        gains = 0.5 * np.log1p(post.variance()[0] / eta2)
         j = int(np.argmax(gains))            # first max = smallest id
         total += float(gains[j])
         post.add(j, 0.0)                     # variance ignores Y
@@ -287,170 +320,224 @@ def _tree_signature(tree: ChainingTree) -> tuple:
             len(tree.nodes), tree.restart_count, tree.u)
 
 
-def _plain_ucb(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float):
-    """GP-UCB ``mu + sigma sqrt(2 u_i)`` on the candidate rows, with its widths."""
+def _plain_ucb(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float,
+               truth: np.ndarray | None = None):
+    """GP-UCB ``mu + sigma sqrt(2 u_i)`` on the candidate rows, with its widths.
+
+    ``mu`` and ``sig`` may carry a leading replicate axis.
+    """
     beta = math.sqrt(2.0 * u_i)
-    return mu[cand, 0] + sig[cand] * beta, 2.0 * sig[cand] * beta, None
+    return mu[..., cand, 0] + sig[..., cand] * beta, 2.0 * sig[..., cand] * beta, None
 
 
-def _squared_ucb(truth: np.ndarray):
+def _squared_ucb(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float,
+                 truth: np.ndarray):
     """Bound for f = -(sum of squared channels) on the candidate rows.
 
-    Each channel's squared interval at level ``u_i + log n`` is negated and
-    swapped: the UCB is minus the sum of the lower ends, and the width runs
-    down to minus the sum of the upper ends.  The third output says whether
-    every latent squared channel lies inside its interval.
+    With n channels, each channel's squared interval at level ``u_i + log n``
+    is negated and swapped: the UCB is minus the sum of the lower ends, and
+    the width runs down to minus the sum of the upper ends.  The third output
+    says whether every latent squared channel lies inside its interval.
+    ``truth`` has shape (R, channels, points); every output has shape (R, |cand|).
     """
-    log_n = math.log(truth.shape[0])
-
-    def acquire(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float):
-        spread = math.sqrt(2.0 * (u_i + log_n)) * sig[cand, None]
-        hi = (np.abs(mu[cand]) + spread) ** 2
-        lo = np.clip(np.abs(mu[cand]) - spread, 0.0, None) ** 2
-        ucb = -lo.sum(axis=1)
-        g_sq = truth[:, cand].T ** 2
-        covered = np.all((g_sq >= lo - 1e-12) & (g_sq <= hi + 1e-12), axis=1)
-        return ucb, ucb + hi.sum(axis=1), covered
-    return acquire
+    spread = math.sqrt(2.0 * (u_i + math.log(truth.shape[1]))) * sig[:, cand, None]
+    hi = (np.abs(mu[:, cand]) + spread) ** 2
+    lo = np.clip(np.abs(mu[:, cand]) - spread, 0.0, None) ** 2
+    ucb = -lo.sum(axis=2)
+    g_sq = truth[:, :, cand].transpose(0, 2, 1) ** 2
+    covered = np.all((g_sq >= lo - 1e-12) & (g_sq <= hi + 1e-12), axis=2)
+    return ucb, ucb + hi.sum(axis=2), covered
 
 
-def _check_truth(truth, shape: tuple) -> np.ndarray:
+def _stack(truth, seed, shape: tuple):
+    """``truth`` and ``seed`` as R replicates: (R,) + shape truths, R seeds, and
+    whether they came stacked.  One unstacked truth is one replicate."""
     truth = np.asarray(truth, dtype=float)
-    if truth.shape != shape:
-        raise ArgumentError(f"truth must have shape {shape}")
-    if not np.all(np.isfinite(truth)):
-        raise NumericError("truth holds NaN or inf")
-    return truth
+    stacked = truth.ndim == len(shape) + 1
+    if not stacked:
+        truth, seed = truth[None], [seed]
+    if truth.shape[1:] != shape:
+        raise ArgumentError(f"truth must have shape {shape}, or (R,) + {shape} "
+                            "for R replicates")
+    if not isinstance(seed, (list, tuple, np.ndarray)) or len(seed) != truth.shape[0]:
+        raise ArgumentError(f"stacked truth of {truth.shape[0]} replicates needs "
+                            "a sequence of as many seeds")
+    bad = np.flatnonzero(~np.isfinite(truth).reshape(truth.shape[0], -1).all(axis=1))
+    if bad.size:
+        raise NumericError("truth holds NaN or inf"
+                           + (f" (replicate {bad[0]})" if stacked else ""))
+    return truth, list(seed), stacked
 
 
 def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
-              seed, tree: ChainingTree | None, model: SmoothnessModel, acquire,
-              objective, truth: np.ndarray | None, observe=None) -> RegretRecord:
-    """The UCB loop behind both run functions.
+              seeds: list, tree: ChainingTree | None, model: SmoothnessModel, acquire,
+              objective, truth: np.ndarray | None,
+              observe=None) -> list[RegretRecord]:
+    """The UCB loop behind both run functions, over R = len(seeds) replicates.
 
-    ``truth`` holds the latent channels, shape (channels, n); each query
-    observes all of them with noise.  Without it, ``observe(point_id, rng)``
-    returns the single channel and regrets are left blank.
-    ``acquire(cand, mu, sig, u_i)`` scores the candidate rows and returns the
-    UCBs, their widths and per-row channel coverage (or None);
-    ``objective`` maps channel values to f.
+    ``truth`` holds each replicate's latent channels, shape (R, channels, n);
+    each query observes all of them with noise from the replicate's own
+    generator ``default_rng(seeds[r])``.  Without it, R is 1 and
+    ``observe(point_id, rng)`` returns the single channel; regrets are left
+    blank.  ``acquire(cand, mu, sig, u_i, truth)`` scores every replicate's
+    candidate rows and returns the UCBs, their widths and per-row channel
+    coverage (or None), each of shape (R, |cand|); ``objective`` maps channel
+    values, channels on axis 1, to f.  Replicates run in batches whose
+    posterior factors stay under a fixed memory budget.
     """
     if space.coords is None:
         raise ArgumentError("optimization needs a coordinate-backed space")
     if tree is None:
         tree = build_tree(space, config.schedule, config.shift, config.u)
-    rng = np.random.default_rng(seed)
-    n_out = 1 if truth is None else truth.shape[0]
-    post = GPPosterior(kernel, config.eta2, space.coords, config.t_max, n_out)
-    f = None if truth is None else objective(truth)
-    sup_f = None if f is None else float(np.max(f))
     omega_vals = None
     if config.depth_rule == "omega":
         omega_vals = omega_table(tree, config.u, config.a, model)
+    step = max(1, _BATCH_BYTES // (8 * max(config.t_max, 1) * space.n))
+    records = []
+    for lo in range(0, len(seeds), step):
+        records += _run_batch(space, kernel, config, seeds[lo:lo + step], tree, model,
+                              omega_vals, acquire, objective,
+                              None if truth is None else truth[lo:lo + step], observe)
+    return records
 
+
+def _run_batch(space, kernel, config, seeds, tree, model, omega_vals, acquire,
+               objective, truth, observe) -> list[RegretRecord]:
+    """One batch of :func:`_run_loop`: the replicates share h(i), u_i and the
+    candidate set of every iteration, and each takes its own argmax."""
+    R = len(seeds)
     t_max = config.t_max
-    cols = {name: np.zeros(t_max) for name in
-            ("u_is", "ucbs", "ys", "inst", "cum", "simple", "sigma", "width",
-             "info", "ssq")}
-    iters = np.arange(1, t_max + 1)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    n_out = 1 if truth is None else truth.shape[1]
+    post = GPPosterior(kernel, config.eta2, space.coords, t_max, n_out, R)
+    if truth is not None:
+        # one draw per replicate, the same numbers as a draw per iteration
+        noise = np.stack([rng.normal(0.0, math.sqrt(config.eta2), size=(t_max, n_out))
+                          for rng in rngs])
+        f = objective(truth)
+        sup_f = f.max(axis=1)
+    cols = {name: np.zeros((R, t_max)) for name in
+            ("ucbs", "ys", "sigma", "width", "info", "ssq")}
+    cols.update({name: np.full((R, t_max), math.nan if truth is None else 0.0)
+                 for name in ("inst", "cum", "simple")})
     depths = np.zeros(t_max, dtype=int)
-    points = np.zeros(t_max, dtype=int)
-    y_channels = np.zeros((t_max, n_out))
-    covered = np.zeros(t_max, dtype=bool)
+    u_is = np.zeros(t_max)
+    points = np.zeros((R, t_max), dtype=int)
+    y_channels = np.zeros((R, t_max, n_out))
+    covered = np.zeros((R, t_max), dtype=bool)
 
-    noise_sd = math.sqrt(config.eta2)
+    reps = np.arange(R)
     h = 0
-    cum = 0.0
-    best_f = -math.inf
-    info = 0.0
-    ssq = 0.0
+    cum = np.zeros(R)
+    best_f = np.full(R, -math.inf)
+    info = np.zeros(R)
+    ssq = np.zeros(R)
     for k in range(t_max):
         i = k + 1
         h = _select_depth(tree, config, model, omega_vals, i, h)
         u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
         cand = tree.candidate_locations(h)
-        mu, sig = post.predict()
-        ucb, width, cover = acquire(cand, mu, sig, u_i)
-        j = int(np.argmax(ucb))                  # first maximum = smallest id
-        x = int(cand[j])
+        var = post.variance()
+        sig = np.sqrt(var)
+        ucb, width, cover = acquire(cand, post.mean, sig, u_i, truth)
+        j = np.argmax(ucb, axis=1)               # first maximum = smallest id
+        x = cand[j]
 
-        sigma_b = float(sig[x])
-        var_b = float(post.variance()[x])
+        var_b = var[reps, x]
         if truth is not None:
-            y_row = truth[:, x] + rng.normal(0.0, noise_sd, size=n_out)
+            y = truth[reps, :, x] + noise[:, k]
         else:
-            y_row = np.array([float(observe(x, rng))])
-        if not np.all(np.isfinite(y_row)):
-            raise NumericError(f"non-finite observation at point {x} (iteration {i})")
-        info += 0.5 * math.log1p(var_b / config.eta2)
+            y = np.array([[float(observe(int(x[0]), rngs[0]))]])
+        bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
+        if bad.size:
+            r = bad[0]
+            raise NumericError(f"non-finite observation at point {x[r]} "
+                               f"(iteration {i}, replicate {r})")
+        info += 0.5 * np.log1p(var_b / config.eta2)
         ssq += var_b
-        post.add(x, y_row)
+        post.add(x, y)
 
         depths[k] = h
-        points[k] = x
-        y_channels[k] = y_row
-        covered[k] = cover is not None and cover[j]
-        cols["u_is"][k] = u_i
-        cols["ucbs"][k] = ucb[j]
-        cols["ys"][k] = objective(y_row)
-        cols["sigma"][k] = sigma_b
-        cols["width"][k] = width[j]
-        cols["info"][k] = info
-        cols["ssq"][k] = ssq
-        if f is not None:
-            inst = sup_f - float(f[x])
+        u_is[k] = u_i
+        points[:, k] = x
+        y_channels[:, k] = y
+        if cover is not None:
+            covered[:, k] = cover[reps, j]
+        cols["ucbs"][:, k] = ucb[reps, j]
+        cols["ys"][:, k] = objective(y)
+        cols["sigma"][:, k] = sig[reps, x]
+        cols["width"][:, k] = width[reps, j]
+        cols["info"][:, k] = info
+        cols["ssq"][:, k] = ssq
+        if truth is not None:
+            fx = f[reps, x]
+            inst = sup_f - fx
             cum += inst
-            best_f = max(best_f, float(f[x]))
-            cols["inst"][k] = inst
-            cols["cum"][k] = cum
-            cols["simple"][k] = sup_f - best_f
-        else:
-            cols["inst"][k] = cols["cum"][k] = cols["simple"][k] = math.nan
+            np.maximum(best_f, fx, out=best_f)
+            cols["inst"][:, k] = inst
+            cols["cum"][:, k] = cum
+            cols["simple"][:, k] = sup_f - best_f
 
-    return RegretRecord(config, space.n, sup_f, _tree_signature(tree),
-                        iters, depths, cols["u_is"], points, cols["ucbs"],
-                        cols["ys"], cols["inst"], cols["cum"], cols["simple"],
-                        cols["sigma"], cols["width"], cols["info"], cols["ssq"],
-                        y_channels=y_channels, channel_covered=covered)
+    return [RegretRecord(config, space.n, None if truth is None else float(sup_f[r]),
+                         _tree_signature(tree), np.arange(1, t_max + 1), depths.copy(),
+                         u_is.copy(), points[r], cols["ucbs"][r], cols["ys"][r],
+                         cols["inst"][r], cols["cum"][r], cols["simple"][r],
+                         cols["sigma"][r], cols["width"][r], cols["info"][r],
+                         cols["ssq"][r], y_channels=y_channels[r],
+                         channel_covered=covered[r])
+            for r in range(R)]
 
 
 def run_gp_ucb(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
                truth: np.ndarray | None = None, seed=0,
-               tree: ChainingTree | None = None, observe=None) -> RegretRecord:
+               tree: ChainingTree | None = None,
+               observe=None) -> RegretRecord | list[RegretRecord]:
     """Run the optimizer for ``t_max`` iterations on one sampled objective.
 
     ``truth`` holds f over the point set (simulation mode: noisy values are
     drawn internally and regrets are exact).  Alternatively pass an
     ``observe(point_id, rng) -> y`` callback for live mode, where regrets
     against the unknown optimum are left blank.
+
+    A stacked ``truth`` of shape (R, n), with ``seed`` a sequence of R
+    seeds, runs R replicates through one loop and returns a list of R
+    records; record r equals the call on ``truth[r]`` with ``seed[r]``.
     """
     if truth is None and observe is None:
         raise ArgumentError("need either a truth vector or an observe callback")
-    if truth is not None:
-        truth = _check_truth(truth, (space.n,))[None, :]
-    record = _run_loop(space, kernel, config, seed, tree, SmoothnessModel.gaussian(),
-                       _plain_ucb, lambda g: g[0], truth, observe)
-    record.y_channels = record.channel_covered = None   # single-channel run
-    return record
+    if truth is None:
+        seeds, stacked = [seed], False
+    else:
+        truth, seeds, stacked = _stack(truth, seed, (space.n,))
+        truth = truth[:, None, :]
+    records = _run_loop(space, kernel, config, seeds, tree, SmoothnessModel.gaussian(),
+                        _plain_ucb, lambda g: g[:, 0], truth, observe)
+    for record in records:
+        record.y_channels = record.channel_covered = None   # single-channel run
+    return records if stacked else records[0]
 
 
 def run_squared_gp_ucb(space: FiniteMetricSpace, kernel: Kernel, n_channels: int,
                        config: OptimizerConfig, truth: np.ndarray, seed=0,
-                       tree: ChainingTree | None = None) -> RegretRecord:
+                       tree: ChainingTree | None = None
+                       ) -> RegretRecord | list[RegretRecord]:
     """Optimize f = -(sum of squared channels) from separated noisy observations.
 
     ``truth`` has shape (n_channels, n): per-channel latent values.  All
     channels are observed at the chosen point each iteration.  Objective
-    bounds negate and swap the per-channel squared intervals.
+    bounds negate and swap the per-channel squared intervals.  A stacked
+    ``truth`` of shape (R, n_channels, n), with ``seed`` a sequence of R
+    seeds, returns a list of R records, as in :func:`run_gp_ucb`.
     """
     if kernel.family == "linear":
         raise ArgumentError("squared-process optimization needs a stationary kernel")
     if n_channels < 1:
         raise ArgumentError("n_channels must be at least 1")
-    truth = _check_truth(truth, (n_channels, space.n))
+    truth, seeds, stacked = _stack(truth, seed, (n_channels, space.n))
     model = SmoothnessModel.squared_gp(n_channels, kernel.variance)
-    return _run_loop(space, kernel, config, seed, tree, model, _squared_ucb(truth),
-                     lambda g: -np.sum(g * g, axis=0), truth)
+    records = _run_loop(space, kernel, config, seeds, tree, model, _squared_ucb,
+                        lambda g: -np.sum(g * g, axis=1), truth)
+    return records if stacked else records[0]
 
 
 @dataclass

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import (OptimizerConfig, RegretRecord, regret_bound_rhs,
-                     run_gp_ucb, run_squared_gp_ucb)
+from .bandit import (OptimizerConfig, regret_bound_rhs, run_gp_ucb,
+                     run_squared_gp_ucb)
 from .chaining import (build_tree, lower_bound_functional, omega_table, phi,
                        validate_tree)
 from .errors import ArgumentError, CapacityError, ParseError
@@ -451,26 +451,23 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
     if not check.ok:
         raise ArgumentError("tree validation failed: " + "; ".join(check.errors))
 
-    records: list[RegretRecord] = []
     bounds: list[np.ndarray] = []
     bound_ok: list[bool] = []
     var_info_ok: list[bool] = []
     ceta = c_eta(config.eta2)
     files: dict[str, str] = {}
     opt_cfg = config.optimizer_config()
-    for r in range(config.replicates):
-        if squared:
-            truth = sample_paths(space, kernel, model.n_processes,
-                                 [config.seed_base, r, 0])
-            record = run_squared_gp_ucb(space, kernel, model.n_processes, opt_cfg,
-                                        truth, seed=[config.seed_base, r, 1],
-                                        tree=tree)
-        else:
-            truth = sample_paths(space, kernel, 1, [config.seed_base, r, 0])[0]
-            record = run_gp_ucb(space, kernel, opt_cfg, truth,
-                                seed=[config.seed_base, r, 1], tree=tree)
+    n_paths = model.n_processes if squared else 1
+    truth = np.stack([sample_paths(space, kernel, n_paths, [config.seed_base, r, 0])
+                      for r in range(config.replicates)])
+    seeds = [[config.seed_base, r, 1] for r in range(config.replicates)]
+    if squared:
+        records = run_squared_gp_ucb(space, kernel, n_paths, opt_cfg, truth,
+                                     seed=seeds, tree=tree)
+    else:
+        records = run_gp_ucb(space, kernel, opt_cfg, truth[:, 0], seed=seeds, tree=tree)
+    for r, record in enumerate(records):
         series = regret_bound_rhs(record, tree, model, opt_cfg)
-        records.append(record)
         bounds.append(series.per_step)
         if len(record):
             bound_ok.append(bool(np.all(record.cum_regret <= series.per_step + 1e-9)))
@@ -491,12 +488,11 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
             R = np.stack([rec.cum_regret for rec in records])
             S = np.stack([rec.simple_regret for rec in records])
             B = np.stack(bounds)
+            quarts = np.concatenate([np.quantile(arr, [0.5, 0.25, 0.75], axis=0)
+                                     for arr in (R, S, B)])
             for k in range(R.shape[1]):
-                row = [f"{k + 1}"]
-                for arr in (R, S, B):
-                    col = arr[:, k]
-                    row += [f"{np.quantile(col, q):.12g}" for q in (0.5, 0.25, 0.75)]
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join([f"{k + 1}"] + [f"{v:.12g}" for v in quarts[:, k]])
+                         + "\n")
     written.append(agg_path)
     files["aggregate"] = str(agg_path)
 

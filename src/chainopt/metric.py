@@ -63,6 +63,9 @@ class FiniteMetricSpace:
             matrix = np.array(matrix, dtype=float, order="C")   # own copy, not the caller's
             if matrix.shape != (n, n):
                 raise ArgumentError(f"distance matrix must be square, got {matrix.shape}")
+            if self._coords is not None and self._coords.shape[0] != n:
+                raise ArgumentError(f"{self._coords.shape[0]} coordinate rows for a "
+                                    f"{n}-point distance matrix")
         if self._coords is not None:
             _check_finite("coordinate", self._coords)
         if matrix is not None:

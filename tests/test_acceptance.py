@@ -36,12 +36,13 @@ def gp_suite():
     tree = co.prune_backward(co.build_forward(space), config.u)
     model = SmoothnessModel.gaussian()
     start = time.perf_counter()
-    records, bound_hold = [], []
-    for s in range(500):
-        truth = co.sample_paths(space, kernel, 1, seed=[7, s, 0])[0]
-        rec = co.run_gp_ucb(space, kernel, config, truth, seed=[7, s, 1], tree=tree)
+    truths = np.stack([co.sample_paths(space, kernel, 1, seed=[7, s, 0])[0]
+                       for s in range(500)])
+    records = co.run_gp_ucb(space, kernel, config, truths,
+                            seed=[[7, s, 1] for s in range(500)], tree=tree)
+    bound_hold = []
+    for rec in records:
         series = co.regret_bound_rhs(rec, tree, model, config)
-        records.append(rec)
         bound_hold.append(bool(np.all(rec.cum_regret <= series.per_step + 1e-9)))
     elapsed = time.perf_counter() - start
     return {"records": records, "bound_hold": bound_hold, "config": config,
@@ -55,11 +56,10 @@ def squared_suite():
     space = co.canonical_metric_space(kernel, co.make_grid(1, 32, 1.0))
     config = OptimizerConfig(u=2.0, a=2.0, eta2=0.01, t_max=50)
     tree = co.prune_backward(co.build_forward(space), config.u)
-    records = []
-    for s in range(50):
-        truth = co.sample_paths(space, kernel, 4, seed=[9, s, 0])
-        records.append(co.run_squared_gp_ucb(space, kernel, 4, config, truth,
-                                             seed=[9, s, 1], tree=tree))
+    truths = np.stack([co.sample_paths(space, kernel, 4, seed=[9, s, 0])
+                       for s in range(50)])
+    records = co.run_squared_gp_ucb(space, kernel, 4, config, truths,
+                                    seed=[[9, s, 1] for s in range(50)], tree=tree)
     return {"records": records, "config": config, "tree": tree}
 
 

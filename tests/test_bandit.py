@@ -13,6 +13,7 @@ from chainopt import (ArgumentError, BanditState, ChainingTree,
                       information_gain, make_grid, omega_table,
                       prune_backward, regret_bound_rhs, run_gp_ucb,
                       run_squared_gp_ucb, sample_paths)
+from chainopt import bandit
 from chainopt.smoothness import SmoothnessModel, confidence_level_u_i
 
 
@@ -314,6 +315,89 @@ class TestRunSquaredGpUcb:
         with pytest.raises(NumericError):
             run_squared_gp_ucb(grid16, Kernel("se"), 2, OptimizerConfig(t_max=2),
                                truth, seed=0)
+
+
+class TestReplicateAxis:
+    """A stacked truth runs R replicates through one loop; record r equals the
+    single call on truth[r] with seed[r]."""
+
+    EXACT = ("points", "depths", "u_is", "ys", "inst_regret", "cum_regret",
+             "simple_regret", "info_gain", "sigma_sq_cum", "y_channels",
+             "channel_covered")
+    CLOSE = ("ucbs", "widths", "sigma_before")
+
+    @classmethod
+    def _same(cls, got, want):
+        assert got.sup_f == want.sup_f
+        for name in cls.EXACT:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        for name in cls.CLOSE:
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=0.0, atol=1e-9), name
+
+    @staticmethod
+    def _runner(channels, depth_rule):
+        """Three truths, three seeds and a run function on a 40-point grid, t=150
+        (refactors at 64 and 128)."""
+        kernel = Kernel("se", 0.2)
+        space = canonical_metric_space(kernel, make_grid(1, 40, 1.0))
+        config = OptimizerConfig(t_max=150, depth_rule=depth_rule)
+        tree = build_tree(space, config.schedule, config.shift, config.u)
+        seeds = [[4, r] for r in range(3)]
+        if channels is None:
+            truth = np.stack([sample_paths(space, kernel, 1, seed=[3, r])[0]
+                              for r in range(3)])
+            return truth, seeds, lambda tr, sd: run_gp_ucb(space, kernel, config, tr,
+                                                           seed=sd, tree=tree)
+        truth = np.stack([sample_paths(space, kernel, channels, seed=[3, r])
+                          for r in range(3)])
+        return truth, seeds, lambda tr, sd: run_squared_gp_ucb(
+            space, kernel, channels, config, tr, seed=sd, tree=tree)
+
+    @pytest.mark.parametrize("depth_rule", ["halflog2", "omega"])
+    @pytest.mark.parametrize("channels", [None, 1, 3], ids=["plain", "sq1", "sq3"])
+    def test_stacked_equals_single_calls(self, channels, depth_rule):
+        truth, seeds, run = self._runner(channels, depth_rule)
+        records = run(truth, seeds)
+        assert isinstance(records, list) and len(records) == 3
+        for r in range(3):
+            self._same(records[r], run(truth[r], seeds[r]))
+        (one,) = run(truth[:1], seeds[:1])
+        self._same(one, run(truth[0], seeds[0]))
+
+    @pytest.mark.parametrize("channels", [None, 3], ids=["plain", "sq3"])
+    def test_memory_budgets_split_the_work(self, monkeypatch, channels):
+        truth, seeds, run = self._runner(channels, "halflog2")
+        whole = run(truth, seeds)
+        # two replicates per loop batch, one per refactor factorization call
+        monkeypatch.setattr(bandit, "_BATCH_BYTES", 8 * 150 * 40 * 2)
+        monkeypatch.setattr(bandit, "_REFACTOR_BYTES", 1)
+        split = run(truth, seeds)
+        assert len(split) == len(whole)
+        for got, want in zip(split, whole):
+            self._same(got, want)
+
+    def test_seed_count_must_match(self, grid16):
+        config = OptimizerConfig(t_max=2)
+        for seed in ([1, 2], 5, None):
+            with pytest.raises(ArgumentError, match="3 replicates"):
+                run_gp_ucb(grid16, Kernel("se", 0.3), config, np.zeros((3, 16)), seed=seed)
+        with pytest.raises(ArgumentError, match="3 replicates"):
+            run_squared_gp_ucb(grid16, Kernel("se", 0.3), 2, config,
+                               np.zeros((3, 2, 16)), seed=[1, 2, 3, 4])
+
+    def test_non_finite_truth_in_one_replicate(self, grid16):
+        config = OptimizerConfig(t_max=2)
+        truth = np.zeros((3, 16))
+        truth[1, 4] = math.nan
+        with pytest.raises(NumericError, match="replicate 1"):
+            run_gp_ucb(grid16, Kernel("se", 0.3), config, truth, seed=[0, 1, 2])
+        channels = np.zeros((3, 2, 16))
+        channels[2, 1, 0] = math.inf
+        with pytest.raises(NumericError, match="replicate 2"):
+            run_squared_gp_ucb(grid16, Kernel("se", 0.3), 2, config, channels,
+                               seed=[0, 1, 2])
 
 
 class TestRegretBoundRhs:

@@ -227,9 +227,23 @@ class TestPosterior:
     def test_negative_variance_raises(self):
         post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
         post.add(0, 1.0)
-        post.V[0, 1] = 2.0        # a corrupted factor: w @ w exceeds k(x, x)
+        post.V[0, 0, 1] = 2.0     # a corrupted factor: w @ w exceeds k(x, x)
         with pytest.raises(NumericError):
             post.add(1, 0.5)
+
+    def test_replicate_axis(self):
+        with pytest.raises(ArgumentError):
+            GPPosterior(Kernel("se"), 0.1, [[0.0]], 1, replicates=0)
+        post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2, replicates=3)
+        post.add([0, 1, 0], [[1.0], [0.5], [0.2]])
+        single = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
+        single.add(1, 0.5)
+        for got, want in zip(post.predict(1), single.predict()):
+            assert np.array_equal(got, want)
+        post.V[1, 0, 0] = 2.0     # corrupts replicate 1 only
+        with pytest.raises(NumericError,
+                           match=r"^negative posterior variance .*\(replicate 1\)$"):
+            post.add([1, 0, 1], [[0.3], [0.3], [0.3]])
 
     def test_variance_decreases_at_observed_point(self):
         post = GPPosterior(Kernel("se"), 0.5, [[0.0]], 1)

@@ -263,8 +263,9 @@ class TestRunExperiment:
         assert files["all_pass"] == "1"
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
+        # the second replicate's bound fails after the first replicate's CSV is written
         calls = {"n": 0}
-        real = harness.run_gp_ucb
+        real = harness.regret_bound_rhs
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -272,7 +273,7 @@ class TestRunExperiment:
                 raise RuntimeError("boom")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_gp_ucb", flaky)
+        monkeypatch.setattr(harness, "regret_bound_rhs", flaky)
         out = tmp_path / "fail"
         cfg = ExperimentConfig(space="line:n=6", t_max=3, replicates=3,
                                out_dir=str(out))

@@ -92,6 +92,13 @@ class TestFiniteMetricSpace:
         with pytest.raises(ArgumentError):
             FiniteMetricSpace.from_distance_matrix(D)
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_coordinate_rows_must_match_matrix(self, rows):
+        D = np.ones((3, 3)) - np.eye(3)
+        coords = np.arange(rows, dtype=float)[:, None]
+        with pytest.raises(ArgumentError, match=f"{rows} coordinate rows for a 3-point"):
+            FiniteMetricSpace.from_distance_matrix(D, coords=coords)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_rejected(self, bad):
