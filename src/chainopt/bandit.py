@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 
 from .chaining import ChainingTree, build_tree, omega_table
 from .errors import ArgumentError, CapacityError, NumericError
-from .gp import Kernel, c_eta, gram, information_gain
+from .gp import Kernel, _as_points, _kernel_diag, _kernel_rows, c_eta, information_gain
 from .metric import FiniteMetricSpace
 from .smoothness import SmoothnessModel, confidence_level_u_i
 
@@ -97,6 +97,10 @@ class GPPosterior:
     factors are rebuilt from scratch to cap round-off drift.  Several output
     channels share the queries.  ``replicates=1`` is a single posterior.  To
     predict at other locations, include them in ``coords``.
+
+    No Gram matrix is kept: each update computes the kernel rows of the R
+    points just queried, in one call, and a rebuild recomputes the rows of
+    every query, so memory is O(R t n) rather than O(n^2).
     """
 
     def __init__(self, kernel: Kernel, eta2: float, coords, capacity: int,
@@ -105,10 +109,11 @@ class GPPosterior:
             raise ArgumentError("noise variance must be positive")
         if replicates < 1:
             raise ArgumentError("replicates must be at least 1")
-        self.Kcc = gram(kernel, coords)
-        self.diag = np.diag(self.Kcc).copy()
+        self.kernel = kernel
+        self.X = _as_points(coords)
+        self.diag = _kernel_diag(kernel, self.X)
         self.eta2 = float(eta2)
-        n = self.Kcc.shape[0]
+        n = self.X.shape[0]
         self.V = np.zeros((replicates, capacity, n))
         self.B = np.zeros((replicates, capacity, n_outputs))
         self.Yraw = np.zeros((replicates, capacity, n_outputs))
@@ -154,7 +159,8 @@ class GPPosterior:
                                f"replicate {r})")
         d = np.sqrt(d2)[:, None]
         v = self.V[:, t]
-        v[:] = (self.Kcc[js] - np.matmul(wm, self.V[:, :t])[:, 0]) / d
+        v[:] = (_kernel_rows(self.kernel, self.X[js], self.X)
+                - np.matmul(wm, self.V[:, :t])[:, 0]) / d
         b = self.B[:, t]
         b[:] = (y - np.matmul(wm, self.B[:, :t])[:, 0]) / d
         self.Yraw[:, t] = y
@@ -170,13 +176,15 @@ class GPPosterior:
         step = max(1, _REFACTOR_BYTES // (8 * t * t))    # replicates per factorization call
         for lo in range(0, self.q.shape[0], step):
             sel = self.q[lo:lo + step, :t]
-            C = self.Kcc[sel[:, :, None], sel[:, None, :]]
+            rows = _kernel_rows(self.kernel, self.X[sel.reshape(-1)], self.X)
+            rows = rows.reshape(len(sel), t, -1)            # k(queries, points)
+            C = np.take_along_axis(rows, sel[:, None, :], axis=2)
             C.reshape(len(sel), t * t)[:, ::t + 1] += self.eta2
             try:
                 L = np.linalg.cholesky(C)
             except np.linalg.LinAlgError as exc:
                 raise NumericError("posterior refactorization failed") from exc
-            self.V[lo:lo + step, :t] = solve_triangular(L, self.Kcc[sel], lower=True)
+            self.V[lo:lo + step, :t] = solve_triangular(L, rows, lower=True)
             self.B[lo:lo + step, :t] = solve_triangular(L, self.Yraw[lo:lo + step, :t],
                                                         lower=True)
         V = self.V[:, :t]
@@ -303,16 +311,21 @@ class RegretRecord:
         return int(self.iters.size)
 
     def to_csv(self, path: str) -> None:
+        cols = (self.iters, self.depths, self.u_is, self.points, self.ucbs, self.ys,
+                self.inst_regret, self.cum_regret, self.simple_regret)
+        rows = zip(*(np.asarray(col).tolist() for col in cols))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("iter,depth,u_i,point_id,ucb,y,inst_regret,cum_regret,simple_regret\n")
-            for k in range(len(self)):
-                fields = [f"{int(self.iters[k])}", f"{int(self.depths[k])}",
-                          f"{self.u_is[k]:.12g}", f"{int(self.points[k])}",
-                          f"{self.ucbs[k]:.12g}", f"{self.ys[k]:.12g}"]
-                for arr in (self.inst_regret, self.cum_regret, self.simple_regret):
-                    v = arr[k]
-                    fields.append("" if np.isnan(v) else f"{v:.12g}")
-                fh.write(",".join(fields) + "\n")
+            if not np.isnan(cols[6:]).any():
+                fh.write("".join(_CSV_ROW % row for row in rows))
+                return
+            for row in rows:         # live mode: regrets are blank
+                fh.write(_CSV_HEAD % row[:6] + "".join(
+                    "," if math.isnan(v) else f",{v:.12g}" for v in row[6:]) + "\n")
+
+
+_CSV_HEAD = "%d,%d,%.12g,%d,%.12g,%.12g"     # iter .. y; the three regrets follow
+_CSV_ROW = _CSV_HEAD + ",%.12g,%.12g,%.12g\n"
 
 
 def _tree_signature(tree: ChainingTree) -> tuple:
@@ -548,24 +561,31 @@ class RegretBoundSeries:
     closed_form: np.ndarray   # information-gain form with the realized gain
 
 
-def regret_bound_rhs(record: RegretRecord, tree: ChainingTree,
+def regret_bound_rhs(record: RegretRecord | list[RegretRecord], tree: ChainingTree,
                      model: SmoothnessModel, config: OptimizerConfig
-                     ) -> RegretBoundSeries:
+                     ) -> RegretBoundSeries | list[RegretBoundSeries]:
     """Evaluate both regret-bound forms along a recorded run.
 
     The per-step form adds the depth-h(i) discretization bound to the
     recorded confidence width at each query.  The closed form uses the
     realized information gain in place of its maximum, which preserves
-    validity of the chain of inequalities.
+    validity of the chain of inequalities.  A list of records (the
+    replicates of one experiment, all run on ``tree``) shares one omega
+    table and returns a list of series, as :func:`run_gp_ucb` does.
     """
-    if record.space_n != tree.space.n or record.tree_signature != _tree_signature(tree):
-        raise ArgumentError("record was produced with a different tree")
+    records = record if isinstance(record, list) else [record]
+    signature = _tree_signature(tree)
+    for rec in records:
+        if rec.space_n != tree.space.n or rec.tree_signature != signature:
+            raise ArgumentError("record was produced with a different tree")
     omega_vals = omega_table(tree, config.u, config.a, model)
-    t = len(record)
-    om_seq = omega_vals[record.depths]
-    per_step = np.cumsum(om_seq + record.widths)
-    om_cum = np.cumsum(om_seq)
     ceta = c_eta(config.eta2)
-    ts = np.arange(1, t + 1, dtype=float)
-    closed = 2.0 * np.sqrt(2.0 * ceta * ts * record.u_is * record.info_gain) + om_cum
-    return RegretBoundSeries(per_step, closed)
+    series = []
+    for rec in records:
+        om_seq = omega_vals[rec.depths]
+        per_step = np.cumsum(om_seq + rec.widths)
+        om_cum = np.cumsum(om_seq)
+        ts = np.arange(1, len(rec) + 1, dtype=float)
+        closed = 2.0 * np.sqrt(2.0 * ceta * ts * rec.u_is * rec.info_gain) + om_cum
+        series.append(RegretBoundSeries(per_step, closed))
+    return series if isinstance(record, list) else series[0]

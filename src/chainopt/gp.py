@@ -23,6 +23,8 @@ _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
 
 _MATERN_P = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
+_BLOCK_BYTES = 1 << 20     # block of an n×n array transformed in place
+_IN_PLACE_BYTES = 1 << 25  # smallest matrix chol_with_jitter factors without a copy
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,8 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-def _scaled_dist(kernel: Kernel, r: np.ndarray) -> np.ndarray:
+def _scaled_dist(kernel: Kernel, r):
+    """Stationary covariance at distance(s) r, out of place; r may be a scalar."""
     r = r / kernel.lengthscale
     if kernel.family == "se":
         return kernel.variance * np.exp(-0.5 * r * r)
@@ -95,6 +98,58 @@ def _scaled_dist(kernel: Kernel, r: np.ndarray) -> np.ndarray:
     else:
         h = 1.0 + d + d * d / 3.0
     return kernel.variance * h * np.exp(-d)
+
+
+def _scaled_dist_inplace(kernel: Kernel, r: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous distance array r with its covariance; returns r.
+
+    Works through r in blocks of ``_BLOCK_BYTES``, so the temporaries of the
+    closed forms stay small.  Every element goes through the operations of
+    :func:`_scaled_dist`, so a row computed alone equals the Gram matrix's
+    row bit for bit.
+    """
+    flat = r.reshape(-1)
+    step = _BLOCK_BYTES // 8
+    for lo in range(0, flat.size, step):
+        blk = flat[lo:lo + step]
+        blk[...] = _scaled_dist(kernel, blk)
+    return r
+
+
+def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Sum of ``A[..., k] * B[..., k]`` over the last axis, in ascending k.
+
+    The linear kernel does not use BLAS: its symmetric product ``X @ X.T``
+    and the general product ``X[js] @ X.T`` round differently, so rows
+    computed alone would not match the Gram matrix.
+    """
+    out = A[..., 0] * B[..., 0]
+    for k in range(1, A.shape[-1]):
+        out += A[..., k] * B[..., k]
+    return out
+
+
+def _kernel_rows(kernel: Kernel, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Covariance rows k(A, X) of shape (len(A), len(X)), for (m, D) and (n, D) points.
+
+    Row i depends only on ``A[i]`` and ``X``: it equals the row of the Gram
+    matrix at the point ``A[i]`` bit for bit.
+    """
+    if kernel.family == "linear":
+        K = _inner(A[:, None, :], X[None, :, :])
+        K *= kernel.variance
+        return K
+    return _scaled_dist_inplace(kernel, cdist(A, X))
+
+
+def _kernel_diag(kernel: Kernel, X: np.ndarray) -> np.ndarray:
+    """k(x, x) at every row of X, equal to the Gram matrix's diagonal bit for bit."""
+    if kernel.family == "linear":
+        d = _inner(X, X)
+        d *= kernel.variance
+        return d
+    # distance 0: exp(-0) = 1 and h(0) = 1 exactly, so k(x, x) is the variance
+    return np.full(X.shape[0], kernel.variance)
 
 
 def kernel_eval(kernel: Kernel, x, y) -> float:
@@ -111,19 +166,29 @@ def kernel_eval(kernel: Kernel, x, y) -> float:
 def gram(kernel: Kernel, X) -> np.ndarray:
     """Covariance matrix over a coordinate array of shape (n, D)."""
     X = _as_points(X)
-    if kernel.family == "linear":
-        return kernel.variance * (X @ X.T)
-    return _scaled_dist(kernel, cdist(X, X))
+    return _kernel_rows(kernel, X, X)
 
 
 def canonical_metric_space(kernel: Kernel, coords) -> FiniteMetricSpace:
-    """Space whose metric is the process distance sqrt(k(x,x) - 2k(x,y) + k(y,y))."""
+    """Space whose metric is the process distance sqrt(k(x,x) - 2k(x,y) + k(y,y)).
+
+    The Gram matrix is turned into the distance matrix in place, one block
+    of rows at a time, as ``(k(x,x) + k(y,y)) - 2k(x,y)`` clipped at 0, and
+    the space takes that array over without a copy.  It is still checked
+    against the pseudo-metric axioms.
+    """
     coords = _as_points(coords)
     K = gram(kernel, coords)
-    diag = np.diag(K)
-    d2 = np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 0.0)
-    D = np.sqrt(d2)
-    return FiniteMetricSpace.from_distance_matrix(D, coords=coords)
+    diag = K.diagonal().copy()
+    n = K.shape[0]
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        blk = diag[rows, None] + diag[None, :]
+        blk -= 2.0 * K[rows]
+        np.maximum(blk, 0.0, out=blk)
+        np.sqrt(blk, out=K[rows])
+    return FiniteMetricSpace(coords=coords, matrix=K)
 
 
 def chol_with_jitter(M: np.ndarray) -> np.ndarray:
@@ -133,18 +198,30 @@ def chol_with_jitter(M: np.ndarray) -> np.ndarray:
     There is no unjittered attempt: it always fails on the centered Gram
     matrix of a matrix space (whose first row is zero) and on the
     squared-exponential Gram matrix of a fine grid, so it would cost one
-    wasted factorization per draw.  ``M`` is left unchanged: the jitter is
-    added to the diagonal of one private copy.
+    wasted factorization per draw.
+
+    M reads unchanged afterwards.  A writable float array of 32 MiB or more
+    is factored without a copy: the jitter goes onto M's own diagonal, and
+    the original diagonal is written back before returning, also on
+    failure.  Any other M is copied first.  glibc's malloc gives buffers of
+    that size their own mappings, so there the avoided copy lowers peak
+    memory by its full size; below it, skipping the copy measured worse,
+    because it changed which freed heap memory the allocator kept.
     """
-    A = np.array(M, dtype=float)
+    A = np.asarray(M, dtype=float)
+    if A.nbytes < _IN_PLACE_BYTES or not A.flags.writeable:
+        A = A.copy()
     base = A.diagonal().copy()
     jitter = _JITTER_START
-    while jitter <= _JITTER_LIMIT * (1 + 1e-12):
-        np.fill_diagonal(A, base + jitter)
-        try:
-            return np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+    try:
+        while jitter <= _JITTER_LIMIT * (1 + 1e-12):
+            np.fill_diagonal(A, base + jitter)
+            try:
+                return np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+    finally:
+        np.fill_diagonal(A, base)
     raise NumericError(f"factorization failed even with jitter {_JITTER_LIMIT:g}")
 
 

@@ -466,8 +466,8 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
                                      seed=seeds, tree=tree)
     else:
         records = run_gp_ucb(space, kernel, opt_cfg, truth[:, 0], seed=seeds, tree=tree)
-    for r, record in enumerate(records):
-        series = regret_bound_rhs(record, tree, model, opt_cfg)
+    series_list = regret_bound_rhs(records, tree, model, opt_cfg)
+    for r, (record, series) in enumerate(zip(records, series_list)):
         bounds.append(series.per_step)
         if len(record):
             bound_ok.append(bool(np.all(record.cum_regret <= series.per_step + 1e-9)))

@@ -39,14 +39,17 @@ class FiniteMetricSpace:
 
     Construct through :meth:`from_coordinates` or
     :meth:`from_distance_matrix`.  Coordinates, whichever constructor
-    receives them, must be finite.  A distance matrix handed in through
-    :meth:`from_distance_matrix` (including the canonical matrices of
-    :mod:`chainopt.gp` and the star spaces) is checked against the
-    pseudo-metric axioms: finite entries, zero diagonal, symmetry,
-    nonnegativity and the triangle inequality (exhaustive for n <= 64, on
-    10 000 random triples beyond).  A coordinate space's Euclidean
-    distances satisfy the axioms by construction and are not re-checked.
-    Instances are immutable once built and safe for concurrent readers.
+    receives them, must be finite.  Every distance matrix is checked
+    against the pseudo-metric axioms: finite entries, zero diagonal,
+    symmetry, nonnegativity and the triangle inequality (exhaustive for
+    n <= 64, on 10 000 random triples beyond).  A coordinate space's
+    Euclidean distances satisfy the axioms by construction and are not
+    re-checked.  :meth:`from_distance_matrix` copies the matrix it is
+    given, so later writes by the caller do not reach the space; calling
+    the constructor with ``matrix=`` takes the array over without a copy,
+    which the canonical spaces of :mod:`chainopt.gp` do with the matrix
+    they build.  Instances are immutable once built and safe for
+    concurrent readers.
     """
 
     def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None):
@@ -60,7 +63,7 @@ class FiniteMetricSpace:
             raise ArgumentError("space must contain at least one point")
         self.n = int(n)
         if matrix is not None:
-            matrix = np.array(matrix, dtype=float, order="C")   # own copy, not the caller's
+            matrix = np.asarray(matrix, dtype=float)
             if matrix.shape != (n, n):
                 raise ArgumentError(f"distance matrix must be square, got {matrix.shape}")
             if self._coords is not None and self._coords.shape[0] != n:
@@ -90,7 +93,7 @@ class FiniteMetricSpace:
         ``coords`` may carry the underlying coordinates (needed by kernel
         machinery) even though distances come from the matrix.
         """
-        return cls(coords=coords, matrix=np.asarray(matrix, dtype=float))
+        return cls(coords=coords, matrix=np.array(matrix, dtype=float, order="C"))
 
     # -- geometry ----------------------------------------------------------
 

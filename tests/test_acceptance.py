@@ -40,10 +40,9 @@ def gp_suite():
                        for s in range(500)])
     records = co.run_gp_ucb(space, kernel, config, truths,
                             seed=[[7, s, 1] for s in range(500)], tree=tree)
-    bound_hold = []
-    for rec in records:
-        series = co.regret_bound_rhs(rec, tree, model, config)
-        bound_hold.append(bool(np.all(rec.cum_regret <= series.per_step + 1e-9)))
+    series = co.regret_bound_rhs(records, tree, model, config)
+    bound_hold = [bool(np.all(rec.cum_regret <= s.per_step + 1e-9))
+                  for rec, s in zip(records, series)]
     elapsed = time.perf_counter() - start
     return {"records": records, "bound_hold": bound_hold, "config": config,
             "tree": tree, "elapsed": elapsed}

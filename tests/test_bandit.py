@@ -428,6 +428,29 @@ class TestRegretBoundRhs:
         other = prune_backward(build_forward(other_space), config.u)
         with pytest.raises(ArgumentError):
             regret_bound_rhs(record, other, SmoothnessModel.gaussian(), config)
+        with pytest.raises(ArgumentError):
+            regret_bound_rhs([record, record], other, SmoothnessModel.gaussian(), config)
+
+    @pytest.mark.parametrize("rule", ["halflog2", "omega"])
+    def test_list_shares_one_omega_table(self, grid16, monkeypatch, rule):
+        kernel = Kernel("se", 0.25)
+        config = OptimizerConfig(t_max=25, depth_rule=rule)
+        tree = prune_backward(build_forward(grid16), config.u)
+        model = SmoothnessModel.gaussian()
+        truth = np.stack([sample_paths(grid16, kernel, 1, seed=[63, r])[0] for r in range(3)])
+        records = run_gp_ucb(grid16, kernel, config, truth, seed=[[64, r] for r in range(3)],
+                             tree=tree)
+        single = [regret_bound_rhs(rec, tree, model, config) for rec in records]
+        calls = []
+        real = bandit.omega_table
+        monkeypatch.setattr(bandit, "omega_table",
+                            lambda *args: calls.append(args) or real(*args))
+        stacked = regret_bound_rhs(records, tree, model, config)
+        assert len(calls) == 1 and len(stacked) == 3
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got.per_step, want.per_step)
+            assert np.array_equal(got.closed_form, want.closed_form)
+        assert regret_bound_rhs([], tree, model, config) == []
 
     def test_bound_holds_on_most_seeds(self):
         kernel = Kernel("se", 0.2)
@@ -472,3 +495,28 @@ class TestRecordCsv:
         assert len(lines) == 5
         first = lines[1].split(",")
         assert first[0] == "1" and len(first) == 9
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_csv_matches_field_by_field(self, tmp_path, grid16, live):
+        kernel = Kernel("se", 0.3)
+        config = OptimizerConfig(t_max=40)
+        truth = sample_paths(grid16, kernel, 1, seed=73)[0]
+        if live:
+            record = run_gp_ucb(grid16, kernel, config, seed=74,
+                                observe=lambda x, rng: truth[x] + rng.normal())
+        else:
+            record = run_gp_ucb(grid16, kernel, config, truth, seed=74)
+        record.ucbs[3] = -0.0
+        record.ys[5] = 1e-300
+        record.cum_regret[7] = math.inf
+        path = tmp_path / "run.csv"
+        record.to_csv(str(path))
+        want = ["iter,depth,u_i,point_id,ucb,y,inst_regret,cum_regret,simple_regret"]
+        for k in range(len(record)):
+            fields = [f"{int(record.iters[k])}", f"{int(record.depths[k])}",
+                      f"{record.u_is[k]:.12g}", f"{int(record.points[k])}",
+                      f"{record.ucbs[k]:.12g}", f"{record.ys[k]:.12g}"]
+            for arr in (record.inst_regret, record.cum_regret, record.simple_regret):
+                fields.append("" if np.isnan(arr[k]) else f"{arr[k]:.12g}")
+            want.append(",".join(fields))
+        assert path.read_text() == "\n".join(want) + "\n"

@@ -1,6 +1,7 @@
 """Tests for kernels, posterior inference, information gain and squared intervals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
                       information_gain, kernel_eval, make_grid, parse_kernel,
                       sample_paths, sample_prior, squared_gaussian_interval,
                       squared_gaussian_outside_prob, squared_gp_bounds)
-from chainopt.gp import chol_with_jitter
+from chainopt import gp
+from chainopt.gp import _kernel_rows, chol_with_jitter
 
 ALL_FAMILIES = ("se", "matern12", "matern32", "matern52", "linear")
 
@@ -158,8 +160,69 @@ class TestCholWithJitter:
         assert np.allclose(L @ L.T, M + 1e-8 * np.eye(3), rtol=0.0, atol=1e-15)
 
     def test_indefinite_raises(self):
+        M = -np.eye(3)
         with pytest.raises(NumericError):
-            chol_with_jitter(-np.eye(3))
+            chol_with_jitter(M)
+        assert np.array_equal(M, -np.eye(3))    # the jittered diagonal was put back
+
+    def test_in_place_input_restored(self, monkeypatch):
+        # matrices under 32 MiB are copied; a size floor of 0 factors these in place
+        monkeypatch.setattr(gp, "_IN_PLACE_BYTES", 0)
+        M = np.ones((3, 3)) - 5e-9 * np.eye(3)      # fails twice before it factors
+        before = M.copy()
+        L = chol_with_jitter(M)
+        assert np.array_equal(M, before)
+        assert np.allclose(L @ L.T, M + 1e-8 * np.eye(3), rtol=0.0, atol=1e-15)
+        M = -np.eye(3)
+        with pytest.raises(NumericError):
+            chol_with_jitter(M)
+        assert np.array_equal(M, -np.eye(3))
+        M = 4.0 * np.eye(3)
+        M.setflags(write=False)                      # read-only input is copied
+        assert np.allclose(chol_with_jitter(M), 2.0 * np.eye(3), rtol=0.0, atol=1e-9)
+
+
+class TestKernelRows:
+    # 100 points: there BLAS's X[js] @ X.T and X @ X.T round differently
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("fam", ALL_FAMILIES)
+    def test_rows_and_diagonal_equal_gram(self, fam, dim):
+        X = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(100, dim))
+        k = Kernel(fam, 0.3, 1.7)
+        K = gram(k, X)
+        for js in ([7], [0, 99, 7, 7]):
+            assert np.array_equal(_kernel_rows(k, X[js], X), K[js])
+        assert np.array_equal(GPPosterior(k, 0.1, X, 1).diag, np.diag(K))
+
+    def test_posterior_keeps_no_gram(self):
+        n = 200
+        X = np.random.default_rng(4).uniform(size=(n, 2))
+        post = GPPosterior(Kernel("matern52", 0.3), 0.1, X, 70)
+        for j in range(70):                    # crosses one refactorization
+            post.add(j, 0.1 * j)
+        sizes = [v.size for v in vars(post).values() if isinstance(v, np.ndarray)]
+        assert max(sizes) < n * n
+
+    def test_memory_peaks(self):
+        # numpy reports its buffers to tracemalloc
+        X = make_grid(2, 32, 1.0)
+        full = 8 * len(X) ** 2
+        k = Kernel("se", 0.1)
+        tracemalloc.start()
+        try:
+            space = canonical_metric_space(k, X)
+            _, space_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            post = GPPosterior(k, 0.01, X, 10)
+            for j in range(10):
+                post.add(97 * j, 0.5)
+            _, post_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.n == len(X)
+        assert space_peak < 1.5 * full
+        assert post_peak - base < 0.5 * full
 
 
 class TestPosterior:

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-import chainopt.harness as harness
 from chainopt import (ArgumentError, ExperimentConfig, FiniteMetricSpace,
-                      Kernel, ParseError, make_ellipsoid, make_grid, make_line,
-                      make_star, parse_config, run_experiment, sample_paths,
-                      space_from_spec, validate_lemmas, validate_lower,
-                      validate_upper)
+                      Kernel, ParseError, RegretRecord, make_ellipsoid,
+                      make_grid, make_line, make_star, parse_config,
+                      run_experiment, sample_paths, space_from_spec,
+                      validate_lemmas, validate_lower, validate_upper)
 
 
 def _write_config(tmp_path, text, name="exp.cfg"):
@@ -263,17 +262,17 @@ class TestRunExperiment:
         assert files["all_pass"] == "1"
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
-        # the second replicate's bound fails after the first replicate's CSV is written
+        # the second replicate's CSV fails after the first replicate's CSV is written
         calls = {"n": 0}
-        real = harness.regret_bound_rhs
+        real = RegretRecord.to_csv
 
-        def flaky(*args, **kwargs):
+        def flaky(record, path):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise RuntimeError("boom")
-            return real(*args, **kwargs)
+            return real(record, path)
 
-        monkeypatch.setattr(harness, "regret_bound_rhs", flaky)
+        monkeypatch.setattr(RegretRecord, "to_csv", flaky)
         out = tmp_path / "fail"
         cfg = ExperimentConfig(space="line:n=6", t_max=3, replicates=3,
                                out_dir=str(out))
