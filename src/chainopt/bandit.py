@@ -46,12 +46,12 @@ class OptimizerConfig:
     shift: int = 1
 
     def __post_init__(self):
-        if self.u <= 0:
-            raise ArgumentError("u must be positive")
-        if self.a <= 1:
-            raise ArgumentError("a must exceed 1")
-        if self.eta2 <= 0:
-            raise ArgumentError("eta2 must be positive")
+        if not 0 < self.u < math.inf:
+            raise ArgumentError("u must be positive and finite")
+        if not 1 < self.a < math.inf:
+            raise ArgumentError("a must exceed 1 and be finite")
+        if not 0 < self.eta2 < math.inf:
+            raise ArgumentError("eta2 must be positive and finite")
         if self.t_max < 0:
             raise ArgumentError("t_max must be nonnegative")
         if self.depth_rule not in _DEPTH_RULES:
@@ -105,8 +105,8 @@ class GPPosterior:
 
     def __init__(self, kernel: Kernel, eta2: float, coords, capacity: int,
                  n_outputs: int = 1, replicates: int = 1):
-        if eta2 <= 0:
-            raise ArgumentError("noise variance must be positive")
+        if not 0 < eta2 < math.inf:
+            raise ArgumentError("noise variance must be positive and finite")
         if replicates < 1:
             raise ArgumentError("replicates must be at least 1")
         self.kernel = kernel
@@ -547,7 +547,7 @@ def run_squared_gp_ucb(space: FiniteMetricSpace, kernel: Kernel, n_channels: int
     if n_channels < 1:
         raise ArgumentError("n_channels must be at least 1")
     truth, seeds, stacked = _stack(truth, seed, (n_channels, space.n))
-    model = SmoothnessModel.squared_gp(n_channels, kernel.variance)
+    model = SmoothnessModel.squared_gp(n_channels)
     records = _run_loop(space, kernel, config, seeds, tree, model, _squared_ucb,
                         lambda g: -np.sum(g * g, axis=1), truth)
     return records if stacked else records[0]

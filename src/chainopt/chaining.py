@@ -104,10 +104,10 @@ class ChainingTree:
         return [nid for nid, nd in sorted(self.nodes.items()) if not nd.children]
 
     def chain(self, node_id: int) -> list[int]:
-        """Node ids from the root down to ``node_id`` (inclusive)."""
+        """Node ids from the root (or below a missing parent) down to ``node_id``."""
         out = []
         nid = node_id
-        while nid is not None:
+        while nid in self.nodes:
             out.append(nid)
             nid = self.nodes[nid].parent
         out.reverse()
@@ -293,7 +293,7 @@ def phi(alpha: float, delta: float, m: int, u: float) -> float:
         raise ArgumentError("alpha cannot exceed twice delta")
     if m < 1:
         raise ArgumentError("m must be a positive integer")
-    if u <= 0:
+    if not u > 0:
         raise ArgumentError("u must be positive")
     if m <= 3.0 * u:
         return 0.0
@@ -319,8 +319,8 @@ def prune_backward(tree: ChainingTree, u: float) -> ChainingTree:
     is left untouched.  Descendant point sets and radii are carried over
     from the input, and only each new pruned node has its own computed.
     """
-    if u <= 0:
-        raise ArgumentError("u must be positive")
+    if not 0 < u < math.inf:
+        raise ArgumentError("u must be positive and finite")
     if tree.schedule != "geometric":
         raise ArgumentError("pruning values require the geometric schedule")
     work = tree.copy()

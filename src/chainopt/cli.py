@@ -2,7 +2,8 @@
 
 Subcommands: ``cover``, ``tree build``, ``optimize``, ``validate-upper``,
 ``validate-lower``, ``validate-lemmas``.  Exit codes: 0 success,
-1 a validation claim failed, 2 usage or config error, 3 numeric error.
+1 a validation claim failed, 2 usage or config error or an unreadable
+file, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -31,20 +32,23 @@ def _build_parser() -> argparse.ArgumentParser:
     tree_sub = tree_p.add_subparsers(dest="tree_command", required=True)
     p = tree_sub.add_parser("build", help="build (and prune) a tree")
     p.add_argument("--space", required=True)
-    p.add_argument("--schedule", choices=("geometric", "entropy"), default="geometric")
-    p.add_argument("--u", type=float, default=2.0)
-    p.add_argument("--shift", type=int, default=1)
+    p.add_argument("--schedule", choices=("geometric", "entropy"),
+                   default=OptimizerConfig.schedule)
+    p.add_argument("--u", type=float, default=OptimizerConfig.u)
+    p.add_argument("--shift", type=int, default=OptimizerConfig.shift)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("optimize", help="run one optimization on a sampled objective")
     p.add_argument("--space", required=True)
     p.add_argument("--kernel", default="se:ls=1.0")
-    p.add_argument("--u", type=float, default=2.0)
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--eta2", type=float, default=0.01)
-    p.add_argument("--t", type=int, default=100)
-    p.add_argument("--depth-rule", choices=("halflog2", "omega"), default="halflog2")
-    p.add_argument("--schedule", choices=("geometric", "entropy"), default="geometric")
+    p.add_argument("--u", type=float, default=OptimizerConfig.u)
+    p.add_argument("--a", type=float, default=OptimizerConfig.a)
+    p.add_argument("--eta2", type=float, default=OptimizerConfig.eta2)
+    p.add_argument("--t", type=int, default=OptimizerConfig.t_max)
+    p.add_argument("--depth-rule", choices=("halflog2", "omega"),
+                   default=OptimizerConfig.depth_rule)
+    p.add_argument("--schedule", choices=("geometric", "entropy"),
+                   default=OptimizerConfig.schedule)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -128,7 +132,7 @@ def main(argv=None) -> int:
         if args.command == "validate-lemmas":
             return _cmd_validate(args, "lemmas")
         parser.error(f"unknown command {args.command!r}")
-    except (ParseError, ArgumentError, CapacityError, FileNotFoundError) as exc:
+    except (ParseError, ArgumentError, CapacityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, InternalError) as exc:

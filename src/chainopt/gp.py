@@ -25,6 +25,8 @@ _JITTER_LIMIT = 1e-6
 _MATERN_P = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
 _BLOCK_BYTES = 1 << 20     # block of an n×n array transformed in place
 _IN_PLACE_BYTES = 1 << 25  # smallest matrix chol_with_jitter factors without a copy
+_KERNEL_SPECS = {fam: {"ls": 1.0, "var": 1.0}
+                 for fam in ("se", "linear", "ou", *_MATERN_P)}
 
 
 @dataclass(frozen=True)
@@ -46,32 +48,50 @@ class Kernel:
         fam = self.family
         if fam == "ou":
             object.__setattr__(self, "family", "matern12")
-        elif fam not in ("se", "linear") and fam not in _MATERN_P:
+        elif fam not in _KERNEL_SPECS:
             raise ArgumentError(f"unknown kernel family {fam!r}")
-        if self.lengthscale <= 0:
-            raise ArgumentError("lengthscale must be positive")
-        if self.variance <= 0:
-            raise ArgumentError("variance scale must be positive")
+        if not 0 < self.lengthscale < math.inf:
+            raise ArgumentError("lengthscale must be positive and finite")
+        if not 0 < self.variance < math.inf:
+            raise ArgumentError("variance scale must be positive and finite")
+
+
+def _parse_spec(spec: str, table: dict[str, dict]) -> tuple[str, dict]:
+    """Split ``head:key=value,...`` into its head and every option of that head.
+
+    ``table[head]`` maps each option to its default, whose type converts the
+    given value: int, float, or a tuple of floats written ``a:b:c``.  An
+    unknown head or option, an item without ``=`` or a value that does not
+    convert is an ArgumentError.
+    """
+    head, _, rest = spec.strip().partition(":")
+    head = head.strip()
+    if head not in table:
+        raise ArgumentError(f"unknown spec head {head!r} in {spec!r}; "
+                            f"expected one of {', '.join(table)}")
+    defaults = table[head]
+    opts = dict(defaults)
+    for item in rest.split(",") if rest else ():
+        key, sep, raw = item.partition("=")
+        key = key.strip()
+        if not sep or key not in defaults:
+            raise ArgumentError(f"bad option {item!r} in {spec!r}; {head} takes "
+                                f"{', '.join(defaults) or 'no options'}")
+        try:
+            if isinstance(defaults[key], tuple):
+                opts[key] = tuple(float(v) for v in raw.split(":"))
+            else:
+                opts[key] = type(defaults[key])(raw)
+        except ValueError as exc:
+            raise ArgumentError(f"option {key!r} in {spec!r} needs a number, "
+                                f"got {raw!r}") from exc
+    return head, opts
 
 
 def parse_kernel(spec: str) -> Kernel:
     """Parse a kernel spec string such as ``se:ls=1.0`` or ``linear``."""
-    spec = spec.strip()
-    if not spec:
-        raise ArgumentError("empty kernel spec")
-    head, _, rest = spec.partition(":")
-    kwargs: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key not in ("ls", "var"):
-                raise ArgumentError(f"unknown kernel option {key!r} in {spec!r}")
-            try:
-                kwargs["lengthscale" if key == "ls" else "variance"] = float(val)
-            except ValueError as exc:
-                raise ArgumentError(f"bad numeric value in kernel spec {spec!r}") from exc
-    return Kernel(head, **kwargs)
+    family, opts = _parse_spec(spec, _KERNEL_SPECS)
+    return Kernel(family, lengthscale=opts["ls"], variance=opts["var"])
 
 
 def _as_points(X) -> np.ndarray:
@@ -257,8 +277,8 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
 
 def information_gain(kernel: Kernel, X, eta2: float) -> float:
     """Half log-determinant of I + K/eta2 over the design X."""
-    if eta2 <= 0:
-        raise ArgumentError("noise variance must be positive")
+    if not 0 < eta2 < math.inf:
+        raise ArgumentError("noise variance must be positive and finite")
     if np.asarray(X).size == 0:
         return 0.0
     X = _as_points(X)
@@ -273,16 +293,16 @@ def information_gain(kernel: Kernel, X, eta2: float) -> float:
 
 def c_eta(eta2: float) -> float:
     """Variance-to-information conversion constant 2 / log(1 + 1/eta2)."""
-    if eta2 <= 0:
-        raise ArgumentError("noise variance must be positive")
+    if not 0 < eta2 < math.inf:
+        raise ArgumentError("noise variance must be positive and finite")
     return 2.0 / math.log1p(1.0 / eta2)
 
 
 def squared_gaussian_interval(mu: float, sigma: float, s: float) -> tuple[float, float]:
     """Interval (l, u) with P[X^2 outside (l^2, u^2)] < exp(-s^2) for X ~ N(mu, sigma^2)."""
-    if s <= 0:
+    if not s > 0:
         raise ArgumentError("s must be positive")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ArgumentError("sigma must be nonnegative")
     spread = math.sqrt(2.0) * sigma * s
     u = abs(mu) + spread
@@ -315,7 +335,7 @@ def squared_gp_bounds(mu: float, sigma: float, u: float, n_processes: int
     so the joint event over all channels fails with probability below
     ``exp(-u)``.
     """
-    if u <= 0:
+    if not u > 0:
         raise ArgumentError("u must be positive")
     if n_processes < 1:
         raise ArgumentError("n_processes must be at least 1")

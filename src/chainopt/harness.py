@@ -22,8 +22,8 @@ from .bandit import (OptimizerConfig, regret_bound_rhs, run_gp_ucb,
 from .chaining import (build_tree, lower_bound_functional, omega_table, phi,
                        validate_tree)
 from .errors import ArgumentError, CapacityError, ParseError
-from .gp import (Kernel, c_eta, canonical_metric_space, parse_kernel, sample_paths,
-                 squared_gaussian_interval, squared_gaussian_outside_prob)
+from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
+                 sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
 from .metric import FiniteMetricSpace, load_space
 from .smoothness import SmoothnessModel
 
@@ -69,24 +69,10 @@ def make_ellipsoid(axes: list[float]) -> np.ndarray:
     return np.array(pts)
 
 
-def _parse_kv(rest: str) -> dict[str, str]:
-    out = {}
-    if not rest:
-        return out
-    for item in rest.split(","):
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise ArgumentError(f"malformed option {item!r}")
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _number(raw: str, key: str, kind=float):
-    """``kind(raw)`` for option ``key``; a non-numeric value is an ArgumentError."""
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ArgumentError(f"option {key!r} needs a number, got {raw!r}") from exc
+_SPACE_SPECS = {"grid": {"dim": 1, "per_dim": 16, "extent": 1.0},
+                "line": {"n": 16},
+                "star": {"n": 16},
+                "ellipsoid": {"axes": (1.0,)}}
 
 
 def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpace:
@@ -94,32 +80,24 @@ def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpac
 
     Forms: ``grid:dim=1,per_dim=100,extent=1.0``, ``line:n=5``,
     ``star:n=64``, ``ellipsoid:axes=1.0:0.5:0.25``, ``file:<path>``.
-    When a kernel is supplied, coordinate spaces use its canonical process
-    metric; otherwise the Euclidean one.
+    Options left out take the defaults in ``_SPACE_SPECS``; an unknown one
+    is an error.  When a kernel is supplied, coordinate spaces use its
+    canonical process metric; otherwise the Euclidean one.
     """
     kind, _, rest = spec.partition(":")
-    kind = kind.strip()
-    if kind == "file":
+    if kind.strip() == "file":
         if not rest:
             raise ArgumentError("file spec needs a path")
         return load_space(rest)
+    kind, opts = _parse_spec(spec, _SPACE_SPECS)
     if kind == "star":
-        opts = _parse_kv(rest)
-        return make_star(_number(opts.get("n", "16"), "n", int))
+        return make_star(opts["n"])
     if kind == "grid":
-        opts = _parse_kv(rest)
-        coords = make_grid(_number(opts.get("dim", "1"), "dim", int),
-                           _number(opts.get("per_dim", "16"), "per_dim", int),
-                           _number(opts.get("extent", "1.0"), "extent"))
+        coords = make_grid(opts["dim"], opts["per_dim"], opts["extent"])
     elif kind == "line":
-        opts = _parse_kv(rest)
-        coords = make_line(_number(opts.get("n", "16"), "n", int))
-    elif kind == "ellipsoid":
-        opts = _parse_kv(rest)
-        coords = make_ellipsoid([_number(v, "axes")
-                                 for v in opts.get("axes", "1.0").split(":")])
+        coords = make_line(opts["n"])
     else:
-        raise ArgumentError(f"unknown space spec {spec!r}")
+        coords = make_ellipsoid(opts["axes"])
     if kernel is not None:
         return canonical_metric_space(kernel, coords)
     return FiniteMetricSpace.from_coordinates(coords)
@@ -134,17 +112,16 @@ class ExperimentConfig:
     space: str = "line:n=16"
     kernel: str = "se:ls=1.0"
     model: str = "gaussian"
-    u: float = 2.0
-    a: float = 2.0
-    eta2: float = 0.01
-    t_max: int = 100
+    u: float = OptimizerConfig.u
+    a: float = OptimizerConfig.a
+    eta2: float = OptimizerConfig.eta2
+    t_max: int = OptimizerConfig.t_max
     replicates: int = 1
     seed_base: int = 0
     trials: int = 1000
-    n_channels: int = 1
-    depth_rule: str = "halflog2"
-    schedule: str = "geometric"
-    shift: int = 1
+    depth_rule: str = OptimizerConfig.depth_rule
+    schedule: str = OptimizerConfig.schedule
+    shift: int = OptimizerConfig.shift
     out_dir: str = "."
 
     def __post_init__(self):
@@ -162,24 +139,18 @@ class ExperimentConfig:
         return space_from_spec(self.space, kernel=kernel)
 
     def build_model(self) -> SmoothnessModel:
-        head, _, rest = self.model.partition(":")
-        opts = _parse_kv(rest)
-        if head == "gaussian":
-            return SmoothnessModel.gaussian()
-        if head == "subgamma":
-            return SmoothnessModel.sub_gamma(_number(opts.get("nu", "1.0"), "nu"),
-                                             _number(opts.get("c", "0.0"), "c"))
-        if head == "squaredgp":
-            return SmoothnessModel.squared_gp(
-                _number(opts.get("n", str(self.n_channels)), "n", int),
-                _number(opts.get("kappa", "1.0"), "kappa"))
-        raise ArgumentError(f"unknown model spec {self.model!r}")
+        variant, opts = _parse_spec(self.model, _MODEL_SPECS)
+        return SmoothnessModel(variant, n_processes=opts.pop("n", 1), **opts)
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(u=self.u, a=self.a, eta2=self.eta2, t_max=self.t_max,
                                depth_rule=self.depth_rule, schedule=self.schedule,
                                shift=self.shift)
 
+
+_MODEL_SPECS = {"gaussian": {},
+                "subgamma": {"nu": 1.0, "c": 0.0},
+                "squaredgp": {"n": 1}}
 
 # key -> value parser, read off the ExperimentConfig defaults
 _CONFIG_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}

@@ -210,7 +210,7 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     Candidates are restricted to the not-yet-covered points themselves, so
     the result is both a cover and (strictly) epsilon-separated.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
     if subset is None:
         ids = np.arange(space.n)
@@ -254,7 +254,7 @@ def brute_force_min_cover(space: FiniteMetricSpace, epsilon: float) -> CoverResu
     returned cover is deterministic; its cardinality is the covering number
     of the space at radius epsilon.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
     n = space.n
     if n > 20:
@@ -307,7 +307,7 @@ def sample_cover_compact(sampler: Callable[[int], np.ndarray], epsilon: float,
     """
     if m_estimate < 1:
         raise ArgumentError("m_estimate must be at least 1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
     n_draw = math.ceil(m_estimate * (math.log(m_estimate) + u))
     pts = np.asarray(sampler(n_draw), dtype=float)
@@ -335,64 +335,64 @@ def is_cover(space: FiniteMetricSpace, centers: Sequence[int], epsilon: float,
 
 # -- file formats ------------------------------------------------------------
 
-def load_point_cloud(path: str) -> np.ndarray:
-    """Read a point cloud file: header ``# dim=<D>`` then one point per line."""
+def _numbered_lines(path: str) -> list[tuple[int, str]]:
+    """The file's non-blank lines, stripped, each with its 1-based line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    if not lines or not lines[0].startswith("#"):
-        raise ParseError("point cloud file must start with a '# dim=<D>' header", line=1)
-    header = lines[0].lstrip("#").strip()
-    if not header.startswith("dim="):
-        raise ParseError("header must have the form '# dim=<D>'", line=1)
-    try:
-        dim = int(header[4:])
-    except ValueError as exc:
-        raise ParseError(f"bad dimension in header: {header!r}", line=1) from exc
+        return [(num, ln.strip()) for num, ln in enumerate(fh, start=1) if ln.strip()]
+
+
+def _float_rows(lines: list[tuple[int, str]], width: int, noun: str) -> np.ndarray:
+    """Rows of ``width`` reals from numbered lines; a ParseError names the file line."""
     rows = []
-    for num, ln in enumerate(lines[1:], start=2):
-        if not ln:
-            continue
+    for num, ln in lines:
         parts = ln.split()
-        if len(parts) != dim:
-            raise ParseError(f"expected {dim} coordinates, got {len(parts)}", line=num)
+        if len(parts) != width:
+            raise ParseError(f"expected {width} {noun}, got {len(parts)}", line=num)
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ParseError(f"bad coordinate in {ln!r}", line=num) from exc
-    if not rows:
-        raise ParseError("point cloud file contains no points")
+            raise ParseError(f"bad value in {ln!r}", line=num) from exc
     return np.asarray(rows, dtype=float)
+
+
+def load_point_cloud(path: str) -> np.ndarray:
+    """Read a point cloud file: header ``# dim=<D>`` then one point per line."""
+    lines = _numbered_lines(path)
+    num, header = lines[0] if lines else (1, "")
+    if not header.startswith("#"):
+        raise ParseError("point cloud file must start with a '# dim=<D>' header", line=num)
+    header = header.lstrip("#").strip()
+    if not header.startswith("dim="):
+        raise ParseError("header must have the form '# dim=<D>'", line=num)
+    try:
+        dim = int(header[4:])
+    except ValueError as exc:
+        raise ParseError(f"bad dimension in header: {header!r}", line=num) from exc
+    if len(lines) == 1:
+        raise ParseError("point cloud file contains no points")
+    return _float_rows(lines[1:], dim, "coordinates")
 
 
 def load_distance_matrix(path: str) -> np.ndarray:
     """Read a distance matrix file: first line ``n``, then n rows of n reals."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise ParseError("empty distance matrix file")
+    num, first = lines[0]
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError as exc:
-        raise ParseError(f"first line must be the point count, got {lines[0]!r}",
-                         line=1) from exc
+        raise ParseError(f"first line must be the point count, got {first!r}",
+                         line=num) from exc
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for num, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} entries, got {len(parts)}", line=num)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"bad entry in {ln!r}", line=num) from exc
-    return np.asarray(rows, dtype=float)
+    return _float_rows(lines[1:], n, "entries")
 
 
 def load_space(path: str) -> FiniteMetricSpace:
-    """Load a space from either supported file format (auto-detected)."""
+    """Load a space from either file format, told apart by the first non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+        first = next((ln for ln in fh if ln.strip()), "")
     if first.lstrip().startswith("#"):
         return FiniteMetricSpace.from_coordinates(load_point_cloud(path))
     return FiniteMetricSpace.from_distance_matrix(load_distance_matrix(path))

@@ -5,9 +5,10 @@ the high-probability bound ``ell_u`` on ``f(x) - f(y)``:
 
 * ``gaussian``:   ell_u = sqrt(2u) * d(x,y)
 * ``subgamma``:   ell_u = (c*u + sqrt(2*nu*u)) * d(x,y)
-* ``squaredgp``:  a negated sum of N squared centered processes with
-  stationary covariance of scale kappa; behaves as subgamma(nu=N, c=1),
-  giving ell_u = (u + sqrt(2*u*N)) * d(x,y).
+* ``squaredgp``:  a negated sum of N squared centered processes; behaves
+  as subgamma(nu=N, c=1), giving ell_u = (u + sqrt(2*u*N)) * d(x,y).  The
+  covariance scale enters only through the metric d (see
+  :func:`squared_gp_metric`), so the model carries N alone.
 """
 
 from __future__ import annotations
@@ -23,27 +24,28 @@ _ZETA_CUTOFF = 256  # partial-sum length; tail handled by the integral bound
 
 @dataclass(frozen=True)
 class SmoothnessModel:
-    """Tagged increment-tail family; use the class-method constructors."""
+    """Tagged increment-tail family; use the class-method constructors.
+
+    ``subgamma`` reads ``nu`` and ``c`` (finite, nonnegative, not both zero),
+    ``squaredgp`` reads ``n_processes`` (at least one), ``gaussian`` neither.
+    """
 
     variant: str                  # "gaussian" | "subgamma" | "squaredgp"
     nu: float = 0.0               # subgamma variance factor
     c: float = 0.0                # subgamma scale factor
     n_processes: int = 1          # squaredgp: number of squared channels
-    kappa: float = 1.0            # squaredgp: stationary covariance scale
 
     def __post_init__(self):
         if self.variant not in ("gaussian", "subgamma", "squaredgp"):
             raise ArgumentError(f"unknown smoothness variant {self.variant!r}")
         if self.variant == "subgamma":
-            if self.nu < 0 or self.c < 0:
-                raise ArgumentError("subgamma parameters must be nonnegative")
+            if not (0 <= self.nu < math.inf and 0 <= self.c < math.inf):
+                raise ArgumentError("subgamma parameters must be nonnegative and finite")
             if self.nu == 0 and self.c == 0:
                 raise ArgumentError("subgamma parameters cannot both be zero")
         if self.variant == "squaredgp":
             if self.n_processes < 1:
                 raise ArgumentError("squaredgp needs at least one channel")
-            if self.kappa <= 0:
-                raise ArgumentError("kappa must be positive")
 
     @classmethod
     def gaussian(cls) -> "SmoothnessModel":
@@ -54,13 +56,13 @@ class SmoothnessModel:
         return cls("subgamma", nu=float(nu), c=float(c))
 
     @classmethod
-    def squared_gp(cls, n_processes: int, kappa: float) -> "SmoothnessModel":
-        return cls("squaredgp", n_processes=int(n_processes), kappa=float(kappa))
+    def squared_gp(cls, n_processes: int) -> "SmoothnessModel":
+        return cls("squaredgp", n_processes=int(n_processes))
 
 
 def ell_u(model: SmoothnessModel, u: float, dist: float) -> float:
     """Tail threshold: P[f(x) - f(y) > ell_u] < exp(-u) at distance ``dist``."""
-    if u <= 0:
+    if not u > 0:
         raise ArgumentError("u must be positive")
     if dist < 0:
         raise ArgumentError("dist must be nonnegative")
@@ -112,7 +114,7 @@ def zeta(a: float) -> float:
 
 def confidence_level_u_i(u: float, n_h: float, i: int, a: float) -> float:
     """Per-iteration confidence level: u + n_h + a*log(i) + log(zeta(a))."""
-    if u <= 0:
+    if not u > 0:
         raise ArgumentError("u must be positive")
     if n_h < 0:
         raise ArgumentError("n_h must be nonnegative")

@@ -481,6 +481,12 @@ class TestConfigValidation:
         with pytest.raises(ArgumentError):
             OptimizerConfig(depth_rule="bogus")
 
+    @pytest.mark.parametrize("field", ["u", "a", "eta2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values(self, field, bad):
+        with pytest.raises(ArgumentError, match=f"^{field} must .* finite$"):
+            OptimizerConfig(**{field: bad})
+
 
 class TestRecordCsv:
     def test_csv_format(self, tmp_path, grid16):

@@ -448,9 +448,89 @@ class TestTreeProperties:
             assert tree.descendant_points(nid).tolist() == sorted(below[nid])
             assert nd.radius == fresh.nodes[nid].radius
         for model in (SmoothnessModel.gaussian(), SmoothnessModel.sub_gamma(1.5, 0.3),
-                      SmoothnessModel.squared_gp(2, 1.0)):
+                      SmoothnessModel.squared_gp(2)):
             for majorized in (False, True):
                 got = omega_table(tree, u, 2.0, model, majorized=majorized)
                 want = _omega_by_leaf_chains(tree, u, 2.0, model, majorized)
                 assert np.array_equal(got, want)
         assert validate_tree(tree).ok
+
+
+class TestValidateCorruptedTrees:
+    """Each hard check fires on a tree corrupted in one place, and names it."""
+
+    @pytest.fixture
+    def line8(self):
+        # root 0 at point 0; depth 1: nodes 1, 2, 3 at points 0, 3, 6 (eps 1.75);
+        # depth 2: leaves 4..11, under node 1 (4, 7), node 2 (5, 8, 9), node 3 (6, 10, 11)
+        tree = build_forward(FiniteMetricSpace.from_coordinates(np.arange(8.0)))
+        assert validate_tree(tree).ok
+        return tree
+
+    @pytest.fixture
+    def star50(self):
+        # root 0 keeps seven children; pruned node 51 at depth 1 holds the rest
+        tree = prune_backward(build_forward(make_star(50)), 1.0)
+        assert validate_tree(tree).ok and tree.nodes[51].pruned
+        return tree
+
+    @staticmethod
+    def _errors(tree):
+        check = validate_tree(tree)
+        assert not check.ok
+        return check.errors
+
+    def test_root(self, line8):
+        line8.levels[0].append(1)
+        assert "tree must have exactly one root at depth 0" in self._errors(line8)
+
+    def test_dangling_parent(self, line8):
+        line8.nodes[7].parent = 99
+        assert "node 7 has a dangling parent" in self._errors(line8)
+
+    def test_parent_depth(self, line8):
+        line8.nodes[7].parent = 0
+        assert "node 7: parent depth 0 != 1" in self._errors(line8)
+
+    def test_parent_distance(self, line8):
+        line8.nodes[11].parent = 1
+        assert "node 11: parent distance 7 exceeds eps(1)=1.75" in self._errors(line8)
+
+    def test_separation(self, line8):
+        line8.nodes[2].location = 1
+        assert "depth 1: separation 1 below eps=1.75" in self._errors(line8)
+
+    def test_child_cap(self, star50):
+        star50.nodes[51].pruned = False
+        assert "node 0: 8 children exceed capacity 7.38906" in self._errors(star50)
+
+    def test_restart_cap(self, star50):
+        star50.restart_count = 4
+        assert "restart count 4 exceeds the cap" in self._errors(star50)
+
+    def test_leaf_bijection(self, line8):
+        line8.nodes[7].location = 0
+        assert "leaves do not biject with the point set" in self._errors(line8)
+
+    def test_unpruned_leaf_depth(self, line8):
+        line8.nodes[1].children = []
+        assert ("unpruned tree must carry all leaves at the deepest level"
+                in self._errors(line8))
+
+    def test_radius(self, line8):
+        line8.nodes[2].radius = 5.0
+        assert "node 2: stored radius 5 != 1" in self._errors(line8)
+
+    def test_monotonicity_warning_once_per_leaf(self, line8):
+        line8.nodes[0].radius = 0.5
+        check = validate_tree(line8)
+        assert check.errors == ["node 0: stored radius 0.5 != 7"]
+        # leaves 4..11 in id order; each reports the depth-1 node above it
+        assert check.warnings == [f"radius grows along path at node {nid}"
+                                  for nid in (1, 2, 3, 1, 2, 2, 3, 3)]
+
+    def test_capacity_flag_is_not_an_error(self):
+        # 64 points at mutual distance one all enter at depth 1, over exp(n_1) = 7.4
+        check = validate_tree(build_forward(make_star(64)))
+        assert check.ok and check.errors == [] and check.warnings == []
+        assert check.capacity_flags == [1]

@@ -72,6 +72,25 @@ class TestCover:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_nan_epsilon_exits_2(self, tmp_path, cloud_file):
+        code = main(["cover", "--space", cloud_file, "--epsilon", "nan",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("case", ["space-dir", "binary-space", "out-dir"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, cloud_file, case):
+        space, out = cloud_file, str(tmp_path / "o.csv")
+        if case == "space-dir":
+            space = str(tmp_path)
+        elif case == "binary-space":
+            space = str(tmp_path / "space.bin")
+            (tmp_path / "space.bin").write_bytes(b"\xff\xfe\x00\x81# dim=1\n")
+        else:
+            out = str(tmp_path)
+        code = main(["cover", "--space", space, "--epsilon", "0.5", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTreeBuild:
     def test_geometric_build(self, tmp_path, cloud_file):
@@ -82,6 +101,11 @@ class TestTreeBuild:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# schedule=geometric")
         assert lines[3] == "node_id,depth,location_id,parent_id,is_pruned,radius,value"
+
+    def test_nan_u_exits_2(self, tmp_path, cloud_file):
+        code = main(["tree", "build", "--space", cloud_file, "--u", "nan",
+                     "--out", str(tmp_path / "tree.txt")])
+        assert code == 2
 
     def test_entropy_build_from_matrix(self, tmp_path, matrix_file):
         out = tmp_path / "tree.txt"
@@ -107,6 +131,16 @@ class TestOptimize:
             assert main(["optimize", "--space", cloud_file, "--t", "8",
                          "--seed", "5", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("option", [["--u", "nan"], ["--u", "inf"], ["--a", "nan"],
+                                        ["--eta2", "nan"], ["--kernel", "se:ls=nan"],
+                                        ["--kernel", "se:var=inf"]])
+    def test_non_finite_option_exits_2(self, tmp_path, cloud_file, option):
+        out = tmp_path / "run.csv"
+        code = main(["optimize", "--space", cloud_file, "--t", "3", "--out", str(out)]
+                    + option)
+        assert code == 2
+        assert not out.exists()
 
     def test_matrix_space_rejected(self, tmp_path, matrix_file):
         code = main(["optimize", "--space", matrix_file, "--t", "3",
@@ -142,10 +176,19 @@ class TestValidateCommands:
         assert main(["validate-lemmas", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("spec", ["grid:dim=x", "line:n=abc", "star:n=1.5",
-                                      "ellipsoid:axes=1:x"])
+                                      "ellipsoid:axes=1:x", "grid:dim=1,perdim=4",
+                                      "line:m=3", "star:size=4", "ellipsoid:axis=1"])
     def test_non_numeric_space_option_exits_2(self, tmp_path, spec):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(f"space = {spec}\ntrials = 10\n")
+        assert main(["validate-upper", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line", ["kernel = se:lengthscale=0.2", "model = gaussian:nu=1",
+                                      "model = squaredgp:n=2,kappa=1.0",
+                                      "model = subgamma:nu=nan", "u = nan", "a = inf"])
+    def test_bad_kernel_model_or_loop_value_exits_2(self, tmp_path, line):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"{line}\ntrials = 10\n")
         assert main(["validate-upper", "--config", str(cfg)]) == 2
 
     def test_missing_config_exits_2(self, tmp_path):

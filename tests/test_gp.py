@@ -98,6 +98,18 @@ class TestKernels:
         with pytest.raises(ArgumentError):
             parse_kernel("warp:ls=1")
 
+    @pytest.mark.parametrize("spec", ["se:ls=nan", "se:ls=inf", "se:var=nan", "se:var=-inf",
+                                      "se:ls", "se:ls=1,", "", "se:ls=1:2"])
+    def test_bad_kernel_spec(self, spec):
+        with pytest.raises(ArgumentError):
+            parse_kernel(spec)
+
+    @pytest.mark.parametrize("ls,var", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_scale_rejected(self, ls, var):
+        with pytest.raises(ArgumentError, match="must be positive and finite"):
+            Kernel("se", ls, var)
+
     def test_canonical_metric_space(self):
         k = Kernel("se", lengthscale=1.0)
         sp = canonical_metric_space(k, np.arange(4.0))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from chainopt import (ArgumentError, ExperimentConfig, FiniteMetricSpace,
-                      Kernel, ParseError, RegretRecord, make_ellipsoid,
-                      make_grid, make_line, make_star, parse_config,
-                      run_experiment, sample_paths, space_from_spec,
-                      validate_lemmas, validate_lower, validate_upper)
+                      Kernel, OptimizerConfig, ParseError, RegretRecord,
+                      SmoothnessModel, make_ellipsoid, make_grid, make_line,
+                      make_star, parse_config, run_experiment, sample_paths,
+                      space_from_spec, validate_lemmas, validate_lower,
+                      validate_upper)
 
 
 def _write_config(tmp_path, text, name="exp.cfg"):
@@ -24,6 +25,7 @@ class TestParseConfig:
         assert cfg == ExperimentConfig()
         assert cfg.u == 2.0 and cfg.a == 2.0 and cfg.eta2 == 0.01
         assert cfg.depth_rule == "halflog2" and cfg.schedule == "geometric"
+        assert cfg.optimizer_config() == OptimizerConfig()
 
     def test_a_must_exceed_one(self, tmp_path):
         with pytest.raises(ArgumentError, match="a must exceed 1"):
@@ -46,6 +48,11 @@ class TestParseConfig:
         with pytest.raises(ParseError) as err:
             parse_config(_write_config(tmp_path, "u: 3\n"))
         assert "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("line", ["u = nan", "u = inf", "a = nan", "eta2 = nan"])
+    def test_non_finite_loop_value(self, tmp_path, line):
+        with pytest.raises(ArgumentError, match="finite"):
+            parse_config(_write_config(tmp_path, line + "\n"))
 
     def test_bad_numeric_value(self, tmp_path):
         with pytest.raises(ParseError):
@@ -97,10 +104,34 @@ class TestGenerators:
         with pytest.raises(ArgumentError):
             space_from_spec("torus:n=3")
 
+    @pytest.mark.parametrize("spec", ["grid:dim=1,perdim=4", "grid:dim", "line:m=3",
+                                      "star:size=4", "ellipsoid:axis=1:2", "line:n=3,"])
+    def test_space_spec_rejects_unknown_options(self, spec):
+        with pytest.raises(ArgumentError):
+            space_from_spec(spec)
+
     def test_spec_with_kernel_uses_canonical_metric(self):
         sp = space_from_spec("line:n=3", kernel=Kernel("se", 1.0))
         expect = math.sqrt(2 - 2 * math.exp(-0.5))
         assert sp.distance(0, 1) == pytest.approx(expect)
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("spec,model", [
+        ("gaussian", SmoothnessModel.gaussian()),
+        ("subgamma", SmoothnessModel.sub_gamma(1.0, 0.0)),
+        ("subgamma:nu=2,c=0.5", SmoothnessModel.sub_gamma(2.0, 0.5)),
+        ("squaredgp", SmoothnessModel.squared_gp(1)),
+        (" squaredgp:n=3 ", SmoothnessModel.squared_gp(3))])
+    def test_specs(self, spec, model):
+        assert ExperimentConfig(model=spec).build_model() == model
+
+    @pytest.mark.parametrize("spec", ["gaussian:nu=1", "squaredgp:n=2,kappa=1.0",
+                                      "subgamma:nu=nan", "subgamma:c=inf",
+                                      "squaredgp:n=1.5", "subgamma:nu", "gauss"])
+    def test_bad_specs(self, spec):
+        with pytest.raises(ArgumentError):
+            ExperimentConfig(model=spec).build_model()
 
 
 class TestSamplePaths:
@@ -256,7 +287,7 @@ class TestRunExperiment:
 
     def test_squared_model_runs(self, tmp_path):
         cfg = ExperimentConfig(space="grid:dim=1,per_dim=8", kernel="se:ls=0.3",
-                               model="squaredgp:n=2,kappa=1.0", n_channels=2,
+                               model="squaredgp:n=2",
                                t_max=6, replicates=2, out_dir=str(tmp_path / "sq"))
         files = run_experiment(cfg)
         assert files["all_pass"] == "1"

@@ -159,6 +159,11 @@ class TestGreedyCover:
         with pytest.raises(ArgumentError):
             greedy_cover(line5, 0.0)
 
+    def test_nan_epsilon_raises(self, line5):
+        # a NaN radius gives empty balls, on which the greedy loop never ends
+        with pytest.raises(ArgumentError):
+            greedy_cover(line5, math.nan)
+
     def test_covered_map_within_radius(self, line5):
         cover = greedy_cover(line5, 1.0)
         for p, c in cover.covered_map.items():
@@ -314,6 +319,11 @@ class TestFileFormats:
         assert sp.n == 3
         assert sp.distance(0, 2) == pytest.approx(1.5)
 
+    def test_leading_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "cloud.txt"
+        path.write_text("\n  \n# dim=1\n0\n\n2\n")
+        assert load_space(str(path)).distance(0, 1) == 2.0
+
     def test_point_cloud_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 0.0\n")
@@ -347,6 +357,19 @@ class TestFileFormats:
         with pytest.raises(ParseError) as err:
             load_distance_matrix(str(path))
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("load,text,line", [
+        (load_distance_matrix, "3\n\n0 1 1\n1 0 x\n1 1 0\n", 4),
+        (load_distance_matrix, "\n\n2\n0 1\n1\n", 5),
+        (load_distance_matrix, "\nx\n", 2),
+        (load_point_cloud, "# dim=1\n\n0\n\n1 2\n", 5),
+        (load_point_cloud, "\n# dim=x\n0\n", 2)],
+        ids=["matrix-entry", "matrix-count", "matrix-size", "cloud-count", "cloud-header"])
+    def test_errors_name_the_file_line(self, tmp_path, load, text, line):
+        path = tmp_path / "space.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            load(str(path))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_point_cloud_rejected(self, tmp_path):

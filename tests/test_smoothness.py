@@ -28,11 +28,15 @@ class TestModels:
         with pytest.raises(ArgumentError):
             SmoothnessModel.sub_gamma(-1.0, 0.5)
 
+    @pytest.mark.parametrize("nu,c", [(math.nan, 0.5), (1.0, math.nan),
+                                      (math.inf, 0.0), (1.0, math.inf)])
+    def test_subgamma_rejects_non_finite(self, nu, c):
+        with pytest.raises(ArgumentError, match="nonnegative and finite"):
+            SmoothnessModel.sub_gamma(nu, c)
+
     def test_squaredgp_validation(self):
         with pytest.raises(ArgumentError):
-            SmoothnessModel.squared_gp(0, 1.0)
-        with pytest.raises(ArgumentError):
-            SmoothnessModel.squared_gp(2, 0.0)
+            SmoothnessModel.squared_gp(0)
 
 
 class TestEllU:
@@ -45,7 +49,7 @@ class TestEllU:
 
     def test_zero_distance(self):
         for m in (SmoothnessModel.gaussian(), SmoothnessModel.sub_gamma(1.0, 1.0),
-                  SmoothnessModel.squared_gp(3, 1.0)):
+                  SmoothnessModel.squared_gp(3)):
             assert ell_u(m, 1.5, 0.0) == 0.0
 
     def test_nonpositive_u_raises(self):
@@ -62,14 +66,14 @@ class TestEllU:
             assert ell_u(m, u, s * d) == pytest.approx(s * ell_u(m, u, d))
 
     def test_nondecreasing_in_u(self):
-        m = SmoothnessModel.squared_gp(4, 1.0)
+        m = SmoothnessModel.squared_gp(4)
         vals = [ell_u(m, u, 1.0) for u in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_squaredgp_equals_subgamma_n_1(self):
         rng = np.random.default_rng(1)
         for n in (1, 3, 7):
-            sq = SmoothnessModel.squared_gp(n, 2.0)
+            sq = SmoothnessModel.squared_gp(n)
             sg = SmoothnessModel.sub_gamma(nu=float(n), c=1.0)
             for _ in range(10):
                 u = float(rng.uniform(0.1, 6.0))
@@ -175,7 +179,7 @@ class TestTailCoverage:
         n = 1_000_000
         kappa = 1.0
         for n_proc in (1, 4):
-            model = SmoothnessModel.squared_gp(n_proc, kappa)
+            model = SmoothnessModel.squared_gp(n_proc)
             for u in (1.0, 2.0):
                 rho = 0.6
                 d = squared_gp_metric(rho, kappa)
