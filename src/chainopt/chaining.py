@@ -104,10 +104,10 @@ class ChainingTree:
         return [nid for nid, nd in sorted(self.nodes.items()) if not nd.children]
 
     def chain(self, node_id: int) -> list[int]:
-        """Node ids from the root (or below a missing parent) down to ``node_id``."""
+        """Node ids from the root down to ``node_id`` (inclusive)."""
         out = []
         nid = node_id
-        while nid in self.nodes:
+        while nid is not None:
             out.append(nid)
             nid = self.nodes[nid].parent
         out.reverse()
@@ -571,14 +571,16 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
             errors.append(f"node {nid}: stored radius {nd.radius:g} != {expect:g}")
 
     for leaf in leaves:
-        chain = tree.chain(leaf)
+        chain, nd = [], tree.nodes[leaf]
+        while nd is not None:           # stops below a dangling parent
+            chain.append(nd)
+            nd = tree.nodes.get(nd.parent)
         prev = None
-        for nid in chain:
-            nd = tree.nodes[nid]
+        for nd in reversed(chain):
             if nd.pruned:
                 continue
             if prev is not None and nd.radius > prev * (1 + _REL_TOL):
-                warnings.append(f"radius grows along path at node {nid}")
+                warnings.append(f"radius grows along path at node {nd.node_id}")
                 break
             prev = nd.radius
 

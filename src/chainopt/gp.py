@@ -25,8 +25,8 @@ _JITTER_LIMIT = 1e-6
 _MATERN_P = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
 _BLOCK_BYTES = 1 << 20     # block of an n×n array transformed in place
 _IN_PLACE_BYTES = 1 << 25  # smallest matrix chol_with_jitter factors without a copy
-_KERNEL_SPECS = {fam: {"ls": 1.0, "var": 1.0}
-                 for fam in ("se", "linear", "ou", *_MATERN_P)}
+_KERNEL_SPECS = {fam: {"ls": 1.0, "var": 1.0} for fam in ("se", "ou", *_MATERN_P)}
+_KERNEL_SPECS["linear"] = {"var": 1.0}    # a linear kernel has no lengthscale
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _parse_spec(spec: str, table: dict[str, dict]) -> tuple[str, dict]:
 def parse_kernel(spec: str) -> Kernel:
     """Parse a kernel spec string such as ``se:ls=1.0`` or ``linear``."""
     family, opts = _parse_spec(spec, _KERNEL_SPECS)
-    return Kernel(family, lengthscale=opts["ls"], variance=opts["var"])
+    return Kernel(family, lengthscale=opts.get("ls", 1.0), variance=opts["var"])
 
 
 def _as_points(X) -> np.ndarray:

@@ -99,7 +99,8 @@ class TestKernels:
             parse_kernel("warp:ls=1")
 
     @pytest.mark.parametrize("spec", ["se:ls=nan", "se:ls=inf", "se:var=nan", "se:var=-inf",
-                                      "se:ls", "se:ls=1,", "", "se:ls=1:2"])
+                                      "se:ls", "se:ls=1,", "", "se:ls=1:2",
+                                      "linear:ls=1"])
     def test_bad_kernel_spec(self, spec):
         with pytest.raises(ArgumentError):
             parse_kernel(spec)
