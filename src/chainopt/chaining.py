@@ -509,6 +509,17 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     point set, radius consistency, restart cap.  Monotonicity of radii
     along non-pruned root-to-leaf paths and the per-level budget
     ``|T_h| <= exp(n_h)`` are reported but do not fail validation.
+
+    Every check is a whole-array sweep over the node attributes, read once.
+    The separation check is incremental: level h carries a lower bound on
+    the smallest positive distance within the level above and gathers only
+    the distances from the points new at h to the whole level.  Pairs of
+    points both present one level up cannot be closer than that bound, so
+    the full level-by-level distance matrix is gathered only when the bound
+    falls below ``eps(h)``, which makes the reported separation exact.  The
+    monotonicity walk runs top-down from each node's topmost reachable
+    ancestor; a dangling parent starts a new chain, and nodes on a parent
+    cycle (which always fails the parent depth check) are not walked.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -520,71 +531,118 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     if root.parent is not None:
         errors.append("root must have no parent")
 
-    for nid, nd in sorted(tree.nodes.items()):
-        if nd.parent is None:
-            continue
-        parent = tree.nodes.get(nd.parent)
-        if parent is None:
-            errors.append(f"node {nid} has a dangling parent")
-            continue
-        if parent.depth != nd.depth - 1:
-            errors.append(f"node {nid}: parent depth {parent.depth} != {nd.depth - 1}")
-        if not nd.pruned and not parent.pruned:
-            d = space.distance(nd.location, parent.location)
-            bound = tree.epsilon(nd.depth - 1)
-            if d > bound * (1 + _REL_TOL):
-                errors.append(f"node {nid}: parent distance {d:g} exceeds eps({nd.depth - 1})={bound:g}")
+    # Node attributes in id order; ``par`` is the parent's position, -1 for
+    # none and -2 for a dangling id.
+    items = sorted(tree.nodes.items())
+    n_nodes = len(items)
+    ids = np.fromiter((nid for nid, _ in items), np.int64, n_nodes)
+    pos_of = {nid: k for k, (nid, _) in enumerate(items)}
+    depth = np.fromiter((nd.depth for _, nd in items), np.int64, n_nodes)
+    loc = np.fromiter((nd.location for _, nd in items), np.int64, n_nodes)
+    par = np.fromiter((-1 if nd.parent is None else pos_of.get(nd.parent, -2)
+                       for _, nd in items), np.int64, n_nodes)
+    pruned = np.fromiter((nd.pruned for _, nd in items), bool, n_nodes)
+    radius = np.fromiter((nd.radius for _, nd in items), float, n_nodes)
+    n_kids = np.fromiter((len(nd.children) for _, nd in items), np.int64, n_nodes)
+
+    issues = [(k, 0, f"node {ids[k]} has a dangling parent")
+              for k in np.flatnonzero(par == -2)]
+    child = np.flatnonzero(par >= 0)
+    for k in child[depth[par[child]] != depth[child] - 1]:
+        issues.append((k, 1, f"node {ids[k]}: parent depth {depth[par[k]]} != {depth[k] - 1}"))
+    near = child[~pruned[child] & ~pruned[par[child]]]
+    if near.size:
+        eps = {h: tree.epsilon(h) for h in np.unique(depth[near] - 1).tolist()}
+        bound = np.array([eps[h] for h in (depth[near] - 1).tolist()])
+        d = space.distances(loc[near], loc[par[near]])
+        for k, dk, bk in zip(*(a[d > bound * (1 + _REL_TOL)] for a in (near, d, bound))):
+            issues.append((k, 2, f"node {ids[k]}: parent distance {dk:g} exceeds "
+                                 f"eps({depth[k] - 1})={bk:g}"))
+    errors += [msg for _, _, msg in sorted(issues)]
 
     capacity_flags: list[int] = []
+    carried = math.inf    # lower bound on the smallest positive distance one level up
+    seen = np.zeros(space.n, dtype=bool)    # locations of the level above
     for h, lvl in enumerate(tree.levels):
-        locs = [tree.nodes[nid].location for nid in lvl if not tree.nodes[nid].pruned]
+        at = np.fromiter((pos_of[nid] for nid in lvl), np.int64, len(lvl))
+        locs = loc[at[~pruned[at]]]
+        level = np.unique(locs)
+        eps_h = tree.epsilon(h)
         if len(locs) > 1:
-            D = space.pairwise(np.array(locs))     # symmetric, zero diagonal
-            vals = D[D > 0]     # zero-distance points are indistinguishable
-            if vals.size and vals.min() < tree.epsilon(h) * (1 - _REL_TOL):
-                errors.append(f"depth {h}: separation {vals.min():g} below eps={tree.epsilon(h):g}")
+            carried = min(carried, _min_positive(space, level[~seen[level]], level))
+            if carried < eps_h * (1 - _REL_TOL):
+                D = space.pairwise(locs)     # symmetric, zero diagonal
+                vals = D[D > 0]     # zero-distance points are indistinguishable
+                carried = float(vals.min()) if vals.size else math.inf
+                if carried < eps_h * (1 - _REL_TOL):
+                    errors.append(f"depth {h}: separation {carried:g} below eps={eps_h:g}")
+        seen[:] = False
+        seen[level] = True
         budget = tree.capacity(h)
         if budget <= _EXP_OVERFLOW and len(locs) > math.exp(budget) * (1 + _REL_TOL):
             capacity_flags.append(h)
 
     if tree.pruned:
-        for nid, nd in sorted(tree.nodes.items()):
-            nonpruned = [c for c in nd.children if not tree.nodes[c].pruned]
-            cap = tree.child_capacity(nd.depth)
-            if not math.isinf(cap) and len(nonpruned) > math.floor(cap):
-                errors.append(f"node {nid}: {len(nonpruned)} children exceed capacity {cap:g}")
+        kids = np.fromiter((pos_of[c] for _, nd in items for c in nd.children),
+                           np.int64, int(n_kids.sum()))
+        owner = np.repeat(np.arange(n_nodes), n_kids)
+        counts = np.bincount(owner[~pruned[kids]], minlength=n_nodes)
+        caps = {h: tree.child_capacity(h) for h in np.unique(depth).tolist()}
+        cap = np.array([caps[h] for h in depth.tolist()])
+        for k in np.flatnonzero(np.isfinite(cap) & (counts > np.floor(cap))):
+            errors.append(f"node {ids[k]}: {counts[k]} children exceed capacity {cap[k]:g}")
         if tree.restart_count > restart_limit(space.n):
             errors.append(f"restart count {tree.restart_count} exceeds the cap")
 
-    leaves = tree.leaves()
-    leaf_locs = sorted(tree.nodes[nid].location for nid in leaves)
-    if leaf_locs != list(range(space.n)):
+    leaf = n_kids == 0
+    if not np.array_equal(np.sort(loc[leaf]), np.arange(space.n)):
         errors.append("leaves do not biject with the point set")
-    if not tree.pruned:
-        if any(tree.nodes[nid].depth != tree.max_depth for nid in leaves):
-            errors.append("unpruned tree must carry all leaves at the deepest level")
+    if not tree.pruned and np.any(depth[leaf] != tree.max_depth):
+        errors.append("unpruned tree must carry all leaves at the deepest level")
 
-    for nid, nd in sorted(tree.nodes.items()):
-        pts = tree.descendant_points(nid)
-        expect = float(space.row(nd.location)[pts].max())
-        if abs(nd.radius - expect) > _REL_TOL * max(1.0, expect):
-            errors.append(f"node {nid}: stored radius {nd.radius:g} != {expect:g}")
+    desc = [tree.descendant_points(nid) for nid, _ in items]
+    sizes = np.fromiter(map(len, desc), np.int64, n_nodes)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    expect = np.maximum.reduceat(space.distances(np.repeat(loc, sizes), np.concatenate(desc)),
+                                 starts)
+    for k in np.flatnonzero(np.abs(radius - expect) > _REL_TOL * np.maximum(1.0, expect)):
+        errors.append(f"node {ids[k]}: stored radius {radius[k]:g} != {expect[k]:g}")
 
-    for leaf in leaves:
-        chain, nd = [], tree.nodes[leaf]
-        while nd is not None:           # stops below a dangling parent
-            chain.append(nd)
-            nd = tree.nodes.get(nd.parent)
-        prev = None
-        for nd in reversed(chain):
-            if nd.pruned:
-                continue
-            if prev is not None and nd.radius > prev * (1 + _REL_TOL):
-                warnings.append(f"radius grows along path at node {nd.node_id}")
-                break
-            prev = nd.radius
+    # Top-down along parent pointers: ``prev`` is the radius of the nearest
+    # non-pruned node on the path so far (NaN before the first one, which
+    # compares like the walk's missing value), ``viol`` the first node whose
+    # radius grows on the path.
+    steps, anc = (par >= 0).astype(np.int64), np.where(par >= 0, par, -1)
+    for _ in range(n_nodes.bit_length() + 1):     # pointer doubling: steps to the top
+        up = np.flatnonzero(anc >= 0)
+        if not up.size:
+            break
+        steps[up] += steps[anc[up]]
+        anc[up] = anc[anc[up]]
+    walked = anc < 0                        # not on or below a parent cycle
+    prev = np.where(pruned, np.nan, radius)
+    viol = np.full(n_nodes, -1, dtype=np.int64)
+    for s in range(1, int(steps[walked].max(initial=0)) + 1):
+        g = np.flatnonzero(walked & (steps == s))
+        pv = prev[par[g]]
+        viol[g] = viol[par[g]]
+        grows = (viol[g] < 0) & ~pruned[g] & (radius[g] > pv * (1 + _REL_TOL))
+        viol[g[grows]] = g[grows]
+        prev[g] = np.where(pruned[g], pv, radius[g])
+    for k in viol[leaf & walked & (viol >= 0)]:
+        warnings.append(f"radius grows along path at node {ids[k]}")
 
     return TreeValidation(not errors, errors, warnings, capacity_flags)
+
+
+def _min_positive(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Smallest positive distance from ``rows`` to ``cols``, in blocks of 2^20 entries."""
+    best = math.inf
+    step = max(1, (1 << 20) // max(len(cols), 1))
+    for i in range(0, len(rows), step):
+        blk = space.pairwise(rows[i:i + step], cols)
+        best = min(best, float(np.min(blk, where=blk > 0, initial=math.inf)))
+    return best
 
 
 def write_tree(tree: ChainingTree, path: str) -> None:

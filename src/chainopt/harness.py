@@ -24,7 +24,7 @@ from .chaining import (build_tree, lower_bound_functional, omega_table, phi,
 from .errors import ArgumentError, CapacityError, ParseError
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
-from .metric import FiniteMetricSpace, load_space
+from .metric import DENSE_LIMIT, FiniteMetricSpace, load_space
 from .smoothness import SmoothnessModel
 
 _TOL = 1e-12
@@ -32,10 +32,20 @@ _TOL = 1e-12
 
 # -- spaces -------------------------------------------------------------------
 
+def _check_size(spec: str, n: int) -> None:
+    """Refuse a generated space of more than ``DENSE_LIMIT`` points before building it."""
+    if n > DENSE_LIMIT:
+        raise CapacityError(f"{spec} exceeds the {DENSE_LIMIT}-point limit of a space")
+
+
 def make_grid(dim: int, per_dim: int, extent: float = 1.0) -> np.ndarray:
     """Regular grid coordinates in lexicographic order, shape (per_dim^dim, dim)."""
     if dim < 1 or per_dim < 1:
         raise ArgumentError("grid needs dim >= 1 and per_dim >= 1")
+    # per_dim^dim points; past 2^14 > DENSE_LIMIT a larger exponent changes nothing
+    _check_size(f"grid:dim={dim},per_dim={per_dim}", per_dim ** min(dim, 14))
+    if dim > DENSE_LIMIT:
+        raise CapacityError(f"grid dimension {dim} exceeds {DENSE_LIMIT}")
     axis = np.linspace(0.0, extent, per_dim)
     return np.array(list(itertools.product(*([axis] * dim))))
 
@@ -44,6 +54,7 @@ def make_line(n: int) -> np.ndarray:
     """Integer-spaced points on the line, shape (n, 1)."""
     if n < 1:
         raise ArgumentError("line needs n >= 1")
+    _check_size(f"line:n={n}", n)
     return np.arange(n, dtype=float)[:, None]
 
 
@@ -51,6 +62,7 @@ def make_star(n: int) -> FiniteMetricSpace:
     """n points at unit distance from each other (forces heavy pruning)."""
     if n < 1:
         raise ArgumentError("star needs n >= 1")
+    _check_size(f"star:n={n}", n)
     D = np.ones((n, n)) - np.eye(n)
     return FiniteMetricSpace.from_distance_matrix(D)
 

@@ -121,15 +121,29 @@ class FiniteMetricSpace:
             return float(self._dist[i, j])
         return float(np.linalg.norm(self._coords[i] - self._coords[j]))
 
-    def pairwise(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Distance matrix restricted to the given point ids."""
+    def pairwise(self, ids: Sequence[int] | np.ndarray,
+                 others: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
+        """Distances from the given point ids (rows) to ``others`` (columns; default ``ids``)."""
+        ids = self._checked_ids(ids)
+        others = ids if others is None else self._checked_ids(others)
+        if self._dist is not None:
+            return self._dist[np.ix_(ids, others)]
+        return cdist(self._coords[ids], self._coords[others])
+
+    def distances(self, i: Sequence[int] | np.ndarray,
+                  j: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Distances ``d(i[k], j[k])`` between paired point ids, as :meth:`row` gives them."""
+        i, j = self._checked_ids(i), self._checked_ids(j)
+        if self._dist is not None:
+            return self._dist[i, j]
+        d = self._coords[j] - self._coords[i]
+        return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+    def _checked_ids(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=int)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n):
             raise ArgumentError("point id out of range")
-        if self._dist is not None:
-            return self._dist[np.ix_(ids, ids)]
-        pts = self._coords[ids]
-        return cdist(pts, pts)
+        return ids
 
     def _check_id(self, i) -> None:
         if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
@@ -241,7 +255,7 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
         centers.append(int(ids[best]))
         assigned[members] = ids[best]
         alive[members] = False
-        counts = counts - ball[:, members].sum(axis=1)
+        counts = counts - ball[members].sum(axis=0)    # ball is symmetric
         remaining -= members.size
     covered_map = {int(ids[k]): int(assigned[k]) for k in range(m)}
     return CoverResult(tuple(centers), float(epsilon), covered_map)

@@ -84,8 +84,10 @@ def psi_star_inv(model: SmoothnessModel, u: float, delta: float) -> float:
 
 def squared_gp_metric(k_xy: float, kappa: float) -> float:
     """Canonical distance of a negated sum of squared processes: 2*sqrt(kappa^2 - k^2)."""
-    if kappa <= 0:
-        raise ArgumentError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ArgumentError(f"kappa must be positive and finite, got {kappa}")
+    if not math.isfinite(k_xy):
+        raise ArgumentError(f"k(x,y) must be finite, got {k_xy}")
     if abs(k_xy) > kappa + 1e-9:
         raise ArgumentError(f"|k(x,y)|={abs(k_xy)} exceeds kappa={kappa}")
     return 2.0 * math.sqrt(max(kappa * kappa - k_xy * k_xy, 0.0))

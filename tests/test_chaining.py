@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
@@ -12,6 +12,7 @@ from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
                       lower_bound_functional, lower_value, make_star, omega,
                       omega_table, parent_at_depth, phi, prune_backward,
                       sample_paths, validate_tree, write_tree, zeta)
+from chainopt.chaining import _EXP_OVERFLOW, _REL_TOL, TreeValidation, restart_limit
 from chainopt.smoothness import SmoothnessModel, confidence_level_u_i, psi_star_inv
 
 
@@ -453,7 +454,87 @@ class TestTreeProperties:
                 got = omega_table(tree, u, 2.0, model, majorized=majorized)
                 want = _omega_by_leaf_chains(tree, u, 2.0, model, majorized)
                 assert np.array_equal(got, want)
-        assert validate_tree(tree).ok
+        check = validate_tree(tree)
+        assert check.ok and check == _validate_tree_by_loops(tree)
+
+
+def _validate_tree_by_loops(tree):
+    """Reference oracle for validate_tree: every check as a per-node or per-leaf loop."""
+    errors: list[str] = []
+    warnings: list[str] = []
+    space = tree.space
+
+    if len(tree.levels[0]) != 1 or tree.nodes[tree.levels[0][0]].depth != 0:
+        errors.append("tree must have exactly one root at depth 0")
+    root = tree.nodes[tree.root_id]
+    if root.parent is not None:
+        errors.append("root must have no parent")
+
+    for nid, nd in sorted(tree.nodes.items()):
+        if nd.parent is None:
+            continue
+        parent = tree.nodes.get(nd.parent)
+        if parent is None:
+            errors.append(f"node {nid} has a dangling parent")
+            continue
+        if parent.depth != nd.depth - 1:
+            errors.append(f"node {nid}: parent depth {parent.depth} != {nd.depth - 1}")
+        if not nd.pruned and not parent.pruned:
+            d = space.distance(nd.location, parent.location)
+            bound = tree.epsilon(nd.depth - 1)
+            if d > bound * (1 + _REL_TOL):
+                errors.append(f"node {nid}: parent distance {d:g} exceeds eps({nd.depth - 1})={bound:g}")
+
+    capacity_flags: list[int] = []
+    for h, lvl in enumerate(tree.levels):
+        locs = [tree.nodes[nid].location for nid in lvl if not tree.nodes[nid].pruned]
+        if len(locs) > 1:
+            D = space.pairwise(np.array(locs))
+            vals = D[D > 0]
+            if vals.size and vals.min() < tree.epsilon(h) * (1 - _REL_TOL):
+                errors.append(f"depth {h}: separation {vals.min():g} below eps={tree.epsilon(h):g}")
+        budget = tree.capacity(h)
+        if budget <= _EXP_OVERFLOW and len(locs) > math.exp(budget) * (1 + _REL_TOL):
+            capacity_flags.append(h)
+
+    if tree.pruned:
+        for nid, nd in sorted(tree.nodes.items()):
+            nonpruned = [c for c in nd.children if not tree.nodes[c].pruned]
+            cap = tree.child_capacity(nd.depth)
+            if not math.isinf(cap) and len(nonpruned) > math.floor(cap):
+                errors.append(f"node {nid}: {len(nonpruned)} children exceed capacity {cap:g}")
+        if tree.restart_count > restart_limit(space.n):
+            errors.append(f"restart count {tree.restart_count} exceeds the cap")
+
+    leaves = tree.leaves()
+    leaf_locs = sorted(tree.nodes[nid].location for nid in leaves)
+    if leaf_locs != list(range(space.n)):
+        errors.append("leaves do not biject with the point set")
+    if not tree.pruned:
+        if any(tree.nodes[nid].depth != tree.max_depth for nid in leaves):
+            errors.append("unpruned tree must carry all leaves at the deepest level")
+
+    for nid, nd in sorted(tree.nodes.items()):
+        pts = tree.descendant_points(nid)
+        expect = float(space.row(nd.location)[pts].max())
+        if abs(nd.radius - expect) > _REL_TOL * max(1.0, expect):
+            errors.append(f"node {nid}: stored radius {nd.radius:g} != {expect:g}")
+
+    for leaf in leaves:
+        chain, nd = [], tree.nodes[leaf]
+        while nd is not None:           # stops below a dangling parent
+            chain.append(nd)
+            nd = tree.nodes.get(nd.parent)
+        prev = None
+        for nd in reversed(chain):
+            if nd.pruned:
+                continue
+            if prev is not None and nd.radius > prev * (1 + _REL_TOL):
+                warnings.append(f"radius grows along path at node {nd.node_id}")
+                break
+            prev = nd.radius
+
+    return TreeValidation(not errors, errors, warnings, capacity_flags)
 
 
 class TestValidateCorruptedTrees:
@@ -477,7 +558,7 @@ class TestValidateCorruptedTrees:
     @staticmethod
     def _errors(tree):
         check = validate_tree(tree)
-        assert not check.ok
+        assert not check.ok and check == _validate_tree_by_loops(tree)
         return check.errors
 
     def test_root(self, line8):
@@ -524,6 +605,7 @@ class TestValidateCorruptedTrees:
     def test_monotonicity_warning_once_per_leaf(self, line8):
         line8.nodes[0].radius = 0.5
         check = validate_tree(line8)
+        assert check == _validate_tree_by_loops(line8)
         assert check.errors == ["node 0: stored radius 0.5 != 7"]
         # leaves 4..11 in id order; each reports the depth-1 node above it
         assert check.warnings == [f"radius grows along path at node {nid}"
@@ -531,6 +613,187 @@ class TestValidateCorruptedTrees:
 
     def test_capacity_flag_is_not_an_error(self):
         # 64 points at mutual distance one all enter at depth 1, over exp(n_1) = 7.4
-        check = validate_tree(build_forward(make_star(64)))
+        tree = build_forward(make_star(64))
+        check = validate_tree(tree)
+        assert check == _validate_tree_by_loops(tree)
         assert check.ok and check.errors == [] and check.warnings == []
         assert check.capacity_flags == [1]
+
+
+def _subtree(tree, nid):
+    """Node ids reachable from nid through child lists, nid included."""
+    out, stack = set(), [nid]
+    while stack:
+        k = stack.pop()
+        out.add(k)
+        stack.extend(tree.nodes[k].children)
+    return out
+
+
+_CORRUPTIONS = ("location", "dangling", "parent_depth", "parent_far", "radius",
+                "pruned", "children", "restarts")
+
+
+@st.composite
+def _corrupted_trees(draw, kind):
+    """A tree from the TestTreeProperties strategies with one field of one node corrupted.
+
+    Parents are only ever re-pointed outside the node's own subtree: on a
+    parent cycle the loop oracle would walk forever.
+    """
+    tree = build_tree(draw(_small_spaces()), draw(st.sampled_from(["geometric", "entropy"])),
+                      draw(st.sampled_from([0, 1])), draw(st.sampled_from([0.5, 2.0])))
+    nids = sorted(tree.nodes)
+    # pruned nodes, and the nodes right below them, are rare: draw them on purpose
+    under = {"pruned": lambda k: tree.nodes[k].pruned,
+             "radius": lambda k: tree.nodes[k].parent is not None
+             and tree.nodes[tree.nodes[k].parent].pruned}.get(kind)
+    pool = [k for k in nids if under(k)] if under else []
+    if not pool or draw(st.booleans()):
+        pool = tree.levels[draw(st.integers(0, tree.max_depth))]
+    nd = tree.nodes[draw(st.sampled_from(pool))]
+    outside = [k for k in nids if k not in _subtree(tree, nd.node_id)]
+    if kind == "location":
+        held = {tree.nodes[k].location for k in tree.levels[nd.depth]}
+        absent = [p for p in range(tree.space.n) if p not in held]
+        nd.location = draw(st.sampled_from(absent) if absent and draw(st.booleans())
+                           else st.integers(0, tree.space.n - 1))
+    elif kind == "dangling":
+        nd.parent = nids[-1] + draw(st.integers(1, 3))
+    elif kind == "parent_depth":
+        wrong = [k for k in outside if tree.nodes[k].depth != nd.depth - 1]
+        if wrong:
+            nd.parent = draw(st.sampled_from(wrong))
+    elif kind == "parent_far":
+        level = [k for k in outside if tree.nodes[k].depth == nd.depth - 1]
+        if level:
+            row = tree.space.row(nd.location)
+            nd.parent = max(level, key=lambda k: (row[tree.nodes[k].location], k))
+    elif kind == "radius":
+        # around the radius that monotonicity compares with: the nearest
+        # non-pruned ancestor's
+        up = tree.nodes.get(nd.parent)
+        while up is not None and up.pruned:
+            up = tree.nodes.get(up.parent)
+        ref = nd.radius if up is None else up.radius
+        nd.radius = draw(st.one_of(
+            st.floats(0.0, 8.0), st.just(math.nan),
+            st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 1.0 + 1e-8, 2.0]).map(
+                lambda f: f * ref)))
+    elif kind == "pruned":
+        nd.pruned = not nd.pruned
+    elif kind == "children":
+        op = draw(st.sampled_from(["clear", "drop", "duplicate", "adopt"]))
+        if op == "clear":
+            nd.children = []
+        elif op == "adopt":
+            nd.children.append(draw(st.sampled_from(nids)))
+        elif nd.children:
+            k = draw(st.integers(0, len(nd.children) - 1))
+            if op == "drop":
+                del nd.children[k]
+            else:
+                nd.children.append(nd.children[k])
+    else:
+        tree.restart_count = draw(st.integers(0, 6))
+    return tree
+
+
+def _six_clusters_tree():
+    """Twelve clusters at +-e_i in six dimensions, pruned at u=1.
+
+    The root's thirteen children overflow its cap of seven, so the last
+    node of depth 1 is a pruned node holding five of the clusters.
+    """
+    offsets = np.array([[0, 0], [0.125, 0], [0, 0.125], [0.03125, 0.0625]])
+    sp = FiniteMetricSpace.from_coordinates(
+        [a + np.pad(o, (0, 4)) for a in np.vstack([np.eye(6), -np.eye(6)]) for o in offsets])
+    tree = build_tree(sp, "geometric", 1, 1.0)
+    assert tree.nodes[tree.levels[1][-1]].pruned
+    return tree
+
+
+class TestValidateMatchesLoops:
+    """validate_tree's array sweeps report exactly what the per-node loops report."""
+
+    @pytest.mark.parametrize("kind", _CORRUPTIONS)
+    def test_single_corruption(self, kind):
+        @settings(max_examples=30)
+        @given(tree=_corrupted_trees(kind))
+        def check(tree):
+            assert validate_tree(tree) == _validate_tree_by_loops(tree)
+
+        check()
+
+    @given(tree=_small_spaces().map(lambda sp: prune_backward(build_forward(sp), 1.0)),
+           nid=st.integers(0, 10_000), loc=st.integers(0, 10_000))
+    def test_pruned_levels_with_moved_location(self, tree, nid, loc):
+        # pruned levels are not supersets of the level above, so a moved
+        # location may break separation where the carried bound has not looked
+        nd = tree.nodes[sorted(tree.nodes)[nid % len(tree.nodes)]]
+        nd.location = loc % tree.space.n
+        assert validate_tree(tree) == _validate_tree_by_loops(tree)
+
+    def test_monotonicity_skips_pruned_nodes(self):
+        # below a pruned node the radius is compared with the root's, not the
+        # pruned node's smaller one
+        tree = _six_clusters_tree()
+        root, pruned = tree.nodes[0], tree.nodes[tree.levels[1][-1]]
+        assert pruned.radius < root.radius
+        child = tree.nodes[pruned.children[0]]
+        child.radius = root.radius
+        check = validate_tree(tree)
+        assert check == _validate_tree_by_loops(tree)
+        assert f"radius grows along path at node {child.node_id}" not in check.warnings
+        child.radius = root.radius * 1.01
+        check = validate_tree(tree)
+        assert check == _validate_tree_by_loops(tree)
+        assert f"radius grows along path at node {child.node_id}" in check.warnings
+
+
+class TestSeparationGathers:
+    """The full |T_h| x |T_h| separation gather runs only where the carried bound fails."""
+
+    @staticmethod
+    def _square_gathers(monkeypatch, tree):
+        for h in range(tree.max_depth + 1):
+            tree.capacity(h)    # the entropy schedule's covers gather on their own
+        calls = []
+        inner = tree.space.pairwise
+
+        def spy(ids, others=None):
+            if others is None:
+                calls.append(len(ids))
+            return inner(ids, others)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tree.space, "pairwise", spy)
+            return validate_tree(tree), calls
+
+    def test_none_on_valid_trees(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        for n in (2, 30, 200):
+            sp = FiniteMetricSpace.from_coordinates(rng.integers(0, 64, size=(n, 2)) / 64.0)
+            for tree in (build_forward(sp), build_tree(sp, "geometric", 1, 1.0),
+                         build_forward(sp, schedule="entropy")):
+                check, calls = self._square_gathers(monkeypatch, tree)
+                assert check.ok and calls == []
+
+    def test_fallback_reports_the_exact_separation(self, monkeypatch):
+        tree = _six_clusters_tree()
+        sp = tree.space
+        # move a node of depth h onto a point that enters one level deeper,
+        # next to a location already at depth h
+        h = tree.max_depth - 1
+        kept = [nid for nid in tree.levels[h] if not tree.nodes[nid].pruned]
+        level = {tree.nodes[nid].location for nid in kept}
+        p, q = min(((p, q) for p in range(sp.n) if p not in level for q in level),
+                   key=lambda pq: (sp.distance(*pq), pq))
+        assert 0 < sp.distance(p, q) < tree.epsilon(h)
+        a = next(nid for nid in kept if tree.nodes[nid].location != q)
+        tree.nodes[a].location = p
+        check, calls = self._square_gathers(monkeypatch, tree)
+        assert check == _validate_tree_by_loops(tree)
+        assert f"depth {h}: separation {sp.distance(p, q):g} below eps={tree.epsilon(h):g}" \
+            in check.errors
+        assert calls

@@ -183,6 +183,14 @@ class TestValidateCommands:
         cfg.write_text(f"space = {spec}\ntrials = 10\n")
         assert main(["validate-upper", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("spec", ["grid:dim=12,per_dim=100", "line:n=1000000000000",
+                                      "star:n=100000"])
+    def test_oversized_space_exits_2(self, tmp_path, harness_cannot_allocate, capsys, spec):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"space = {spec}\ntrials = 10\n")
+        assert main(["validate-lower", "--config", str(cfg)]) == 2
+        assert "8192-point limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["kernel = se:lengthscale=0.2", "model = gaussian:nu=1",
                                       "model = squaredgp:n=2,kappa=1.0",
                                       "model = subgamma:nu=nan", "u = nan", "a = inf"])

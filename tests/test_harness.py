@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chainopt import (ArgumentError, ExperimentConfig, FiniteMetricSpace,
+from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetricSpace,
                       Kernel, OptimizerConfig, ParseError, RegretRecord,
                       SmoothnessModel, make_ellipsoid, make_grid, make_line,
                       make_star, parse_config, run_experiment, sample_paths,
@@ -103,6 +103,19 @@ class TestGenerators:
         assert space_from_spec("ellipsoid:axes=1.0:0.5:0.25").n == 7
         with pytest.raises(ArgumentError):
             space_from_spec("torus:n=3")
+
+    @pytest.mark.parametrize("spec", ["grid:dim=12,per_dim=100", "grid:dim=2,per_dim=91",
+                                      "grid:dim=100000,per_dim=2", "grid:dim=100000,per_dim=1",
+                                      "line:n=8193", "line:n=1000000000000", "star:n=8193"])
+    def test_oversized_spec_allocates_nothing(self, harness_cannot_allocate, spec):
+        # the count is checked as a Python int before any array or point list is made
+        with pytest.raises(CapacityError, match="8192"):
+            space_from_spec(spec)
+
+    def test_generators_up_to_the_dense_limit(self):
+        assert make_grid(1, 8192).shape == (8192, 1)
+        assert make_grid(13, 2).shape == (8192, 13)
+        assert make_line(8192).shape == (8192, 1)
 
     @pytest.mark.parametrize("spec", ["grid:dim=1,perdim=4", "grid:dim", "line:m=3",
                                       "star:size=4", "ellipsoid:axis=1:2", "line:n=3,"])

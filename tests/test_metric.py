@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
                       ParseError, brute_force_min_cover, greedy_cover,
@@ -194,6 +196,46 @@ class TestGreedyCover:
         first = greedy_cover(FiniteMetricSpace.from_coordinates(coords), 0.25)
         second = greedy_cover(FiniteMetricSpace.from_coordinates(coords), 0.25)
         assert first == second
+
+
+@st.composite
+def _tied_spaces(draw):
+    """Small spaces with many equal distances: lattice clouds, or shortest paths of a graph."""
+    n = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 2))
+        coord = st.integers(0, 16).map(lambda k: k / 8.0)
+        return FiniteMetricSpace.from_coordinates(
+            draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n)))
+    # integer edge weights, zero included, closed under shortest paths: a pseudo-metric
+    W = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        W[i, j] = W[j, i] = draw(st.integers(0, 4))
+    for k in range(n):
+        W = np.minimum(W, W[:, [k]] + W[[k], :])
+    return FiniteMetricSpace.from_distance_matrix(W)
+
+
+class TestGreedyCoverProperties:
+    @given(space=_tied_spaces(), data=st.data())
+    def test_each_center_has_the_largest_remaining_ball(self, space, data):
+        D = space.pairwise(np.arange(space.n))
+        eps = data.draw(st.sampled_from(sorted(set(D[D > 0].tolist())) or [1.0]))
+        eps *= data.draw(st.sampled_from([1.0, 0.5, 1.5]))
+        subset = data.draw(st.sets(st.integers(0, space.n - 1), min_size=1) | st.none())
+        cover = greedy_cover(space, eps, subset)
+        remaining = set(range(space.n) if subset is None else subset)
+        for c in cover.centers:
+            counts = {x: sum(D[x, y] <= eps for y in remaining) for x in remaining}
+            best = max(counts.values())
+            assert c == min(x for x in remaining if counts[x] == best)
+            ball = {y for y in remaining if D[c, y] <= eps}
+            assert all(cover.covered_map[y] == c for y in ball)
+            remaining -= ball
+        assert not remaining
+        assert set(cover.covered_map) == set(range(space.n) if subset is None else subset)
+        assert is_cover(space, cover.centers, eps, cover.covered_map)
+        assert all(D[a, b] > eps for a, b in itertools.combinations(cover.centers, 2))
 
 
 class TestBruteForceCover:

@@ -107,6 +107,16 @@ class TestSquaredGpMetric:
         with pytest.raises(ArgumentError):
             squared_gp_metric(1.1, 1.0)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_kappa_must_be_finite_positive(self, kappa):
+        with pytest.raises(ArgumentError, match="kappa"):
+            squared_gp_metric(0.5, kappa)
+
+    @pytest.mark.parametrize("k_xy", [math.nan, math.inf, -math.inf])
+    def test_k_xy_must_be_finite(self, k_xy):
+        with pytest.raises(ArgumentError, match="finite"):
+            squared_gp_metric(k_xy, 1.0)
+
     def test_tolerance_clamp(self):
         assert squared_gp_metric(1.0 + 5e-10, 1.0) == 0.0
 
