@@ -42,8 +42,9 @@ def make_grid(dim: int, per_dim: int, extent: float = 1.0) -> np.ndarray:
     """Regular grid coordinates in lexicographic order, shape (per_dim^dim, dim)."""
     if dim < 1 or per_dim < 1:
         raise ArgumentError("grid needs dim >= 1 and per_dim >= 1")
-    # per_dim^dim points; past 2^14 > DENSE_LIMIT a larger exponent changes nothing
-    _check_size(f"grid:dim={dim},per_dim={per_dim}", per_dim ** min(dim, 14))
+    # per_dim^dim points, with the exponent capped where 2^cap already exceeds the limit
+    _check_size(f"grid:dim={dim},per_dim={per_dim}",
+                per_dim ** min(dim, DENSE_LIMIT.bit_length()))
     if dim > DENSE_LIMIT:
         raise CapacityError(f"grid dimension {dim} exceeds {DENSE_LIMIT}")
     axis = np.linspace(0.0, extent, per_dim)
