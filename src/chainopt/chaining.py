@@ -555,7 +555,8 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
         eps = {h: tree.epsilon(h) for h in np.unique(depth[near] - 1).tolist()}
         bound = np.array([eps[h] for h in (depth[near] - 1).tolist()])
         d = space.distances(loc[near], loc[par[near]])
-        for k, dk, bk in zip(*(a[d > bound * (1 + _REL_TOL)] for a in (near, d, bound))):
+        far = d > bound * (1 + _REL_TOL)
+        for k, dk, bk in zip(near[far], d[far], bound[far]):
             issues.append((k, 2, f"node {ids[k]}: parent distance {dk:g} exceeds "
                                  f"eps({depth[k] - 1})={bk:g}"))
     errors += [msg for _, _, msg in sorted(issues)]

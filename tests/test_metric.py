@@ -224,7 +224,8 @@ class TestGreedyCoverProperties:
         eps *= data.draw(st.sampled_from([1.0, 0.5, 1.5]))
         subset = data.draw(st.sets(st.integers(0, space.n - 1), min_size=1) | st.none())
         cover = greedy_cover(space, eps, subset)
-        remaining = set(range(space.n) if subset is None else subset)
+        asked = set(range(space.n) if subset is None else subset)
+        remaining = set(asked)
         for c in cover.centers:
             counts = {x: sum(D[x, y] <= eps for y in remaining) for x in remaining}
             best = max(counts.values())
@@ -233,8 +234,8 @@ class TestGreedyCoverProperties:
             assert all(cover.covered_map[y] == c for y in ball)
             remaining -= ball
         assert not remaining
-        assert set(cover.covered_map) == set(range(space.n) if subset is None else subset)
-        assert is_cover(space, cover.centers, eps, cover.covered_map)
+        assert set(cover.covered_map) == asked
+        assert is_cover(space, cover.centers, eps, asked)
         assert all(D[a, b] > eps for a, b in itertools.combinations(cover.centers, 2))
 
 
