@@ -1,5 +1,6 @@
 """Tests for tree construction, pruning, error bounds and lower-bound values."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -797,3 +798,82 @@ class TestSeparationGathers:
         assert f"depth {h}: separation {sp.distance(p, q):g} below eps={tree.epsilon(h):g}" \
             in check.errors
         assert calls
+
+
+def _tied_matrix_space():
+    """Shortest paths over integer edge weights in 0..3: many ties and zero distances."""
+    rng = np.random.default_rng(12)
+    W = rng.integers(0, 4, size=(24, 24)).astype(float)
+    W = np.triu(W, 1) + np.triu(W, 1).T
+    for k in range(24):
+        W = np.minimum(W, W[:, [k]] + W[[k], :])
+    return FiniteMetricSpace.from_distance_matrix(W)
+
+
+@pytest.fixture(scope="module")
+def fingerprint_trees():
+    line8 = FiniteMetricSpace.from_coordinates(np.arange(8.0))
+    cloud = FiniteMetricSpace.from_coordinates(
+        np.random.default_rng(7).integers(0, 65, size=(300, 2)) / 64.0)
+    trees = {"line8": build_forward(line8),
+             "line8-pruned": build_tree(line8, "geometric", 1, 2.0),
+             "star100": prune_backward(build_forward(make_star(100)), 1.0),
+             "six-clusters": _six_clusters_tree(),
+             "tied-matrix": build_tree(_tied_matrix_space(), "geometric", 1, 1.0)}
+    for schedule in ("geometric", "entropy"):
+        for shift in (0, 1):
+            trees[f"cloud300-{schedule}-{shift}"] = build_tree(cloud, schedule, shift, 2.0)
+    return trees
+
+
+# sha256 of (write_tree output, omega tables, candidate sets at every depth)
+_FINGERPRINTS = {
+    "cloud300-entropy-0": ("14c15c04c0640ee80e2550668ed7f1f274694af24af4e5e02bc1f9e35b3d654b",
+                           "8d0151308c2f4511143dbf979fefda29fb58d872cf93820e3d7b03511358fc50",
+                           "36ffac8880561fd56eb8ea550bb73e30a0939cb3c6bf3ff5f9c2f0534dbfa8c9"),
+    "cloud300-entropy-1": ("a8eab668a129d01eabd04c10810c3886ad1bd9e09923f9ca740e8d4e96aa176c",
+                           "76b285b9e3d23ed2f783f8e95e585b91b6bfa07b9c2590f025ad5e09736d2369",
+                           "0a7169e1decde6fb40094a0024ab9b88d04ca705453d0d4f7ecc9bcbaf61bdac"),
+    "cloud300-geometric-0": ("be027c303181dd767a6ee6fa3bc63fc5e09202443d7755e12042f5ed12962423",
+                             "b8202b755ae50dc0591d70f00a9bfbfd6bbb957424835c075917185e7bcc4f00",
+                             "36ffac8880561fd56eb8ea550bb73e30a0939cb3c6bf3ff5f9c2f0534dbfa8c9"),
+    "cloud300-geometric-1": ("6fc6bdc14a8f3c64d1f3773bca320c4519b825ff6dfd0e4e21f0e3c165a7a3b8",
+                             "bc1be679c927611e0d4f2e3bf9c184d2493e997ce0ffe8260c2cd6b64522b5f9",
+                             "0614454bbc8280a8f1a7dab02b31392026d2c01914b1d8c9ecca02d231e464ec"),
+    "line8": ("9a33881fbcdc77665b88d54df8cc153132d79af3616ee4483519c1c2260de278",
+              "82acfe115e3bfc8901b00d727832a52a8708842bcf3fe88bce0414e97a009159",
+              "d4c6901e2e499291dce49bcd1297a94bd4dddb8a2f047a58dde83102a02b9f7f"),
+    "line8-pruned": ("4f5b3068575b2119398edab1c9506f457d70b54727f9122065db2a5b215174bc",
+                     "82acfe115e3bfc8901b00d727832a52a8708842bcf3fe88bce0414e97a009159",
+                     "d4c6901e2e499291dce49bcd1297a94bd4dddb8a2f047a58dde83102a02b9f7f"),
+    "six-clusters": ("97f9606ea51f8a89c326fdc19a86bff1cd7c2e58e92f805fb77551163edf823b",
+                     "842ca0c495fbf8510211c706477995c180b508866ac846eaa2ee58a3c1242969",
+                     "584a15b6fb68caef62124a7b3a5a9f253d2fb6375d107a708c532dd3ccddab86"),
+    "star100": ("e44f465702177fcbb5c13c5dbb29c75b7c7932439e1b7de8232a06275439e66e",
+                "d26c00ebe768468b6d2fec7cd65c985141dec232a8ddbb9dac777e4f7fddda28",
+                "d639e0973d003c445bb7d0a9ace0826638e522bd6abfb3982105afb8baf1213a"),
+    "tied-matrix": ("2a3143e1d3f3e03ea2ef78e42c957cd85dd1aec3ad341ae2a19fea32345ffdd3",
+                    "d36caff6def56bc5ca4e3055ab19760b56dc97cc5e0ca2010538f353587c5ee8",
+                    "37123217e24f33224e820824fe701910618e1d77d7fecf1972eeb4fa540c1823"),
+}
+
+
+class TestTreeFingerprints:
+    """Seeded trees serialize, bound and offer candidates byte for byte as pinned."""
+
+    @pytest.mark.parametrize("name", sorted(_FINGERPRINTS))
+    def test_pinned_digests(self, tmp_path, fingerprint_trees, name):
+        tree = fingerprint_trees[name]
+        path = tmp_path / "tree.csv"
+        write_tree(tree, str(path))
+        omega = hashlib.sha256()
+        for model in (SmoothnessModel.gaussian(), SmoothnessModel.sub_gamma(1.5, 0.3),
+                      SmoothnessModel.squared_gp(2)):
+            for majorized in (False, True):
+                omega.update(omega_table(tree, 2.0, 2.0, model, majorized=majorized).tobytes())
+        cand = hashlib.sha256()
+        for h in range(tree.max_depth + 1):
+            cand.update(tree.candidate_locations(h).tobytes())
+        got = (hashlib.sha256(path.read_bytes()).hexdigest(), omega.hexdigest(),
+               cand.hexdigest())
+        assert got == _FINGERPRINTS[name]
