@@ -330,7 +330,7 @@ _CSV_ROW = _CSV_HEAD + ",%.12g,%.12g,%.12g\n"
 
 def _tree_signature(tree: ChainingTree) -> tuple:
     return (tree.space.n, tree.schedule, tree.shift, tree.max_depth,
-            len(tree.nodes), tree.restart_count, tree.u)
+            int(tree.alive.sum()), tree.restart_count, tree.u)
 
 
 def _plain_ucb(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float,

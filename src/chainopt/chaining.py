@@ -1,6 +1,12 @@
 """Hierarchical discretization trees: forward construction, backward pruning,
 discretization-error bounds and anti-concentration values.
 
+A tree is stored as columns indexed by node id, with an ``alive`` mask
+that lets pruning drop a node without renumbering the others.  The parent
+column is the only stored structure: the child lists, the levels, a
+depth-first leaf order and the radii are derived from it once, when
+:func:`build_forward` or :func:`prune_backward` returns.
+
 The forward pass peels the space into nested covers at geometrically
 shrinking radii ``eps_h``.  Every point enters the tree at the depth where
 the greedy cover first selects it, and is then carried down level by level
@@ -21,8 +27,10 @@ doubly exponential capacity growth caps the number of restarts at
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +42,9 @@ _EXP_OVERFLOW = 700.0   # exponents beyond this give an effectively infinite cap
 _REL_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeNode:
+    """One node of a :class:`ChainingTree`, read from its columns."""
     node_id: int
     depth: int
     location: int                 # point id; pruned nodes borrow their parent's point
@@ -43,31 +52,73 @@ class TreeNode:
     pruned: bool = False
     radius: float = 0.0           # sup distance from location to descendant points
     value: float = 0.0            # anti-concentration lower-bound certificate
-    children: list[int] = field(default_factory=list)
+
+
+class _NodeView(Mapping):
+    """Read-only ``node id -> TreeNode`` view of a tree's live nodes, in id order."""
+
+    def __init__(self, tree: "ChainingTree"):
+        self._tree = tree
+
+    def __getitem__(self, nid) -> TreeNode:
+        t = self._tree
+        if not (isinstance(nid, (int, np.integer)) and 0 <= nid < len(t.alive) and t.alive[nid]):
+            raise KeyError(nid)
+        p = int(t.parent[nid])
+        return TreeNode(int(nid), int(t.depth[nid]), int(t.location[nid]),
+                        None if p == -1 else p, bool(t.is_pruned[nid]),
+                        float(t.radius[nid]), float(t.value[nid]))
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self._tree.alive).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._tree.alive))
 
 
 class ChainingTree:
-    """A leveled discretization tree over a finite metric space.
+    """A leveled discretization tree over a finite metric space, stored as columns.
 
-    Instances are produced by :func:`build_forward` (and transformed by
-    :func:`prune_backward`; :func:`build_tree` does both); a finished tree
-    is treated as immutable and is safe for concurrent readers.
+    Node ids index the columns ``parent`` (-1 at the root), ``depth``,
+    ``location``, ``is_pruned``, ``radius``, ``value`` and ``alive``.  The
+    constructor takes the first three; its nodes are live and not pruned.
+    :func:`prune_backward` returns a copy whose dropped nodes stay in the
+    columns, not alive.  A finished tree is treated as immutable and is
+    safe for concurrent readers; ``nodes`` is a read-only view of it.
     """
 
-    def __init__(self, space: FiniteMetricSpace, schedule: str, shift: int):
+    def __init__(self, space: FiniteMetricSpace, schedule: str, shift: int,
+                 parent, depth, location):
         self.space = space
         self.schedule = schedule
         self.shift = shift
-        self.nodes: dict[int, TreeNode] = {}
-        self.levels: list[list[int]] = []
+        self.parent = np.array(parent, dtype=np.int64)
+        self.depth = np.array(depth, dtype=np.int64)
+        self.location = np.array(location, dtype=np.int64)
+        self.is_pruned = np.zeros(len(self.parent), dtype=bool)
+        self.radius = np.zeros(len(self.parent))
+        self.value = np.zeros(len(self.parent))
+        self.alive = np.ones(len(self.parent), dtype=bool)
         self.u: float | None = None          # set by the pruning pass
         self.restart_count: int = 0
-        self._next_id = 0
         self._entropy_caps: dict[int, float] = {}
-        self._desc: dict[int, np.ndarray] = {}
+        self._derive()
+
+    def _derive(self) -> None:
+        """Set the child lists, levels, leaf order and radii from the columns."""
+        live = np.flatnonzero(self.alive)
+        self.levels = _levels(self.depth, live)
+        self._child_ids, self._child_ptr, self._lo, self._hi, leaves = _leaf_order(
+            self.parent, self.depth, live)
+        self._leaf_loc = self.location[leaves]
+        self.radius[live] = _radii(self.space, self.location, self._lo, self._hi, leaves, live)
         self._cand_cache: dict[int, np.ndarray] = {}
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def nodes(self) -> Mapping[int, TreeNode]:
+        return _NodeView(self)
 
     @property
     def max_depth(self) -> int:
@@ -79,7 +130,7 @@ class ChainingTree:
 
     @property
     def root_id(self) -> int:
-        return self.levels[0][0]
+        return int(self.levels[0][0])
 
     def node(self, node_id: int) -> TreeNode:
         try:
@@ -87,35 +138,25 @@ class ChainingTree:
         except KeyError:
             raise ArgumentError(f"unknown node id {node_id}") from None
 
-    def new_node(self, depth: int, location: int, parent: int | None,
-                 pruned: bool = False) -> TreeNode:
-        nid = self._next_id
-        self._next_id += 1
-        node = TreeNode(nid, depth, location, parent, pruned=pruned)
-        self.nodes[nid] = node
-        if parent is not None:
-            self.nodes[parent].children.append(nid)
-        while len(self.levels) <= depth:
-            self.levels.append([])
-        self.levels[depth].append(nid)
-        return node
+    def children(self, node_id: int) -> np.ndarray:
+        """Ids of a node's children, ascending; shared, do not modify."""
+        v = self.node(node_id).node_id
+        return self._child_ids[self._child_ptr[v]:self._child_ptr[v + 1]]
 
-    def leaves(self) -> list[int]:
-        return [nid for nid, nd in sorted(self.nodes.items()) if not nd.children]
+    def leaves(self) -> np.ndarray:
+        return np.flatnonzero(self.alive & (np.diff(self._child_ptr) == 0))
 
     def chain(self, node_id: int) -> list[int]:
         """Node ids from the root down to ``node_id`` (inclusive)."""
-        out = []
-        nid = node_id
-        while nid is not None:
-            out.append(nid)
-            nid = self.nodes[nid].parent
-        out.reverse()
-        return out
+        out = [self.node(node_id).node_id]
+        while self.parent[out[-1]] >= 0:
+            out.append(int(self.parent[out[-1]]))
+        return out[::-1]
 
     def descendant_points(self, node_id: int) -> np.ndarray:
-        """Point ids of the leaves below (and including) a node; shared, do not modify."""
-        return self._desc[node_id]
+        """Sorted point ids of the leaves below (and including) a node."""
+        v = self.node(node_id).node_id
+        return np.sort(self._leaf_loc[self._lo[v]:self._hi[v]])
 
     # -- schedules ----------------------------------------------------------
 
@@ -153,44 +194,50 @@ class ChainingTree:
         """Sorted point ids of non-pruned nodes at depth at most h."""
         h = min(max(h, 0), self.max_depth)
         if h not in self._cand_cache:
-            pts = {self.nodes[nid].location
-                   for lvl in self.levels[: h + 1] for nid in lvl
-                   if not self.nodes[nid].pruned}
-            self._cand_cache[h] = np.array(sorted(pts), dtype=int)
+            held = self.alive & ~self.is_pruned & (self.depth <= h)
+            self._cand_cache[h] = np.unique(self.location[held])
         return self._cand_cache[h]
 
-    # -- geometry -----------------------------------------------------------
 
-    def recompute_geometry(self) -> None:
-        """Rebuild descendant point sets and radii from the current structure."""
-        self._desc.clear()
-        self._cand_cache.clear()
-        for nd in sorted(self.nodes.values(), key=lambda nd: (-nd.depth, nd.node_id)):
-            self._set_geometry(nd)
+def _levels(depth: np.ndarray, nodes: np.ndarray) -> list[np.ndarray]:
+    """The given node ids grouped by depth, ascending within each depth."""
+    order = nodes[np.argsort(depth[nodes], kind="stable")]
+    cuts = np.searchsorted(depth[order], np.arange(int(depth[nodes].max()) + 2))
+    return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
-    def _set_geometry(self, nd: TreeNode) -> None:
-        """Set a node's descendant points and radius from its children's."""
-        if not nd.children:
-            pts = np.array([nd.location], dtype=int)
-        elif len(nd.children) == 1:
-            pts = self._desc[nd.children[0]]     # already sorted and unique
-        else:
-            pts = np.unique(np.concatenate([self._desc[c] for c in nd.children]))
-        self._desc[nd.node_id] = pts
-        nd.radius = float(self.space.row(nd.location)[pts].max())
 
-    def copy(self) -> "ChainingTree":
-        out = ChainingTree(self.space, self.schedule, self.shift)
-        out.nodes = {nid: TreeNode(nd.node_id, nd.depth, nd.location, nd.parent,
-                                   nd.pruned, nd.radius, nd.value, list(nd.children))
-                     for nid, nd in self.nodes.items()}
-        out.levels = [list(lvl) for lvl in self.levels]
-        out.u = self.u
-        out.restart_count = self.restart_count
-        out._next_id = self._next_id
-        out._entropy_caps = dict(self._entropy_caps)
-        out._desc = dict(self._desc)     # the arrays are never written in place
-        return out
+def _leaf_order(parent: np.ndarray, rank: np.ndarray, nodes: np.ndarray):
+    """Child lists and depth-first leaf order of a forest over ``nodes`` (ascending ids).
+
+    Each node's parent is -1 or another node of smaller ``rank``.  Returns the
+    children as ``kids[ptr[v]:ptr[v + 1]]``, in id order, and ``lo``, ``hi``
+    and ``leaves`` such that v's leaves, v included, are ``leaves[lo[v]:hi[v]]``.
+    """
+    n = len(parent)
+    up = np.where(parent >= 0, parent, n)          # tops hang under a virtual node n
+    kids = nodes[np.argsort(up[nodes], kind="stable")]      # siblings together, in id order
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(up[kids], minlength=n + 1))))
+    leaf = nodes[ptr[nodes + 1] == ptr[nodes]]
+    size = np.bincount(leaf, minlength=n + 1)
+    levels = _levels(rank, nodes)
+    for lvl in levels[:0:-1]:                      # leaf counts, bottom-up
+        np.add.at(size, up[lvl], size[lvl])
+    before = np.cumsum(size[kids]) - size[kids]
+    lo = np.zeros(n + 1, dtype=np.int64)
+    lo[kids] = before - before[ptr[up[kids]]]      # offsets among siblings
+    for lvl in levels[1:]:                         # plus the parent's, top-down
+        lo[lvl] += lo[up[lvl]]
+    return kids[:ptr[n]], ptr[:n + 1], lo[:n], lo[:n] + size[:n], leaf[np.argsort(lo[leaf])]
+
+
+def _radii(space: FiniteMetricSpace, location: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           leaves: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Largest distance from each node's location to its leaves: one gather, one segment max."""
+    size = hi[nodes] - lo[nodes]
+    starts = np.cumsum(size) - size
+    below = leaves[np.arange(int(size.sum())) + np.repeat(lo[nodes] - starts, size)]
+    return np.maximum.reduceat(
+        space.distances(np.repeat(location[nodes], size), location[below]), starts)
 
 
 def restart_limit(n: int) -> int:
@@ -208,22 +255,19 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     centers join the tree, attached to their nearest earlier tree point
     (ties toward the smaller point id).  Points at distance exactly zero
     from a tree point can never become uncovered; they are attached at
-    distance zero once everything else has entered.  Descendant point sets
-    and radii are then set by one bottom-up sweep, deepest level first.
+    distance zero once everything else has entered.  Each level's columns
+    are built in one piece, and the tree is derived once at the end.
     """
     if schedule not in ("geometric", "entropy"):
         raise ArgumentError(f"schedule must be 'geometric' or 'entropy', got {schedule!r}")
     if shift not in (0, 1):
         raise ArgumentError("shift must be 0 or 1")
     n = space.n
-    tree = ChainingTree(space, schedule, shift)
-    tree.new_node(0, 0, None)
-
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
+    parent, depth, location = [np.array([-1])], [np.array([0])], [np.array([0])]
+    latest = np.full(n, -1)        # id of each tree point's deepest node
+    latest[0] = 0
     best_d = space.row(0).copy()
     best_pt = np.zeros(n, dtype=int)
-    latest: dict[int, int] = {0: 0}
 
     diam = space.diameter
     min_pos = None
@@ -240,34 +284,26 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
         h_limit = 2
 
     h = 0
-    while int(in_tree.sum()) < n:
+    while np.any(latest < 0):
         h += 1
         if h > h_limit:
             raise InternalError("forward pass failed to terminate")
-        eps_h = tree.epsilon(h)
-        prev_latest = dict(latest)
-        prev_best_d = best_d.copy()
-        prev_best_pt = best_pt.copy()
-
-        # self-chain copies carry every current tree point one level down
-        for pid in sorted(prev_latest):
-            node = tree.new_node(h, pid, prev_latest[pid])
-            latest[pid] = node.node_id
-
-        remaining = np.flatnonzero(~in_tree)
-        uncovered = remaining[prev_best_d[remaining] > eps_h]
+        eps_h = diam * 2.0 ** (-h - shift)
+        remaining = np.flatnonzero(latest < 0)
+        uncovered = remaining[best_d[remaining] > eps_h]
         if uncovered.size:
-            cover = greedy_cover(space, eps_h, uncovered)
-            new_points = cover.centers
-        elif remaining.size and np.all(prev_best_d[remaining] == 0.0):
-            new_points = [int(p) for p in remaining]   # exact duplicates
+            new_points = np.array(greedy_cover(space, eps_h, uncovered).centers, dtype=int)
+        elif np.all(best_d[remaining] == 0.0):
+            new_points = remaining                      # exact duplicates
         else:
-            new_points = []
-        for pid in new_points:
-            parent_pt = int(prev_best_pt[pid])
-            node = tree.new_node(h, pid, prev_latest[parent_pt])
-            latest[pid] = node.node_id
-            in_tree[pid] = True
+            new_points = remaining[:0]
+        # self-chain copies first, then the new points in cover order
+        old = np.flatnonzero(latest >= 0)
+        parent.append(latest[np.concatenate((old, best_pt[new_points]))])
+        depth.append(np.full(len(old) + len(new_points), h))
+        location.append(np.concatenate((old, new_points)))
+        latest[location[-1]] = latest.max() + 1 + np.arange(len(location[-1]))
+        for pid in new_points.tolist():
             row = space.row(pid)
             closer = row < best_d
             best_d[closer] = row[closer]
@@ -275,8 +311,8 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
             tie = (row == best_d) & (best_pt > pid)
             best_pt[tie] = pid
 
-    tree.recompute_geometry()
-    return tree
+    return ChainingTree(space, schedule, shift, np.concatenate(parent),
+                        np.concatenate(depth), np.concatenate(location))
 
 
 def phi(alpha: float, delta: float, m: int, u: float) -> float:
@@ -301,43 +337,41 @@ def phi(alpha: float, delta: float, m: int, u: float) -> float:
     return max(0.0, raw)
 
 
-def _phi_term(tree: ChainingTree, node: TreeNode) -> float:
+def _phi_term(tree: ChainingTree, nid: int) -> float:
     """The phi contribution a pruned node adds on top of its children's values."""
-    d = node.depth
+    d, r = int(tree.depth[nid]), float(tree.radius[nid])
     cap = tree.child_capacity(d - 1)
     m = tree.space.n if math.isinf(cap) else int(math.floor(cap))
     u_h = tree.u + tree.capacity(d) + d * math.log(2.0)
-    if node.radius <= 0:
+    if r <= 0:
         return 0.0
-    return phi(0.5 * node.radius, node.radius, max(m, 1), u_h)
+    return phi(0.5 * r, r, max(m, 1), u_h)
 
 
 def prune_backward(tree: ChainingTree, u: float) -> ChainingTree:
     """Backward pass: enforce child capacities and compute node values.
 
     Requires the geometric budget schedule.  Returns a new tree; the input
-    is left untouched.  Descendant point sets and radii are carried over
-    from the input, and only each new pruned node has its own computed.
+    is left untouched.  The pass edits copies of the input's columns: pruned
+    nodes are appended, and a dropped node is marked not alive, so node ids
+    never change.  The tree is derived once, from the final columns.
     """
     if not 0 < u < math.inf:
         raise ArgumentError("u must be positive and finite")
     if tree.schedule != "geometric":
         raise ArgumentError("pruning values require the geometric schedule")
-    work = tree.copy()
+    work = copy.copy(tree)      # shares only the derived structure, rebuilt at the end
+    for name in ("parent", "depth", "location", "is_pruned", "radius", "value", "alive"):
+        setattr(work, name, getattr(tree, name).copy())
     work.u = float(u)
     work.restart_count = 0
     limit = restart_limit(tree.space.n)
-    while True:
-        finished = _prune_pass(work)
-        if finished:
-            break
+    while not _prune_pass(work, tree):
         work.restart_count += 1
         if work.restart_count > limit:
             raise InternalError(
                 f"pruning restarted more than {limit} times on {tree.space.n} points")
-    # No closing sweep: splicing a dropped node's children under a pruned
-    # node, or moving a dropped leaf one level down under it, leaves the leaf
-    # set, and so the radius, of every existing node unchanged.
+    work._derive()
     return work
 
 
@@ -351,78 +385,57 @@ def build_tree(space: FiniteMetricSpace, schedule: str = "geometric", shift: int
     return prune_backward(tree, u) if schedule == "geometric" else tree
 
 
-def _prune_pass(tree: ChainingTree) -> bool:
-    """One backward sweep; returns False if the pass must restart."""
-    for nd in tree.nodes.values():
-        nd.value = 0.0
-    H = tree.max_depth
-    for h in range(H, 0, -1):
-        for nid in sorted(tree.levels[h]):
-            nd = tree.nodes[nid]
-            if nd.children:
-                nd.value = max(tree.nodes[c].value for c in nd.children)
-            if nd.pruned:
-                nd.value += _phi_term(tree, nd)
-        for sid in sorted(tree.levels[h - 1]):
-            s = tree.nodes[sid]
-            kids = [tree.nodes[c] for c in s.children if not tree.nodes[c].pruned]
-            cap = tree.child_capacity(h - 1)
-            if len(kids) <= cap:
-                continue
-            keep = int(math.floor(cap))
-            kids.sort(key=lambda nd: (-nd.value, nd.node_id))
-            dropped = kids[keep:]
-            pruned = tree.new_node(h, s.location, sid, pruned=True)
-            for d_nd in sorted(dropped, key=lambda nd: nd.node_id):
-                if d_nd.children:
-                    # splice the node out; its point lives on in its self-copy
-                    for cid in d_nd.children:
-                        tree.nodes[cid].parent = pruned.node_id
-                        pruned.children.append(cid)
-                    d_nd.children = []
-                    _remove_node(tree, d_nd)
-                else:
-                    # a leaf has no self-copy below; displace the leaf itself
-                    _move_node_down(tree, d_nd, pruned.node_id)
-            tree._set_geometry(pruned)
-            if len(pruned.children) > tree.child_capacity(h):
+def _prune_pass(tree: ChainingTree, src: ChainingTree) -> bool:
+    """One backward sweep over the columns; returns False if the pass must restart.
+
+    Splicing a dropped node's children under a pruned node, or moving a
+    dropped leaf one level down under it, changes no node's leaf set, so a
+    pruned node's points are those of its dropped nodes in ``src``, the
+    tree the pruning started from.
+    """
+    tree.value[:] = 0.0
+    for h in range(int(tree.depth[tree.alive].max()), -1, -1):
+        at = np.flatnonzero(tree.alive & (tree.depth == h))
+        below = np.flatnonzero(tree.alive & (tree.depth == h + 1))
+        np.maximum.at(tree.value, tree.parent[below], tree.value[below])
+        for nid in at[tree.is_pruned[at]].tolist():
+            tree.value[nid] += _phi_term(tree, nid)
+        if h == 0:
+            break
+        kids = at[~tree.is_pruned[at]]
+        cap = tree.child_capacity(h - 1)
+        n_below = np.bincount(tree.parent[below], minlength=len(tree.parent))
+        for sid in np.flatnonzero(np.bincount(tree.parent[kids]) > cap).tolist():
+            mine = kids[tree.parent[kids] == sid]
+            dropped = np.sort(mine[np.lexsort((mine, -tree.value[mine]))][int(math.floor(cap)):])
+            pid = len(tree.parent)
+            for name, val in (("parent", sid), ("depth", h), ("location", tree.location[sid]),
+                              ("is_pruned", True), ("radius", 0.0), ("value", 0.0),
+                              ("alive", True)):
+                setattr(tree, name, np.append(getattr(tree, name), val))
+            inner = dropped[n_below[dropped] > 0]
+            spliced = below[np.isin(tree.parent[below], inner)]
+            moved = dropped[n_below[dropped] == 0]
+            tree.alive[inner] = False       # a dropped inner node's point lives on in its self-copy
+            tree.parent[spliced] = pid
+            tree.parent[moved] = pid        # a leaf has no self-copy below; it moves itself
+            tree.depth[moved] = h + 1
+            pts = np.concatenate([src._leaf_loc[src._lo[d]:src._hi[d]] for d in dropped.tolist()])
+            tree.radius[pid] = float(tree.space.row(int(tree.location[sid]))[pts].max())
+            if len(spliced) + len(moved) > tree.child_capacity(h):
                 return False    # restart the pruning on the updated tree
-            pruned.value = max((tree.nodes[c].value for c in pruned.children),
-                               default=0.0) + _phi_term(tree, pruned)
-    root = tree.nodes[tree.root_id]
-    if root.children:
-        root.value = max(tree.nodes[c].value for c in root.children)
+            tree.value[pid] = tree.value[np.concatenate((spliced, moved))].max() + _phi_term(tree, pid)
     return True
-
-
-def _remove_node(tree: ChainingTree, node: TreeNode) -> None:
-    tree.levels[node.depth].remove(node.node_id)
-    parent = tree.nodes[node.parent]
-    parent.children.remove(node.node_id)
-    tree._desc.pop(node.node_id, None)
-    del tree.nodes[node.node_id]
-
-
-def _move_node_down(tree: ChainingTree, node: TreeNode, new_parent: int) -> None:
-    tree.levels[node.depth].remove(node.node_id)
-    old_parent = tree.nodes[node.parent]
-    old_parent.children.remove(node.node_id)
-    node.parent = new_parent
-    node.depth += 1
-    tree.nodes[new_parent].children.append(node.node_id)
-    while len(tree.levels) <= node.depth:
-        tree.levels.append([])
-    tree.levels[node.depth].append(node.node_id)
 
 
 def parent_at_depth(tree: ChainingTree, node_id: int, h: int) -> int:
     """Ancestor of a node at depth h; the node itself if already at depth <= h."""
     if h < 0:
         raise ArgumentError("depth must be nonnegative")
-    nd = tree.node(node_id)
-    while nd.depth > h:
-        nd = tree.nodes[nd.parent]
-    return nd.node_id
+    nid = tree.node(node_id).node_id
+    while tree.depth[nid] > h:
+        nid = int(tree.parent[nid])
+    return nid
 
 
 def omega_table(tree: ChainingTree, u: float, a: float, model: SmoothnessModel,
@@ -432,29 +445,22 @@ def omega_table(tree: ChainingTree, u: float, a: float, model: SmoothnessModel,
     ``table[h]`` is the supremum over leaves of the tail-bound sum along
     the leaf's ancestor chain below depth h; ``table[max_depth] == 0``.
     In majorized mode each chain distance is replaced by the radius of the
-    cell one level up.
+    cell one level up.  One sweep per level, deepest first: every closed
+    form of :func:`psi_star_inv` is linear in the distance, so one call at
+    distance 1 scales the whole level.
     """
     H = tree.max_depth
     table = np.zeros(H + 1)
-    if H == 0:
-        return table
-    u_cache: dict[int, float] = {}
-
-    def level_u(i: int) -> float:
-        if i not in u_cache:
-            u_cache[i] = confidence_level_u_i(u, tree.capacity(i), i, a)
-        return u_cache[i]
-
-    space = tree.space
-    below: dict[int, float] = {}   # largest tail sum from a node down to a leaf
+    below = np.zeros(len(tree.parent))   # largest tail sum from a node down to a leaf
     for h in range(H, 0, -1):
-        for nid in tree.levels[h]:
-            nd = tree.nodes[nid]
-            parent = tree.nodes[nd.parent]
-            dist = parent.radius if majorized else space.distance(nd.location, parent.location)
-            below[nid] = (max((below[c] for c in nd.children), default=0.0)
-                          + psi_star_inv(model, level_u(h), dist))
-        table[h - 1] = max((below[nid] for nid in tree.levels[h]), default=0.0)
+        lvl = tree.levels[h]
+        up = tree.parent[lvl]
+        dist = (tree.radius[up] if majorized
+                else tree.space.distances(tree.location[lvl], tree.location[up]))
+        coef = psi_star_inv(model, confidence_level_u_i(u, tree.capacity(h), h, a), 1.0)
+        below[lvl] += coef * dist
+        np.maximum.at(below, up, below[lvl])
+        table[h - 1] = below[lvl].max()
     return table
 
 
@@ -477,18 +483,15 @@ def lower_value(tree: ChainingTree, node_id: int) -> float:
 
 def lower_bound_functional(tree: ChainingTree, node_id: int) -> float:
     """Supremum over descendant leaves of sum_{i>=h} radius(p_i(x)) 2^{i/2}."""
-    start = tree.node(node_id)
     best = 0.0
-    stack = [(start.node_id, 0.0)]
+    stack = [(tree.node(node_id).node_id, 0.0)]
     while stack:
         nid, acc = stack.pop()
-        nd = tree.nodes[nid]
-        acc += nd.radius * 2.0 ** (nd.depth / 2.0)
-        if not nd.children:
+        acc += float(tree.radius[nid]) * 2.0 ** (int(tree.depth[nid]) / 2.0)
+        kids = tree.children(nid)
+        if not kids.size:
             best = max(best, acc)
-        else:
-            for c in nd.children:
-                stack.append((c, acc))
+        stack.extend((c, acc) for c in kids.tolist())
     return best
 
 
@@ -510,63 +513,59 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     along non-pruned root-to-leaf paths and the per-level budget
     ``|T_h| <= exp(n_h)`` are reported but do not fail validation.
 
-    Every check is a whole-array sweep over the node attributes, read once.
-    The separation check is incremental: level h carries a lower bound on
-    the smallest positive distance within the level above and gathers only
-    the distances from the points new at h to the whole level.  Pairs of
-    points both present one level up cannot be closer than that bound, so
-    the full level-by-level distance matrix is gathered only when the bound
-    falls below ``eps(h)``, which makes the reported separation exact.  The
-    monotonicity walk runs top-down from each node's topmost reachable
-    ancestor; a dangling parent starts a new chain, and nodes on a parent
-    cycle (which always fails the parent depth check) are not walked.
+    Every check is a whole-array sweep over the live nodes' columns; the
+    children, levels, leaves and descendant points are derived here from
+    the parent and depth columns.  The separation check is incremental:
+    level h carries a lower bound on the smallest positive distance within
+    the level above and gathers only the distances from the points new at
+    h to the whole level.  Pairs of points both present one level up cannot
+    be closer than that bound, so the full level-by-level distance matrix
+    is gathered only when the bound falls below ``eps(h)``, which makes the
+    reported separation exact.  The radius check and the monotonicity walk
+    run top-down from each node's topmost reachable ancestor, and fail on a
+    NaN radius; a dangling parent starts a new chain, and nodes on or below
+    a parent cycle (which always fails the parent depth check) are not walked.
     """
     errors: list[str] = []
     warnings: list[str] = []
     space = tree.space
+    n_nodes = len(tree.parent)
+    live = np.flatnonzero(tree.alive)
+    depth, loc, pruned, radius = tree.depth, tree.location, tree.is_pruned, tree.radius
 
-    if len(tree.levels[0]) != 1 or tree.nodes[tree.levels[0][0]].depth != 0:
+    # ``par``: the parent's id, or -1 for none and for a dangling id
+    known = (tree.parent >= 0) & (tree.parent < n_nodes)
+    known[known] = tree.alive[tree.parent[known]]
+    par = np.where(known & tree.alive, tree.parent, -1)
+
+    top = live[depth[live] == 0]
+    if len(top) != 1:
         errors.append("tree must have exactly one root at depth 0")
-    root = tree.nodes[tree.root_id]
-    if root.parent is not None:
+    if top.size and tree.parent[top[0]] != -1:
         errors.append("root must have no parent")
 
-    # Node attributes in id order; ``par`` is the parent's position, -1 for
-    # none and -2 for a dangling id.
-    items = sorted(tree.nodes.items())
-    n_nodes = len(items)
-    ids = np.fromiter((nid for nid, _ in items), np.int64, n_nodes)
-    pos_of = {nid: k for k, (nid, _) in enumerate(items)}
-    depth = np.fromiter((nd.depth for _, nd in items), np.int64, n_nodes)
-    loc = np.fromiter((nd.location for _, nd in items), np.int64, n_nodes)
-    par = np.fromiter((-1 if nd.parent is None else pos_of.get(nd.parent, -2)
-                       for _, nd in items), np.int64, n_nodes)
-    pruned = np.fromiter((nd.pruned for _, nd in items), bool, n_nodes)
-    radius = np.fromiter((nd.radius for _, nd in items), float, n_nodes)
-    n_kids = np.fromiter((len(nd.children) for _, nd in items), np.int64, n_nodes)
-
-    issues = [(k, 0, f"node {ids[k]} has a dangling parent")
-              for k in np.flatnonzero(par == -2)]
-    child = np.flatnonzero(par >= 0)
+    issues = [(k, 0, f"node {k} has a dangling parent")
+              for k in live[~known[live] & (tree.parent[live] != -1)]]
+    child = live[par[live] >= 0]
     for k in child[depth[par[child]] != depth[child] - 1]:
-        issues.append((k, 1, f"node {ids[k]}: parent depth {depth[par[k]]} != {depth[k] - 1}"))
+        issues.append((k, 1, f"node {k}: parent depth {depth[par[k]]} != {depth[k] - 1}"))
     near = child[~pruned[child] & ~pruned[par[child]]]
     if near.size:
-        eps = {h: tree.epsilon(h) for h in np.unique(depth[near] - 1).tolist()}
-        bound = np.array([eps[h] for h in (depth[near] - 1).tolist()])
+        hs, at = np.unique(depth[near] - 1, return_inverse=True)
+        bound = np.array([tree.epsilon(h) for h in hs.tolist()])[at]
         d = space.distances(loc[near], loc[par[near]])
         far = d > bound * (1 + _REL_TOL)
         for k, dk, bk in zip(near[far], d[far], bound[far]):
-            issues.append((k, 2, f"node {ids[k]}: parent distance {dk:g} exceeds "
+            issues.append((k, 2, f"node {k}: parent distance {dk:g} exceeds "
                                  f"eps({depth[k] - 1})={bk:g}"))
     errors += [msg for _, _, msg in sorted(issues)]
 
     capacity_flags: list[int] = []
     carried = math.inf    # lower bound on the smallest positive distance one level up
     seen = np.zeros(space.n, dtype=bool)    # locations of the level above
-    for h, lvl in enumerate(tree.levels):
-        at = np.fromiter((pos_of[nid] for nid in lvl), np.int64, len(lvl))
-        locs = loc[at[~pruned[at]]]
+    levels = _levels(depth, live)
+    for h, lvl in enumerate(levels):
+        locs = loc[lvl[~pruned[lvl]]]
         level = np.unique(locs)
         eps_h = tree.epsilon(h)
         if len(locs) > 1:
@@ -584,54 +583,51 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
             capacity_flags.append(h)
 
     if tree.pruned:
-        kids = np.fromiter((pos_of[c] for _, nd in items for c in nd.children),
-                           np.int64, int(n_kids.sum()))
-        owner = np.repeat(np.arange(n_nodes), n_kids)
-        counts = np.bincount(owner[~pruned[kids]], minlength=n_nodes)
-        caps = {h: tree.child_capacity(h) for h in np.unique(depth).tolist()}
-        cap = np.array([caps[h] for h in depth.tolist()])
-        for k in np.flatnonzero(np.isfinite(cap) & (counts > np.floor(cap))):
-            errors.append(f"node {ids[k]}: {counts[k]} children exceed capacity {cap[k]:g}")
+        counts = np.bincount(par[child[~pruned[child]]], minlength=n_nodes)
+        hs, at = np.unique(depth[live], return_inverse=True)
+        cap = np.array([tree.child_capacity(h) for h in hs.tolist()])[at]
+        over = np.isfinite(cap) & (counts[live] > np.floor(cap))
+        for k, ck in zip(live[over], cap[over]):
+            errors.append(f"node {k}: {counts[k]} children exceed capacity {ck:g}")
         if tree.restart_count > restart_limit(space.n):
             errors.append(f"restart count {tree.restart_count} exceeds the cap")
 
-    leaf = n_kids == 0
+    leaf = live[np.bincount(par[child], minlength=n_nodes)[live] == 0]
     if not np.array_equal(np.sort(loc[leaf]), np.arange(space.n)):
         errors.append("leaves do not biject with the point set")
-    if not tree.pruned and np.any(depth[leaf] != tree.max_depth):
+    if not tree.pruned and np.any(depth[leaf] != len(levels) - 1):
         errors.append("unpruned tree must carry all leaves at the deepest level")
 
-    desc = [tree.descendant_points(nid) for nid, _ in items]
-    sizes = np.fromiter(map(len, desc), np.int64, n_nodes)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    expect = np.maximum.reduceat(space.distances(np.repeat(loc, sizes), np.concatenate(desc)),
-                                 starts)
-    for k in np.flatnonzero(np.abs(radius - expect) > _REL_TOL * np.maximum(1.0, expect)):
-        errors.append(f"node {ids[k]}: stored radius {radius[k]:g} != {expect[k]:g}")
-
-    # Top-down along parent pointers: ``prev`` is the radius of the nearest
-    # non-pruned node on the path so far (NaN before the first one, which
-    # compares like the walk's missing value), ``viol`` the first node whose
-    # radius grows on the path.
-    steps, anc = (par >= 0).astype(np.int64), np.where(par >= 0, par, -1)
+    steps, anc = (par >= 0).astype(np.int64), par.copy()
     for _ in range(n_nodes.bit_length() + 1):     # pointer doubling: steps to the top
         up = np.flatnonzero(anc >= 0)
         if not up.size:
             break
         steps[up] += steps[anc[up]]
         anc[up] = anc[anc[up]]
-    walked = anc < 0                        # not on or below a parent cycle
-    prev = np.where(pruned, np.nan, radius)
+    walked = live[anc[live] < 0]                # not on or below a parent cycle
+    _, _, lo, hi, below = _leaf_order(par, steps, walked)
+    expect = _radii(space, loc, lo, hi, below, walked)
+    bad = ~(np.abs(radius[walked] - expect) <= _REL_TOL * np.maximum(1.0, expect))
+    for k, rk, ek in zip(walked[bad], radius[walked][bad], expect[bad]):
+        errors.append(f"node {k}: stored radius {rk:g} != {ek:g}")
+
+    # Top-down along parent pointers: ``prev`` is the radius of the nearest
+    # non-pruned node on the path so far, where ``has`` says there is one,
+    # and ``viol`` the first node whose radius grows on the path.
+    prev = radius.copy()
+    has = ~pruned
     viol = np.full(n_nodes, -1, dtype=np.int64)
-    for s in range(1, int(steps[walked].max(initial=0)) + 1):
-        g = np.flatnonzero(walked & (steps == s))
-        pv = prev[par[g]]
-        viol[g] = viol[par[g]]
-        grows = (viol[g] < 0) & ~pruned[g] & (radius[g] > pv * (1 + _REL_TOL))
+    for g in _levels(steps, walked)[1:]:
+        pg = par[g]
+        pv = prev[pg]
+        viol[g] = viol[pg]
+        grows = (viol[g] < 0) & ~pruned[g] & has[pg] & ~(radius[g] <= pv * (1 + _REL_TOL))
         viol[g[grows]] = g[grows]
         prev[g] = np.where(pruned[g], pv, radius[g])
-    for k in viol[leaf & walked & (viol >= 0)]:
-        warnings.append(f"radius grows along path at node {ids[k]}")
+        has[g] |= has[pg]
+    grown = viol[leaf]
+    warnings += [f"radius grows along path at node {k}" for k in grown[grown >= 0]]
 
     return TreeValidation(not errors, errors, warnings, capacity_flags)
 
@@ -647,10 +643,14 @@ def _min_positive(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray) 
 
 
 def write_tree(tree: ChainingTree, path: str) -> None:
-    """Serialize one node per line with a header carrying the schedules."""
+    """Serialize one live node per line, in id order, with a header carrying the schedules."""
     H = tree.max_depth
     eps = ",".join(f"{tree.epsilon(h):.12g}" for h in range(H + 1))
     caps = ",".join(f"{tree.capacity(h):.12g}" for h in range(H + 1))
+    live = np.flatnonzero(tree.alive)
+    rows = zip(live.tolist(), tree.depth[live].tolist(), tree.location[live].tolist(),
+               tree.parent[live].tolist(), tree.is_pruned[live].tolist(),
+               tree.radius[live].tolist(), tree.value[live].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schedule={tree.schedule} shift={tree.shift}"
                  f" u={'' if tree.u is None else format(tree.u, '.12g')}"
@@ -658,7 +658,5 @@ def write_tree(tree: ChainingTree, path: str) -> None:
         fh.write(f"# epsilon={eps}\n")
         fh.write(f"# capacity={caps}\n")
         fh.write("node_id,depth,location_id,parent_id,is_pruned,radius,value\n")
-        for nid, nd in sorted(tree.nodes.items()):
-            parent = "" if nd.parent is None else str(nd.parent)
-            fh.write(f"{nid},{nd.depth},{nd.location},{parent},"
-                     f"{int(nd.pruned)},{nd.radius:.12g},{nd.value:.12g}\n")
+        for nid, h, at, up, flag, r, v in rows:
+            fh.write(f"{nid},{h},{at},{'' if up == -1 else up},{int(flag)},{r:.12g},{v:.12g}\n")

@@ -77,7 +77,7 @@ def _cmd_tree_build(args) -> int:
     if not check.ok:
         raise InternalError("tree validation failed: " + "; ".join(check.errors))
     chaining.write_tree(tree, args.out)
-    print(f"tree with {len(tree.nodes)} nodes, depth {tree.max_depth}, "
+    print(f"tree with {int(tree.alive.sum())} nodes, depth {tree.max_depth}, "
           f"restarts {tree.restart_count} -> {args.out}")
     return 0
 

@@ -275,13 +275,13 @@ def validate_upper(config: ExperimentConfig) -> ValidationReport:
 
     H = tree.max_depth
     depth_viol = np.zeros((H + 1, config.trials), dtype=bool)
-    for nid, nd in sorted(tree.nodes.items()):
+    for nid in np.flatnonzero(tree.alive).tolist():
         desc = tree.descendant_points(nid)
         if desc.size <= 1:
             continue
-        bound = float(omega_vals[nd.depth])
-        excess = paths[:, desc].max(axis=1) - paths[:, nd.location]
-        depth_viol[nd.depth] |= excess > bound + 1e-9
+        h = int(tree.depth[nid])
+        excess = paths[:, desc].max(axis=1) - paths[:, tree.location[nid]]
+        depth_viol[h] |= excess > float(omega_vals[h]) + 1e-9
     joint = depth_viol.any(axis=0)
     bound_p = math.exp(-config.u)
     report = ValidationReport()
@@ -310,26 +310,23 @@ def validate_lower(config: ExperimentConfig) -> ValidationReport:
     paths = sample_paths(space, kernel, config.trials, [config.seed_base, 1])
 
     report = ValidationReport()
-    pruned_depths = sorted({nd.depth for nd in tree.nodes.values() if nd.pruned})
+    pruned_depths = np.unique(tree.depth[tree.alive & tree.is_pruned]).tolist()
     for h in pruned_depths:
         u_h = config.u + tree.capacity(h) + h * math.log(2.0)
         viol = np.zeros(config.trials, dtype=bool)
-        checked = 0
-        for nid in tree.levels[h]:
-            nd = tree.nodes[nid]
-            if not nd.pruned or nd.value <= 0.0:
-                continue
-            checked += 1
+        lvl = tree.levels[h]
+        certified = lvl[tree.is_pruned[lvl] & (tree.value[lvl] > 0.0)].tolist()
+        for nid in certified:
             desc = tree.descendant_points(nid)
-            excess = paths[:, desc].max(axis=1) - paths[:, nd.location]
-            viol |= excess < nd.value - 1e-9
-        note = "" if checked else "vacuous: all values zero"
+            excess = paths[:, desc].max(axis=1) - paths[:, tree.location[nid]]
+            viol |= excess < tree.value[nid] - 1e-9
+        note = "" if certified else "vacuous: all values zero"
         report.claims.append(tail_claim(f"lower-depth-{h}", config.trials,
                                         int(viol.sum()), math.exp(-u_h), note))
 
-    root = tree.nodes[tree.root_id]
-    denom = lower_bound_functional(tree, root.node_id)
-    sup = paths[:, tree.descendant_points(root.node_id)].max(axis=1) - paths[:, root.location]
+    root = tree.root_id
+    denom = lower_bound_functional(tree, root)
+    sup = paths[:, tree.descendant_points(root)].max(axis=1) - paths[:, tree.location[root]]
     ratios = sup / denom if denom > 0 else np.full(config.trials, math.nan)
     if denom > 0:
         report.extras["ratio_q05"] = float(np.quantile(ratios, 0.05))

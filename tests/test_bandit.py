@@ -20,12 +20,8 @@ from chainopt.smoothness import SmoothnessModel, confidence_level_u_i
 def _chain_tree(depth):
     locs = np.cumsum([0.0] + [2.0 ** -i for i in range(1, depth + 1)])
     sp = FiniteMetricSpace.from_coordinates(locs)
-    tree = ChainingTree(sp, "geometric", 1)
-    prev = tree.new_node(0, 0, None)
-    for i in range(1, depth + 1):
-        prev = tree.new_node(i, i, prev.node_id)
-    tree.recompute_geometry()
-    return tree
+    ids = np.arange(depth + 1)
+    return ChainingTree(sp, "geometric", 1, ids - 1, ids, ids)
 
 
 def _dense_posterior(kernel, eta2, coords, obs, ys):

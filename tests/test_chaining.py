@@ -15,6 +15,7 @@ from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
                       sample_paths, validate_tree, write_tree, zeta)
 from chainopt.chaining import _EXP_OVERFLOW, _REL_TOL, TreeValidation, restart_limit
 from chainopt.smoothness import SmoothnessModel, confidence_level_u_i, psi_star_inv
+from conftest import tied_spaces, ultrametric_spaces
 
 
 @pytest.fixture
@@ -27,12 +28,8 @@ def _chain_space_and_tree(depth):
     """A path of nodes, one per level, with step i of length 2^-i."""
     locs = np.cumsum([0.0] + [2.0 ** -i for i in range(1, depth + 1)])
     sp = FiniteMetricSpace.from_coordinates(locs)
-    tree = ChainingTree(sp, "geometric", 1)
-    prev = tree.new_node(0, 0, None)
-    for i in range(1, depth + 1):
-        prev = tree.new_node(i, i, prev.node_id)
-    tree.recompute_geometry()
-    return sp, tree
+    ids = np.arange(depth + 1)
+    return sp, ChainingTree(sp, "geometric", 1, ids - 1, ids, ids)
 
 
 class TestBuildForward:
@@ -46,7 +43,7 @@ class TestBuildForward:
         # diameter 4 gives eps_1 = 1.0 under the default shift
         assert line5_tree.epsilon(1) == pytest.approx(1.0)
         sp = line5_tree.space
-        locs = {line5_tree.nodes[n].location for n in line5_tree.levels[0] + line5_tree.levels[1]}
+        locs = {line5_tree.nodes[n].location for n in np.concatenate(line5_tree.levels[:2])}
         assert is_cover(sp, sorted(locs), 1.0)
 
     def test_every_level_covers_the_space(self, line5_tree):
@@ -108,11 +105,12 @@ class TestPruneBackward:
     def test_star_structure(self):
         tree = prune_backward(build_forward(make_star(50)), 1.0)
         root = tree.nodes[tree.root_id]
-        kept = [tree.nodes[c] for c in root.children if not tree.nodes[c].pruned]
-        pruned = [tree.nodes[c] for c in root.children if tree.nodes[c].pruned]
+        kids = tree.children(tree.root_id).tolist()
+        kept = [tree.nodes[c] for c in kids if not tree.nodes[c].pruned]
+        pruned = [tree.nodes[c] for c in kids if tree.nodes[c].pruned]
         assert len(kept) == 7 and len(pruned) == 1
         # ties in the all-zero values break toward the smallest node id
-        assert sorted(k.node_id for k in kept) == sorted(root.children)[:7]
+        assert [k.node_id for k in kept] == kids[:7]
         assert len(tree.descendant_points(pruned[0].node_id)) == 43
         assert pruned[0].location == root.location
         assert tree.restart_count == 1
@@ -120,12 +118,11 @@ class TestPruneBackward:
 
     def test_star_second_level_split(self):
         tree = prune_backward(build_forward(make_star(50)), 1.0)
-        first = next(tree.nodes[c] for c in tree.nodes[tree.root_id].children
-                     if tree.nodes[c].pruned)
-        second = [tree.nodes[c] for c in first.children if tree.nodes[c].pruned]
-        kept = [c for c in first.children if not tree.nodes[c].pruned]
+        first = next(c for c in tree.children(tree.root_id) if tree.is_pruned[c])
+        second = [c for c in tree.children(first) if tree.is_pruned[c]]
+        kept = [c for c in tree.children(first) if not tree.is_pruned[c]]
         assert len(second) == 1 and len(kept) == 7
-        assert len(second[0].children) == 36
+        assert len(tree.children(second[0])) == 36
 
     def test_balanced_tree_untouched(self):
         sp = FiniteMetricSpace.from_coordinates(np.arange(6.0))
@@ -284,13 +281,13 @@ class TestLowerValue:
         def chain_sum(nid):
             nd = tree.nodes[nid]
             own = phi_term(nd) if nd.pruned else 0.0
-            if not nd.children:
+            if not tree.children(nid).size:
                 return own
-            return own + max(chain_sum(c) for c in nd.children)
+            return own + max(chain_sum(c) for c in tree.children(nid))
 
         for nid, nd in tree.nodes.items():
             expect = chain_sum(nid) if nd.pruned else \
-                (max((chain_sum(c) for c in nd.children), default=0.0))
+                (max((chain_sum(c) for c in tree.children(nid)), default=0.0))
             assert lower_value(tree, nid) == pytest.approx(expect, abs=1e-12)
 
 
@@ -302,15 +299,13 @@ class TestLowerBoundFunctional:
 
     def test_single_chain_geometric_sum(self):
         _, tree = _chain_space_and_tree(6)
-        for nid, nd in tree.nodes.items():
-            nd.radius = 2.0 ** -nd.depth
+        tree.radius[:] = 2.0 ** -tree.depth
         expect = sum(2.0 ** (-i / 2.0) for i in range(0, 7))
         assert lower_bound_functional(tree, tree.root_id) == pytest.approx(expect)
 
     def test_nonincreasing_along_path(self):
         _, tree = _chain_space_and_tree(6)
-        for nid, nd in tree.nodes.items():
-            nd.radius = 2.0 ** -nd.depth
+        tree.radius[:] = 2.0 ** -tree.depth
         vals = [lower_bound_functional(tree, nid) for nid in range(7)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -424,9 +419,15 @@ def _omega_by_leaf_chains(tree, u, a, model, majorized):
 
 @st.composite
 def _small_spaces(draw):
-    """Stars, or clouds on a 1/64 lattice (ties and exact duplicates are common)."""
-    if draw(st.integers(0, 3)) == 0:
+    """Stars, clouds on a 1/64 lattice (ties and exact duplicates are common), shortest
+    paths over integer weights with zeros, or pseudo-ultrametrics."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
         return make_star(draw(st.integers(1, 60)))
+    if kind == 1:
+        return draw(tied_spaces())
+    if kind == 2:
+        return draw(ultrametric_spaces())
     dim = draw(st.integers(1, 2))
     coord = st.integers(0, 256).map(lambda k: k / 64.0)
     pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=45))
@@ -439,16 +440,20 @@ class TestTreeProperties:
            shift=st.sampled_from([0, 1]), u=st.sampled_from([0.5, 2.0]))
     def test_built_tree_invariants(self, space, schedule, shift, u):
         tree = build_tree(space, schedule, shift, u)
-        fresh = tree.copy()
-        fresh.recompute_geometry()
+        kids = {nid: [] for nid in tree.nodes}
+        for nid, nd in tree.nodes.items():
+            if nd.parent is not None:
+                kids[nd.parent].append(nid)
         below = {nid: set() for nid in tree.nodes}
         for leaf in tree.leaves():
             for nid in tree.chain(leaf):
                 below[nid].add(tree.nodes[leaf].location)
         for nid, nd in tree.nodes.items():
-            assert np.array_equal(tree.descendant_points(nid), fresh.descendant_points(nid))
+            assert tree.children(nid).tolist() == kids[nid]
+            assert nid in tree.levels[nd.depth]
             assert tree.descendant_points(nid).tolist() == sorted(below[nid])
-            assert nd.radius == fresh.nodes[nid].radius
+            assert nd.radius == tree.space.row(nd.location)[sorted(below[nid])].max()
+        assert sum(map(len, tree.levels)) == len(tree.nodes)
         for model in (SmoothnessModel.gaussian(), SmoothnessModel.sub_gamma(1.5, 0.3),
                       SmoothnessModel.squared_gp(2)):
             for majorized in (False, True):
@@ -460,21 +465,33 @@ class TestTreeProperties:
 
 
 def _validate_tree_by_loops(tree):
-    """Reference oracle for validate_tree: every check as a per-node or per-leaf loop."""
+    """Reference oracle for validate_tree: every check as a per-node or per-leaf loop.
+
+    It reads ``tree.nodes`` only, and finds the children, levels, leaves and
+    descendant points from the parent pointers itself.
+    """
     errors: list[str] = []
     warnings: list[str] = []
     space = tree.space
+    nodes = dict(sorted(tree.nodes.items()))
+    kids = {nid: [] for nid in nodes}
+    levels: dict[int, list[int]] = {}
+    for nid, nd in nodes.items():
+        levels.setdefault(nd.depth, []).append(nid)
+        if nd.parent in kids:
+            kids[nd.parent].append(nid)
+    max_depth = max(levels)
 
-    if len(tree.levels[0]) != 1 or tree.nodes[tree.levels[0][0]].depth != 0:
+    roots = levels.get(0, [])
+    if len(roots) != 1:
         errors.append("tree must have exactly one root at depth 0")
-    root = tree.nodes[tree.root_id]
-    if root.parent is not None:
+    if roots and nodes[roots[0]].parent is not None:
         errors.append("root must have no parent")
 
-    for nid, nd in sorted(tree.nodes.items()):
+    for nid, nd in nodes.items():
         if nd.parent is None:
             continue
-        parent = tree.nodes.get(nd.parent)
+        parent = nodes.get(nd.parent)
         if parent is None:
             errors.append(f"node {nid} has a dangling parent")
             continue
@@ -487,8 +504,8 @@ def _validate_tree_by_loops(tree):
                 errors.append(f"node {nid}: parent distance {d:g} exceeds eps({nd.depth - 1})={bound:g}")
 
     capacity_flags: list[int] = []
-    for h, lvl in enumerate(tree.levels):
-        locs = [tree.nodes[nid].location for nid in lvl if not tree.nodes[nid].pruned]
+    for h in range(max_depth + 1):
+        locs = [nodes[nid].location for nid in levels.get(h, []) if not nodes[nid].pruned]
         if len(locs) > 1:
             D = space.pairwise(np.array(locs))
             vals = D[D > 0]
@@ -499,38 +516,44 @@ def _validate_tree_by_loops(tree):
             capacity_flags.append(h)
 
     if tree.pruned:
-        for nid, nd in sorted(tree.nodes.items()):
-            nonpruned = [c for c in nd.children if not tree.nodes[c].pruned]
+        for nid, nd in nodes.items():
+            nonpruned = [c for c in kids[nid] if not nodes[c].pruned]
             cap = tree.child_capacity(nd.depth)
             if not math.isinf(cap) and len(nonpruned) > math.floor(cap):
                 errors.append(f"node {nid}: {len(nonpruned)} children exceed capacity {cap:g}")
         if tree.restart_count > restart_limit(space.n):
             errors.append(f"restart count {tree.restart_count} exceeds the cap")
 
-    leaves = tree.leaves()
-    leaf_locs = sorted(tree.nodes[nid].location for nid in leaves)
+    leaves = [nid for nid in nodes if not kids[nid]]
+    leaf_locs = sorted(nodes[nid].location for nid in leaves)
     if leaf_locs != list(range(space.n)):
         errors.append("leaves do not biject with the point set")
     if not tree.pruned:
-        if any(tree.nodes[nid].depth != tree.max_depth for nid in leaves):
+        if any(nodes[nid].depth != max_depth for nid in leaves):
             errors.append("unpruned tree must carry all leaves at the deepest level")
 
-    for nid, nd in sorted(tree.nodes.items()):
-        pts = tree.descendant_points(nid)
-        expect = float(space.row(nd.location)[pts].max())
-        if abs(nd.radius - expect) > _REL_TOL * max(1.0, expect):
-            errors.append(f"node {nid}: stored radius {nd.radius:g} != {expect:g}")
-
+    chains = {}
     for leaf in leaves:
-        chain, nd = [], tree.nodes[leaf]
+        chain, nd = [], nodes[leaf]
         while nd is not None:           # stops below a dangling parent
             chain.append(nd)
-            nd = tree.nodes.get(nd.parent)
+            nd = nodes.get(nd.parent)
+        chains[leaf] = chain[::-1]
+    below = {nid: [] for nid in nodes}
+    for leaf, chain in chains.items():
+        for nd in chain:
+            below[nd.node_id].append(nodes[leaf].location)
+    for nid, nd in nodes.items():
+        expect = float(space.row(nd.location)[below[nid]].max())
+        if not abs(nd.radius - expect) <= _REL_TOL * max(1.0, expect):
+            errors.append(f"node {nid}: stored radius {nd.radius:g} != {expect:g}")
+
+    for leaf, chain in chains.items():
         prev = None
-        for nd in reversed(chain):
+        for nd in chain:
             if nd.pruned:
                 continue
-            if prev is not None and nd.radius > prev * (1 + _REL_TOL):
+            if prev is not None and not nd.radius <= prev * (1 + _REL_TOL):
                 warnings.append(f"radius grows along path at node {nd.node_id}")
                 break
             prev = nd.radius
@@ -563,27 +586,38 @@ class TestValidateCorruptedTrees:
         return check.errors
 
     def test_root(self, line8):
-        line8.levels[0].append(1)
+        line8.parent[1], line8.depth[1] = -1, 0
         assert "tree must have exactly one root at depth 0" in self._errors(line8)
 
+    def test_root_parent(self, line8):
+        line8.parent[0] = 99
+        assert "root must have no parent" in self._errors(line8)
+
     def test_dangling_parent(self, line8):
-        line8.nodes[7].parent = 99
+        line8.parent[7] = 99
         assert "node 7 has a dangling parent" in self._errors(line8)
 
+    def test_dead_parent(self):
+        # pruning drops node 8 at depth 1 and keeps its id as a gap
+        tree = _six_clusters_tree()
+        assert 8 not in tree.nodes and 8 < len(tree.parent)
+        tree.parent[20] = 8
+        assert "node 20 has a dangling parent" in self._errors(tree)
+
     def test_parent_depth(self, line8):
-        line8.nodes[7].parent = 0
+        line8.parent[7] = 0
         assert "node 7: parent depth 0 != 1" in self._errors(line8)
 
     def test_parent_distance(self, line8):
-        line8.nodes[11].parent = 1
+        line8.parent[11] = 1
         assert "node 11: parent distance 7 exceeds eps(1)=1.75" in self._errors(line8)
 
     def test_separation(self, line8):
-        line8.nodes[2].location = 1
+        line8.location[2] = 1
         assert "depth 1: separation 1 below eps=1.75" in self._errors(line8)
 
     def test_child_cap(self, star50):
-        star50.nodes[51].pruned = False
+        star50.is_pruned[51] = False
         assert "node 0: 8 children exceed capacity 7.38906" in self._errors(star50)
 
     def test_restart_cap(self, star50):
@@ -591,20 +625,25 @@ class TestValidateCorruptedTrees:
         assert "restart count 4 exceeds the cap" in self._errors(star50)
 
     def test_leaf_bijection(self, line8):
-        line8.nodes[7].location = 0
+        line8.location[7] = 0
         assert "leaves do not biject with the point set" in self._errors(line8)
 
     def test_unpruned_leaf_depth(self, line8):
-        line8.nodes[1].children = []
+        line8.parent[[4, 7]] = 2      # node 1 is left without children at depth 1
         assert ("unpruned tree must carry all leaves at the deepest level"
                 in self._errors(line8))
 
     def test_radius(self, line8):
-        line8.nodes[2].radius = 5.0
+        line8.radius[2] = 5.0
         assert "node 2: stored radius 5 != 1" in self._errors(line8)
 
+    @pytest.mark.parametrize("nid, expect", [(2, 1), (0, 7)])
+    def test_nan_radius(self, line8, nid, expect):
+        line8.radius[nid] = math.nan
+        assert f"node {nid}: stored radius nan != {expect}" in self._errors(line8)
+
     def test_monotonicity_warning_once_per_leaf(self, line8):
-        line8.nodes[0].radius = 0.5
+        line8.radius[0] = 0.5
         check = validate_tree(line8)
         assert check == _validate_tree_by_loops(line8)
         assert check.errors == ["node 0: stored radius 0.5 != 7"]
@@ -627,7 +666,7 @@ def _subtree(tree, nid):
     while stack:
         k = stack.pop()
         out.add(k)
-        stack.extend(tree.nodes[k].children)
+        stack.extend(tree.children(k).tolist())
     return out
 
 
@@ -637,64 +676,63 @@ _CORRUPTIONS = ("location", "dangling", "parent_depth", "parent_far", "radius",
 
 @st.composite
 def _corrupted_trees(draw, kind):
-    """A tree from the TestTreeProperties strategies with one field of one node corrupted.
+    """A tree from the TestTreeProperties strategies with one column of one node corrupted.
 
     Parents are only ever re-pointed outside the node's own subtree: on a
-    parent cycle the loop oracle would walk forever.
+    parent cycle the loop oracle would walk forever.  Child lists are
+    derived from the parent column, so the ``children`` kind re-points
+    parents too: it empties a node, or hands it another node's child.
     """
     tree = build_tree(draw(_small_spaces()), draw(st.sampled_from(["geometric", "entropy"])),
                       draw(st.sampled_from([0, 1])), draw(st.sampled_from([0.5, 2.0])))
     nids = sorted(tree.nodes)
     # pruned nodes, and the nodes right below them, are rare: draw them on purpose
-    under = {"pruned": lambda k: tree.nodes[k].pruned,
-             "radius": lambda k: tree.nodes[k].parent is not None
-             and tree.nodes[tree.nodes[k].parent].pruned}.get(kind)
+    under = {"pruned": lambda k: tree.is_pruned[k],
+             "radius": lambda k: tree.parent[k] >= 0 and tree.is_pruned[tree.parent[k]]}.get(kind)
     pool = [k for k in nids if under(k)] if under else []
     if not pool or draw(st.booleans()):
-        pool = tree.levels[draw(st.integers(0, tree.max_depth))]
-    nd = tree.nodes[draw(st.sampled_from(pool))]
-    outside = [k for k in nids if k not in _subtree(tree, nd.node_id)]
+        pool = tree.levels[draw(st.integers(0, tree.max_depth))].tolist()
+    k = draw(st.sampled_from(pool))
+    depth = tree.depth[k]
+    outside = [j for j in nids if j not in _subtree(tree, k)]
     if kind == "location":
-        held = {tree.nodes[k].location for k in tree.levels[nd.depth]}
+        held = set(tree.location[tree.levels[depth]].tolist())
         absent = [p for p in range(tree.space.n) if p not in held]
-        nd.location = draw(st.sampled_from(absent) if absent and draw(st.booleans())
-                           else st.integers(0, tree.space.n - 1))
+        tree.location[k] = draw(st.sampled_from(absent) if absent and draw(st.booleans())
+                                else st.integers(0, tree.space.n - 1))
     elif kind == "dangling":
-        nd.parent = nids[-1] + draw(st.integers(1, 3))
+        # a dead id, an id past the end, or a negative id other than -1
+        gone = np.flatnonzero(~tree.alive).tolist()
+        tree.parent[k] = draw(st.sampled_from(gone + [nids[-1] + 1, nids[-1] + 3, -2]))
     elif kind == "parent_depth":
-        wrong = [k for k in outside if tree.nodes[k].depth != nd.depth - 1]
+        wrong = [j for j in outside if tree.depth[j] != depth - 1]
         if wrong:
-            nd.parent = draw(st.sampled_from(wrong))
+            tree.parent[k] = draw(st.sampled_from(wrong))
     elif kind == "parent_far":
-        level = [k for k in outside if tree.nodes[k].depth == nd.depth - 1]
+        level = [j for j in outside if tree.depth[j] == depth - 1]
         if level:
-            row = tree.space.row(nd.location)
-            nd.parent = max(level, key=lambda k: (row[tree.nodes[k].location], k))
+            row = tree.space.row(tree.location[k])
+            tree.parent[k] = max(level, key=lambda j: (row[tree.location[j]], j))
     elif kind == "radius":
         # around the radius that monotonicity compares with: the nearest
         # non-pruned ancestor's
-        up = tree.nodes.get(nd.parent)
-        while up is not None and up.pruned:
-            up = tree.nodes.get(up.parent)
-        ref = nd.radius if up is None else up.radius
-        nd.radius = draw(st.one_of(
+        up = tree.parent[k]
+        while up >= 0 and tree.is_pruned[up]:
+            up = tree.parent[up]
+        ref = tree.radius[k] if up < 0 else tree.radius[up]
+        tree.radius[k] = draw(st.one_of(
             st.floats(0.0, 8.0), st.just(math.nan),
             st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 1.0 + 1e-8, 2.0]).map(
                 lambda f: f * ref)))
     elif kind == "pruned":
-        nd.pruned = not nd.pruned
+        tree.is_pruned[k] = not tree.is_pruned[k]
     elif kind == "children":
-        op = draw(st.sampled_from(["clear", "drop", "duplicate", "adopt"]))
-        if op == "clear":
-            nd.children = []
-        elif op == "adopt":
-            nd.children.append(draw(st.sampled_from(nids)))
-        elif nd.children:
-            k = draw(st.integers(0, len(nd.children) - 1))
-            if op == "drop":
-                del nd.children[k]
-            else:
-                nd.children.append(nd.children[k])
+        same = [j for j in nids if tree.depth[j] == depth and j != k]
+        lower = [j for j in nids if tree.depth[j] == depth + 1 and tree.parent[j] != k]
+        if same and (not lower or draw(st.booleans())):
+            tree.parent[tree.children(k)] = draw(st.sampled_from(same))
+        elif lower:
+            tree.parent[draw(st.sampled_from(lower))] = k
     else:
         tree.restart_count = draw(st.integers(0, 6))
     return tree
@@ -731,25 +769,25 @@ class TestValidateMatchesLoops:
     def test_pruned_levels_with_moved_location(self, tree, nid, loc):
         # pruned levels are not supersets of the level above, so a moved
         # location may break separation where the carried bound has not looked
-        nd = tree.nodes[sorted(tree.nodes)[nid % len(tree.nodes)]]
-        nd.location = loc % tree.space.n
+        nids = sorted(tree.nodes)
+        tree.location[nids[nid % len(nids)]] = loc % tree.space.n
         assert validate_tree(tree) == _validate_tree_by_loops(tree)
 
     def test_monotonicity_skips_pruned_nodes(self):
         # below a pruned node the radius is compared with the root's, not the
         # pruned node's smaller one
         tree = _six_clusters_tree()
-        root, pruned = tree.nodes[0], tree.nodes[tree.levels[1][-1]]
-        assert pruned.radius < root.radius
-        child = tree.nodes[pruned.children[0]]
-        child.radius = root.radius
+        pruned = tree.levels[1][-1]
+        assert tree.radius[pruned] < tree.radius[0]
+        child = next(c for c in tree.children(pruned) if not tree.is_pruned[c])
+        tree.radius[child] = tree.radius[0]
         check = validate_tree(tree)
         assert check == _validate_tree_by_loops(tree)
-        assert f"radius grows along path at node {child.node_id}" not in check.warnings
-        child.radius = root.radius * 1.01
+        assert f"radius grows along path at node {child}" not in check.warnings
+        tree.radius[child] = tree.radius[0] * 1.01
         check = validate_tree(tree)
         assert check == _validate_tree_by_loops(tree)
-        assert f"radius grows along path at node {child.node_id}" in check.warnings
+        assert f"radius grows along path at node {child}" in check.warnings
 
 
 class TestSeparationGathers:
@@ -792,7 +830,7 @@ class TestSeparationGathers:
                    key=lambda pq: (sp.distance(*pq), pq))
         assert 0 < sp.distance(p, q) < tree.epsilon(h)
         a = next(nid for nid in kept if tree.nodes[nid].location != q)
-        tree.nodes[a].location = p
+        tree.location[a] = p
         check, calls = self._square_gathers(monkeypatch, tree)
         assert check == _validate_tree_by_loops(tree)
         assert f"depth {h}: separation {sp.distance(p, q):g} below eps={tree.epsilon(h):g}" \

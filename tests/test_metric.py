@@ -18,6 +18,7 @@ from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
                       is_cover, load_distance_matrix,
                       load_point_cloud, load_space, metric_entropy,
                       sample_cover_compact, write_cover_csv)
+from conftest import tied_spaces
 
 
 @pytest.fixture
@@ -198,26 +199,8 @@ class TestGreedyCover:
         assert first == second
 
 
-@st.composite
-def _tied_spaces(draw):
-    """Small spaces with many equal distances: lattice clouds, or shortest paths of a graph."""
-    n = draw(st.integers(1, 14))
-    if draw(st.booleans()):
-        dim = draw(st.integers(1, 2))
-        coord = st.integers(0, 16).map(lambda k: k / 8.0)
-        return FiniteMetricSpace.from_coordinates(
-            draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n)))
-    # integer edge weights, zero included, closed under shortest paths: a pseudo-metric
-    W = np.zeros((n, n))
-    for i, j in itertools.combinations(range(n), 2):
-        W[i, j] = W[j, i] = draw(st.integers(0, 4))
-    for k in range(n):
-        W = np.minimum(W, W[:, [k]] + W[[k], :])
-    return FiniteMetricSpace.from_distance_matrix(W)
-
-
 class TestGreedyCoverProperties:
-    @given(space=_tied_spaces(), data=st.data())
+    @given(space=tied_spaces(), data=st.data())
     def test_each_center_has_the_largest_remaining_ball(self, space, data):
         D = space.pairwise(np.arange(space.n))
         eps = data.draw(st.sampled_from(sorted(set(D[D > 0].tolist())) or [1.0]))
