@@ -360,7 +360,7 @@ def prune_backward(tree: ChainingTree, u: float) -> ChainingTree:
         raise ArgumentError("u must be positive and finite")
     if tree.schedule != "geometric":
         raise ArgumentError("pruning values require the geometric schedule")
-    work = copy.copy(tree)      # shares only the derived structure, rebuilt at the end
+    work = copy.copy(tree)      # the derived structure is rebuilt at the end
     for name in ("parent", "depth", "location", "is_pruned", "radius", "value", "alive"):
         setattr(work, name, getattr(tree, name).copy())
     work.u = float(u)
