@@ -202,7 +202,7 @@ class ChainingTree:
 def _levels(depth: np.ndarray, nodes: np.ndarray) -> list[np.ndarray]:
     """The given node ids grouped by depth, ascending within each depth."""
     order = nodes[np.argsort(depth[nodes], kind="stable")]
-    cuts = np.searchsorted(depth[order], np.arange(int(depth[nodes].max()) + 2))
+    cuts = np.searchsorted(depth[order], np.arange(int(depth[nodes].max(initial=-1)) + 2))
     return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 

@@ -593,6 +593,13 @@ class TestValidateCorruptedTrees:
         line8.parent[0] = 99
         assert "root must have no parent" in self._errors(line8)
 
+    def test_root_on_a_cycle(self, star50):
+        # every node is on or below the cycle 0 -> 51 -> 0, so none is walked;
+        # the loop oracle would walk the cycle forever
+        star50.parent[0] = 51
+        check = validate_tree(star50)
+        assert check.errors[:2] == ["root must have no parent", "node 0: parent depth 1 != -1"]
+
     def test_dangling_parent(self, line8):
         line8.parent[7] = 99
         assert "node 7 has a dangling parent" in self._errors(line8)
