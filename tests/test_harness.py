@@ -1,5 +1,6 @@
 """Tests for config parsing, generators, validation suites and the experiment driver."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -331,3 +332,51 @@ class TestRunExperiment:
         text = open(files["validation"]).read()
         assert "regret-bound-freq" in text
         assert "variance-info-gain" in text
+
+
+_UPPER_FINGERPRINT_SPACES = ("grid:dim=1,per_dim=64", "grid:dim=1,per_dim=256",
+                             "grid:dim=2,per_dim=12")
+_LOWER_FINGERPRINT_SPACES = ("star:n=64", "star:n=200", "star:n=1024",
+                             "grid:dim=1,per_dim=128")
+
+
+def _report_digest(report, path):
+    report.write_csv(str(path))
+    digest = hashlib.sha256(path.read_bytes())
+    for key, val in sorted(report.extras.items()):
+        digest.update(f"{key}={val!r}\n".encode())
+    return digest.hexdigest()
+
+
+# sha256 of (write_csv output, extras) of seeded validation reports
+_REPORT_FINGERPRINTS = {
+    'upper grid:dim=1,per_dim=64 geometric': 'bffb1ad9fced7dce2b0e494965b21286375acac83728db2648e933fcbd9129ee',
+    'upper grid:dim=1,per_dim=64 entropy': '346e383f6d35811bb75a5eb70fba4e7faab79e410994b2859c8286f46ab61e67',
+    'upper grid:dim=1,per_dim=256 geometric': '5804bb3259859e6836dbf9cbf632f2dd99a3a7233c3071af856132d5b0733e0d',
+    'upper grid:dim=1,per_dim=256 entropy': '5804bb3259859e6836dbf9cbf632f2dd99a3a7233c3071af856132d5b0733e0d',
+    'upper grid:dim=2,per_dim=12 geometric': 'bffb1ad9fced7dce2b0e494965b21286375acac83728db2648e933fcbd9129ee',
+    'upper grid:dim=2,per_dim=12 entropy': 'bcf36cf2f5a6b45de4d88a8af2a575e2a2e78d77a0bb9ad4def6b9701b7a2350',
+    'lower star:n=64': 'd91afeac86cec56c69b013a2186faa8d07ba88ff6276f32f87844da8b13cb0be',
+    'lower star:n=200': 'c5f21ea2f9aa1c3d2f2ce11b43b99ab59a8324f1230c9205a5645c35afeea3bc',
+    'lower star:n=1024': '2c3c6ec9a0adb52a36807a23420301fb56daaf48549bdc19bdc1c0158ab3b364',
+    'lower grid:dim=1,per_dim=128': '51fedfd941ebecd75c74be74ae1e8a93c455ad1a6405a1674e1e2d4c293f6bad',
+}
+
+
+class TestReportFingerprints:
+    """Seeded validate_upper and validate_lower reports come out byte for byte as pinned."""
+
+    @pytest.mark.parametrize("space", _UPPER_FINGERPRINT_SPACES)
+    @pytest.mark.parametrize("schedule", ["geometric", "entropy"])
+    def test_upper(self, tmp_path, space, schedule):
+        cfg = ExperimentConfig(space=space, kernel="se:ls=0.2", schedule=schedule,
+                               trials=2_000, seed_base=11)
+        got = _report_digest(validate_upper(cfg), tmp_path / "report.csv")
+        assert got == _REPORT_FINGERPRINTS[f"upper {space} {schedule}"]
+
+    @pytest.mark.parametrize("space", _LOWER_FINGERPRINT_SPACES)
+    def test_lower(self, tmp_path, space):
+        cfg = ExperimentConfig(space=space, kernel="se:ls=0.2", u=1.0, trials=500,
+                               seed_base=12)
+        got = _report_digest(validate_lower(cfg), tmp_path / "report.csv")
+        assert got == _REPORT_FINGERPRINTS[f"lower {space}"]
