@@ -240,6 +240,24 @@ def _radii(space: FiniteMetricSpace, location: np.ndarray, lo: np.ndarray, hi: n
         space.distances(np.repeat(location[nodes], size), location[below]), starts)
 
 
+def _cell_excess(tree: ChainingTree, paths: np.ndarray, nodes) -> np.ndarray:
+    """Each path's maximum over each node's points minus its value at the node's location.
+
+    ``paths`` has one column per point, the result one column per node of
+    ``nodes``.  The maximum runs over the node's slice of the leaf order one
+    path column at a time, so nothing larger than a column is copied.
+    """
+    out = np.empty((len(nodes), len(paths))).T
+    for k, v in enumerate(np.asarray(nodes, dtype=np.int64).tolist()):
+        first, *rest = tree._leaf_loc[tree._lo[v]:tree._hi[v]].tolist()
+        col = out[:, k]
+        col[:] = paths[:, first]
+        for p in rest:
+            np.maximum(col, paths[:, p], out=col)
+        col -= paths[:, tree.location[v]]
+    return out
+
+
 def restart_limit(n: int) -> int:
     """Pruning restarts allowed for an n-point space: ceil(log log n) + 1."""
     inner = math.log(max(math.log(max(n, 2)), 1.0))
@@ -549,7 +567,8 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     child = live[par[live] >= 0]
     for k in child[depth[par[child]] != depth[child] - 1]:
         issues.append((k, 1, f"node {k}: parent depth {depth[par[k]]} != {depth[k] - 1}"))
-    near = child[~pruned[child] & ~pruned[par[child]]]
+    # depth 0 has no eps(-1): a depth-0 node with a parent fails the parent depth check
+    near = child[~pruned[child] & ~pruned[par[child]] & (depth[child] > 0)]
     if near.size:
         hs, at = np.unique(depth[near] - 1, return_inverse=True)
         bound = np.array([tree.epsilon(h) for h in hs.tolist()])[at]

@@ -97,12 +97,9 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_validate(args, which: str) -> int:
+def _cmd_validate(args) -> int:
     config = harness.parse_config(args.config)
-    fn = {"upper": harness.validate_upper,
-          "lower": harness.validate_lower,
-          "lemmas": harness.validate_lemmas}[which]
-    report = fn(config)
+    report = getattr(harness, args.command.replace("-", "_"))(config)
     for c in report.claims:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.claim}: rate {c.rate:.6g} vs bound {c.bound:.6g} "
@@ -125,12 +122,8 @@ def main(argv=None) -> int:
             return _cmd_tree_build(args)
         if args.command == "optimize":
             return _cmd_optimize(args)
-        if args.command == "validate-upper":
-            return _cmd_validate(args, "upper")
-        if args.command == "validate-lower":
-            return _cmd_validate(args, "lower")
-        if args.command == "validate-lemmas":
-            return _cmd_validate(args, "lemmas")
+        if args.command.startswith("validate-"):
+            return _cmd_validate(args)
         parser.error(f"unknown command {args.command!r}")
     except (ParseError, ArgumentError, CapacityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ArgumentError, NumericError
-from .metric import FiniteMetricSpace
+from .errors import ArgumentError, CapacityError, NumericError
+from .metric import DENSE_LIMIT, FiniteMetricSpace
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
@@ -262,16 +262,25 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
     """Draw centered process paths whose increments match the space's metric.
 
     Coordinate spaces use the kernel covariance directly.  Matrix spaces
-    embed the metric through the centered Gram transform, which reproduces
-    the pairwise distances exactly whenever the metric is of negative type.
-    Returns an array of shape (n_paths, n).
+    embed the metric through the centered Gram transform
+    ``(d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2``, built in one n×n buffer, which
+    reproduces the pairwise distances exactly whenever the metric is of
+    negative type.  Returns an array of shape (n_paths, n).  A draw of more
+    than ``DENSE_LIMIT ** 2`` values (512 MiB) raises CapacityError before
+    anything is built.
     """
+    if n_paths * space.n > DENSE_LIMIT ** 2:
+        raise CapacityError(f"{n_paths} paths over {space.n} points exceed the "
+                            f"{DENSE_LIMIT ** 2}-value limit of a path draw")
     if kernel is not None and space.coords is not None:
-        K = gram(kernel, space.coords)
-    else:
-        D = space.pairwise(np.arange(space.n))
-        d0 = D[0]
-        K = 0.5 * (d0[:, None] ** 2 + d0[None, :] ** 2 - D ** 2)
+        return _draw(gram(kernel, space.coords), n_paths, seed)
+    every = np.arange(space.n)
+    sq = space.pairwise([0], every)[0] ** 2
+    K = np.add.outer(sq, sq)
+    step = max(1, _BLOCK_BYTES // (8 * space.n))
+    for lo in range(0, space.n, step):
+        K[lo:lo + step] -= space.pairwise(every[lo:lo + step], every) ** 2
+    K *= 0.5
     return _draw(K, n_paths, seed)
 
 

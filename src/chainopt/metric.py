@@ -114,12 +114,10 @@ class FiniteMetricSpace:
         return np.sqrt(np.einsum("ij,ij->i", d, d))
 
     def distance(self, i: int, j: int) -> float:
-        """Pseudo-metric distance ``d(i, j)``."""
+        """Pseudo-metric distance ``d(i, j)``, as :meth:`row` gives it."""
         self._check_id(i)
         self._check_id(j)
-        if self._dist is not None:
-            return float(self._dist[i, j])
-        return float(np.linalg.norm(self._coords[i] - self._coords[j]))
+        return float(self.distances([i], [j])[0])
 
     def pairwise(self, ids: Sequence[int] | np.ndarray,
                  others: Sequence[int] | np.ndarray | None = None) -> np.ndarray:

@@ -13,7 +13,8 @@ from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
                       lower_bound_functional, lower_value, make_star, omega,
                       omega_table, parent_at_depth, phi, prune_backward,
                       sample_paths, validate_tree, write_tree, zeta)
-from chainopt.chaining import _EXP_OVERFLOW, _REL_TOL, TreeValidation, restart_limit
+from chainopt.chaining import (_EXP_OVERFLOW, _REL_TOL, TreeValidation, _cell_excess,
+                               restart_limit)
 from chainopt.smoothness import SmoothnessModel, confidence_level_u_i, psi_star_inv
 from conftest import tied_spaces, ultrametric_spaces
 
@@ -497,7 +498,7 @@ def _validate_tree_by_loops(tree):
             continue
         if parent.depth != nd.depth - 1:
             errors.append(f"node {nid}: parent depth {parent.depth} != {nd.depth - 1}")
-        if not nd.pruned and not parent.pruned:
+        if not nd.pruned and not parent.pruned and nd.depth > 0:
             d = space.distance(nd.location, parent.location)
             bound = tree.epsilon(nd.depth - 1)
             if d > bound * (1 + _REL_TOL):
@@ -599,6 +600,19 @@ class TestValidateCorruptedTrees:
         star50.parent[0] = 51
         check = validate_tree(star50)
         assert check.errors[:2] == ["root must have no parent", "node 0: parent depth 1 != -1"]
+
+    def test_root_under_its_child(self, line8):
+        # the cycle 0 -> 3 -> 0: the root has a live parent, but no eps(-1) is asked
+        # for; the loop oracle would walk the cycle forever
+        line8.parent[0] = 3
+        check = validate_tree(line8)
+        assert check.errors[:2] == ["root must have no parent", "node 0: parent depth 1 != -1"]
+
+    def test_second_top_with_a_parent(self, line8):
+        line8.depth[5] = 0
+        errors = self._errors(line8)
+        assert "tree must have exactly one root at depth 0" in errors
+        assert "node 5: parent depth 1 != -1" in errors
 
     def test_dangling_parent(self, line8):
         line8.parent[7] = 99
@@ -757,6 +771,48 @@ def _six_clusters_tree():
     tree = build_tree(sp, "geometric", 1, 1.0)
     assert tree.nodes[tree.levels[1][-1]].pruned
     return tree
+
+
+def _cell_excess_by_gathers(tree, paths, nodes):
+    """Reference oracle for _cell_excess: one gather of each node's sorted points."""
+    out = np.empty((len(paths), len(nodes)))
+    for k, v in enumerate(nodes):
+        out[:, k] = paths[:, tree.descendant_points(v)].max(axis=1) - paths[:, tree.location[v]]
+    return out
+
+
+class TestCellExcess:
+    """_cell_excess reads each node's slice of the leaf order as the per-node gathers do."""
+
+    @staticmethod
+    def _check(tree, paths):
+        for nodes in (np.flatnonzero(tree.alive), *tree.levels, []):
+            assert np.array_equal(_cell_excess(tree, paths, nodes),
+                                  _cell_excess_by_gathers(tree, paths, nodes))
+
+    @given(space=_small_spaces(), schedule=st.sampled_from(["geometric", "entropy"]),
+           pruned=st.booleans(), seed=st.integers(0, 2 ** 16), order=st.sampled_from("CF"))
+    def test_matches_gathers(self, space, schedule, pruned, seed, order):
+        tree = build_forward(space, schedule=schedule)
+        if pruned and schedule == "geometric":
+            tree = prune_backward(tree, 1.0)
+        paths = np.random.default_rng(seed).standard_normal((6, space.n))
+        self._check(tree, np.asarray(paths, order=order))
+
+    @pytest.mark.parametrize("name", ["star50", "six-clusters"])
+    def test_pruned_node_away_from_its_points(self, name):
+        # the pruned node borrows its parent's location, which stays with the
+        # parent's self-copy, so none of its points is its location
+        tree = (prune_backward(build_forward(make_star(50)), 1.0) if name == "star50"
+                else _six_clusters_tree())
+        pid = tree.levels[1][-1]
+        pts = tree.descendant_points(pid)
+        assert tree.is_pruned[pid] and tree.location[pid] not in pts
+        paths = sample_paths(tree.space, None, 200, seed=3)
+        got = _cell_excess(tree, paths, [pid])[:, 0]
+        assert np.array_equal(got, paths[:, pts].max(axis=1) - paths[:, tree.location[pid]])
+        assert np.all(got != 0.0)
+        self._check(tree, paths)
 
 
 class TestValidateMatchesLoops:

@@ -191,6 +191,13 @@ class TestValidateCommands:
         assert main(["validate-lower", "--config", str(cfg)]) == 2
         assert "8192-point limit" in capsys.readouterr().err
 
+    def test_oversized_draw_exits_2(self, tmp_path, capsys):
+        # 64 points x 2^21 paths: refused before the Gram matrix, not a MemoryError
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("space = star:n=64\nu = 1.0\ntrials = 2097152\n")
+        assert main(["validate-lower", "--config", str(cfg)]) == 2
+        assert "67108864-value limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["kernel = se:lengthscale=0.2", "model = gaussian:nu=1",
                                       "model = squaredgp:n=2,kappa=1.0",
                                       "model = subgamma:nu=nan", "u = nan", "a = inf"])

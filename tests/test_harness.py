@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetricSpace,
                       Kernel, OptimizerConfig, ParseError, RegretRecord,
@@ -12,6 +14,12 @@ from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetr
                       make_star, parse_config, run_experiment, sample_paths,
                       space_from_spec, validate_lemmas, validate_lower,
                       validate_upper)
+from chainopt import gp
+from conftest import tied_spaces, ultrametric_spaces
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached past the path-size check")
 
 
 def _write_config(tmp_path, text, name="exp.cfg"):
@@ -171,6 +179,43 @@ class TestSamplePaths:
         assert np.array_equal(sample_paths(sp, None, 5, seed=1),
                               sample_paths(sp, None, 5, seed=1))
 
+    @pytest.mark.parametrize("kernel", [None, Kernel("se", 0.5)])
+    def test_path_limit_before_the_gram(self, monkeypatch, kernel):
+        sp = FiniteMetricSpace.from_coordinates(np.arange(4.0))
+        monkeypatch.setattr(gp, "gram", _unreachable)
+        monkeypatch.setattr(sp, "pairwise", _unreachable)
+        with pytest.raises(CapacityError, match="16777217 paths over 4 points"):
+            sample_paths(sp, kernel, 8192 ** 2 // 4 + 1, seed=0)
+
+    def test_path_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(gp, "_draw", lambda K, n_paths, seed: (K.shape, n_paths))
+        assert sample_paths(make_star(4), None, 8192 ** 2 // 4, seed=0) == ((4, 4), 8192 ** 2 // 4)
+
+    @staticmethod
+    def _gram(monkeypatch, space):
+        """The matrix sample_paths factors for a space without a kernel."""
+        seen = []
+        monkeypatch.setattr(gp, "_draw", lambda K, n_paths, seed: seen.append(K.copy()))
+        sample_paths(space, None, 1, seed=0)
+        return seen[0]
+
+    @staticmethod
+    def _gram_by_formula(space):
+        """Reference oracle: the centered Gram transform over the whole distance matrix."""
+        D = space.pairwise(np.arange(space.n))
+        d0 = D[0]
+        return 0.5 * (d0[:, None] ** 2 + d0[None, :] ** 2 - D ** 2)
+
+    @pytest.mark.parametrize("n", [1, 300, 1024])
+    def test_gram_on_stars_matches_the_formula(self, monkeypatch, n):
+        sp = make_star(n)
+        assert np.array_equal(self._gram(monkeypatch, sp), self._gram_by_formula(sp))
+
+    @given(space=st.one_of(tied_spaces(), ultrametric_spaces()))
+    def test_gram_matches_the_formula(self, space):
+        with pytest.MonkeyPatch.context() as patch:
+            assert np.array_equal(self._gram(patch, space), self._gram_by_formula(space))
+
 
 class TestValidateUpper:
     def test_single_point_space_never_violates(self, tmp_path):
@@ -196,11 +241,18 @@ class TestValidateUpper:
         report = validate_upper(cfg)
         assert report.all_pass
 
-    def test_capacity_cap(self):
-        cfg = ExperimentConfig(space="grid:dim=1,per_dim=300", trials=10)
-        from chainopt import CapacityError
-        with pytest.raises(CapacityError):
+    def test_capacity_cap(self, monkeypatch):
+        # 64 points x 2^21 paths is twice the 8192^2-value limit of a draw
+        cfg = ExperimentConfig(space="line:n=64", trials=2 ** 21)
+        monkeypatch.setattr(gp, "chol_with_jitter", _unreachable)
+        with pytest.raises(CapacityError, match="67108864-value limit"):
             validate_upper(cfg)
+
+    def test_past_the_old_point_cap(self):
+        cfg = ExperimentConfig(space="grid:dim=1,per_dim=1024", kernel="se:ls=0.2",
+                               trials=10_000, seed_base=4)
+        report = validate_upper(cfg)
+        assert report.all_pass and report.claims[0].trials == 10_000
 
 
 class TestValidateLower:

@@ -63,6 +63,19 @@ class TestFiniteMetricSpace:
         with pytest.raises(ArgumentError):
             line5.distance(-1, 0)
 
+    def test_distance_without_a_stored_matrix_matches_rows(self):
+        # past DENSE_LIMIT nothing is stored: distance, distances and row
+        # compute one formula, bit for bit
+        rng = np.random.default_rng(5)
+        sp = FiniteMetricSpace.from_coordinates(rng.standard_normal((8193, 3)))
+        i, j = rng.integers(0, 8193, size=(2, 500)).tolist()
+        rows = [sp.row(a)[b] for a, b in zip(i, j)]
+        assert [sp.distance(a, b) for a, b in zip(i, j)] == rows
+        assert sp.distances(i, j).tolist() == rows
+        for bad in ((0, 8193), (-1, 0), (0.0, 1)):
+            with pytest.raises(ArgumentError, match="out of range"):
+                sp.distance(*bad)
+
     def test_matrix_symmetry_enforced(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ArgumentError):
