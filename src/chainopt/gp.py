@@ -261,13 +261,12 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
                  n_paths: int, seed) -> np.ndarray:
     """Draw centered process paths whose increments match the space's metric.
 
-    Coordinate spaces use the kernel covariance directly.  Matrix spaces
-    embed the metric through the centered Gram transform
-    ``(d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2``, built in one n×n buffer, which
-    reproduces the pairwise distances exactly whenever the metric is of
-    negative type.  Returns an array of shape (n_paths, n).  A draw of more
-    than ``DENSE_LIMIT ** 2`` values (512 MiB) raises CapacityError before
-    anything is built.
+    Coordinate spaces use the kernel covariance directly.  Matrix spaces embed
+    the metric through the centered Gram transform ``(d(0,i)^2 + d(0,j)^2 -
+    d(i,j)^2) / 2``, built in one n×n buffer, which reproduces the distances
+    exactly whenever the metric is of negative type.  Returns an array of
+    shape (n_paths, n); more than ``DENSE_LIMIT ** 2`` values (512 MiB) is a
+    CapacityError, raised before anything is built.
     """
     if n_paths * space.n > DENSE_LIMIT ** 2:
         raise CapacityError(f"{n_paths} paths over {space.n} points exceed the "

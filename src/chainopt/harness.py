@@ -271,8 +271,10 @@ def validate_upper(config: ExperimentConfig) -> ValidationReport:
     omega_vals = omega_table(tree, config.u, config.a, model)
     paths = sample_paths(space, kernel, config.trials, [config.seed_base, 0])
 
-    depth_viol = np.stack([_cell_excess(tree, paths, lvl).max(axis=1) > omega_vals[h] + 1e-9
-                           for h, lvl in enumerate(tree.levels)])
+    depth_viol = np.zeros((tree.max_depth + 1, config.trials), dtype=bool)
+    for v in np.flatnonzero(tree.alive).tolist():    # one node at a time: column-sized temporaries
+        h = tree.depth[v]
+        depth_viol[h] |= _cell_excess(tree, paths, [v])[:, 0] > omega_vals[h] + 1e-9
     bound_p = math.exp(-config.u)
     report = ValidationReport()
     report.claims.append(tail_claim("upper-joint", config.trials,
@@ -302,8 +304,7 @@ def validate_lower(config: ExperimentConfig) -> ValidationReport:
     pruned_depths = np.unique(tree.depth[tree.alive & tree.is_pruned]).tolist()
     for h in pruned_depths:
         u_h = config.u + tree.capacity(h) + h * math.log(2.0)
-        certified = np.flatnonzero(tree.alive & tree.is_pruned & (tree.depth == h)
-                                   & (tree.value > 0.0))
+        certified = np.flatnonzero(tree.is_pruned & (tree.depth == h) & (tree.value > 0) & tree.alive)
         viol = (_cell_excess(tree, paths, certified) < tree.value[certified] - 1e-9).any(axis=1)
         note = "" if certified.size else "vacuous: all values zero"
         report.claims.append(tail_claim(f"lower-depth-{h}", config.trials,
