@@ -786,10 +786,11 @@ class TestCellExcess:
 
     @staticmethod
     def _check(tree, paths):
-        for nodes in (np.flatnonzero(tree.alive), *tree.levels, []):
+        for nodes in (np.flatnonzero(tree.alive), []):
             assert np.array_equal(_cell_excess(tree, paths, nodes),
                                   _cell_excess_by_gathers(tree, paths, nodes))
 
+    @settings(max_examples=50)
     @given(space=_small_spaces(), schedule=st.sampled_from(["geometric", "entropy"]),
            pruned=st.booleans(), seed=st.integers(0, 2 ** 16), order=st.sampled_from("CF"))
     def test_matches_gathers(self, space, schedule, pruned, seed, order):

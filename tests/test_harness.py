@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetricSpace,
@@ -211,6 +211,7 @@ class TestSamplePaths:
         sp = make_star(n)
         assert np.array_equal(self._gram(monkeypatch, sp), self._gram_by_formula(sp))
 
+    @settings(max_examples=50)
     @given(space=st.one_of(tied_spaces(), ultrametric_spaces()))
     def test_gram_matches_the_formula(self, space):
         with pytest.MonkeyPatch.context() as patch:
