@@ -790,7 +790,7 @@ class TestCellExcess:
             assert np.array_equal(_cell_excess(tree, paths, nodes),
                                   _cell_excess_by_gathers(tree, paths, nodes))
 
-    @settings(max_examples=50)
+    @settings(max_examples=30)
     @given(space=_small_spaces(), schedule=st.sampled_from(["geometric", "entropy"]),
            pruned=st.booleans(), seed=st.integers(0, 2 ** 16), order=st.sampled_from("CF"))
     def test_matches_gathers(self, space, schedule, pruned, seed, order):
