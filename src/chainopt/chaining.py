@@ -274,7 +274,8 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     (ties toward the smaller point id).  Points at distance exactly zero
     from a tree point can never become uncovered; they are attached at
     distance zero once everything else has entered.  Each level's columns
-    are built in one piece, and the tree is derived once at the end.
+    are built in one piece, and the tree is derived once at the end.  Every
+    distance is read in blocks of whole rows, so no m×m float array exists.
     """
     if schedule not in ("geometric", "entropy"):
         raise ArgumentError(f"schedule must be 'geometric' or 'entropy', got {schedule!r}")
@@ -288,15 +289,9 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     best_pt = np.zeros(n, dtype=int)
 
     diam = space.diameter
-    min_pos = None
-    if n > 1:
-        for i in range(n):
-            row = space.row(i)
-            pos = row[row > 0]
-            if pos.size:
-                m = float(pos.min())
-                min_pos = m if min_pos is None else min(min_pos, m)
-    if diam > 0 and min_pos:
+    every = np.arange(n)
+    min_pos = _min_positive(space, every)
+    if diam > 0 and min_pos < math.inf:
         h_limit = math.ceil(math.log2(diam / min_pos)) + shift + 3
     else:
         h_limit = 2
@@ -321,13 +316,14 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
         depth.append(np.full(len(old) + len(new_points), h))
         location.append(np.concatenate((old, new_points)))
         latest[location[-1]] = latest.max() + 1 + np.arange(len(location[-1]))
-        for pid in new_points.tolist():
-            row = space.row(pid)
-            closer = row < best_d
-            best_d[closer] = row[closer]
-            best_pt[closer] = pid
-            tie = (row == best_d) & (best_pt > pid)
-            best_pt[tie] = pid
+        # nearest tree points, ties toward the smaller id: argmin over ascending ids
+        pts = np.sort(new_points)
+        for lo, blk in space.row_blocks(pts):
+            k = np.argmin(blk, axis=0)
+            d, p = blk[k, every], pts[lo + k]
+            win = (d < best_d) | ((d == best_d) & (p < best_pt))
+            best_d[win] = d[win]
+            best_pt[win] = p[win]
 
     return ChainingTree(space, schedule, shift, np.concatenate(parent),
                         np.concatenate(depth), np.concatenate(location))
@@ -535,10 +531,10 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     children, levels, leaves and descendant points are derived here from
     the parent and depth columns.  The separation check is incremental:
     level h carries a lower bound on the smallest positive distance within
-    the level above and gathers only the distances from the points new at
-    h to the whole level.  Pairs of points both present one level up cannot
-    be closer than that bound, so the full level-by-level distance matrix
-    is gathered only when the bound falls below ``eps(h)``, which makes the
+    the level above and reads only the distance rows of the points new at
+    h, restricted to the level.  Pairs of points both present one level up
+    cannot be closer than that bound, so the rows of the whole level are
+    read only when the bound falls below ``eps(h)``, which makes the
     reported separation exact.  The radius check and the monotonicity walk
     run top-down from each node's topmost reachable ancestor, and fail on a
     NaN radius; a dangling parent starts a new chain, and nodes on or below
@@ -590,9 +586,7 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
         if len(locs) > 1:
             carried = min(carried, _min_positive(space, level[~seen[level]], level))
             if carried < eps_h * (1 - _REL_TOL):
-                D = space.pairwise(locs)     # symmetric, zero diagonal
-                vals = D[D > 0]     # zero-distance points are indistinguishable
-                carried = float(vals.min()) if vals.size else math.inf
+                carried = _min_positive(space, level, level)    # over distinct points
                 if carried < eps_h * (1 - _REL_TOL):
                     errors.append(f"depth {h}: separation {carried:g} below eps={eps_h:g}")
         seen[:] = False
@@ -651,12 +645,13 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     return TreeValidation(not errors, errors, warnings, capacity_flags)
 
 
-def _min_positive(space: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray) -> float:
-    """Smallest positive distance from ``rows`` to ``cols``, in blocks of 2^20 entries."""
+def _min_positive(space: FiniteMetricSpace, rows: np.ndarray,
+                  cols: np.ndarray | None = None) -> float:
+    """Smallest positive distance from the points ``rows`` to ``cols`` (default: every point)."""
     best = math.inf
-    step = max(1, (1 << 20) // max(len(cols), 1))
-    for i in range(0, len(rows), step):
-        blk = space.pairwise(rows[i:i + step], cols)
+    for _, blk in space.row_blocks(rows):
+        if cols is not None:
+            blk = blk[:, cols]
         best = min(best, float(np.min(blk, where=blk > 0, initial=math.inf)))
     return best
 

@@ -86,6 +86,8 @@ def _cmd_optimize(args) -> int:
     space = metric.load_space(args.space)
     if space.coords is None:
         raise ArgumentError("optimize needs a coordinate-backed space file")
+    if args.seed < 0:
+        raise ArgumentError("seed must be nonnegative")
     kernel = parse_kernel(args.kernel)
     config = OptimizerConfig(u=args.u, a=args.a, eta2=args.eta2, t_max=args.t,
                              depth_rule=args.depth_rule, schedule=args.schedule)

@@ -17,13 +17,12 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, NumericError
-from .metric import DENSE_LIMIT, FiniteMetricSpace
+from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
 
 _MATERN_P = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
-_BLOCK_BYTES = 1 << 20     # block of an n×n array transformed in place
 _IN_PLACE_BYTES = 1 << 25  # smallest matrix chol_with_jitter factors without a copy
 _KERNEL_SPECS = {fam: {"ls": 1.0, "var": 1.0} for fam in ("se", "ou", *_MATERN_P)}
 _KERNEL_SPECS["linear"] = {"var": 1.0}    # a linear kernel has no lengthscale
@@ -273,12 +272,10 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
                             f"{DENSE_LIMIT ** 2}-value limit of a path draw")
     if kernel is not None and space.coords is not None:
         return _draw(gram(kernel, space.coords), n_paths, seed)
-    every = np.arange(space.n)
-    sq = space.pairwise([0], every)[0] ** 2
+    sq = space.row(0) ** 2
     K = np.add.outer(sq, sq)
-    step = max(1, _BLOCK_BYTES // (8 * space.n))
-    for lo in range(0, space.n, step):
-        K[lo:lo + step] -= space.pairwise(every[lo:lo + step], every) ** 2
+    for lo, blk in space.row_blocks(np.arange(space.n)):
+        K[lo:lo + len(blk)] -= blk ** 2
     K *= 0.5
     return _draw(K, n_paths, seed)
 

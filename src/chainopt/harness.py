@@ -24,7 +24,7 @@ from .chaining import (_cell_excess, build_tree, lower_bound_functional, omega_t
 from .errors import ArgumentError, CapacityError, ParseError
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
-from .metric import DENSE_LIMIT, FiniteMetricSpace, load_space
+from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, load_space
 from .smoothness import SmoothnessModel
 
 _TOL = 1e-12
@@ -143,6 +143,8 @@ class ExperimentConfig:
             raise ArgumentError("replicates must be at least 1")
         if self.trials < 1:
             raise ArgumentError("trials must be at least 1")
+        if self.seed_base < 0:
+            raise ArgumentError("seed_base must be nonnegative")
 
     def build_kernel(self) -> Kernel:
         return parse_kernel(self.kernel)
@@ -327,6 +329,13 @@ def validate_lower(config: ExperimentConfig) -> ValidationReport:
     return report
 
 
+def _row_maxima(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
+    """Row maxima of a ``(rows, m)`` standard normal draw, made about 1 MiB at a time."""
+    step = max(1, _BLOCK_BYTES // (8 * m))
+    return np.concatenate([rng.standard_normal(size=(min(step, rows - lo), m)).max(axis=1)
+                           for lo in range(0, rows, step)])
+
+
 _SQ_TAIL_GRID = tuple(itertools.product((0.0, 1.0, 3.0), (0.5, 1.0, 2.0), (1.0, 2.0)))
 _MAX_NORMAL_CELLS = ((26, 1.0), (260, 10.0))
 
@@ -357,7 +366,7 @@ def validate_lemmas(config: ExperimentConfig) -> ValidationReport:
     n3 = max(trials // 10, 1)
     for m, u in _MAX_NORMAL_CELLS:
         thr = math.sqrt(math.log(m / (2.6 * u)))
-        maxima = rng.standard_normal(size=(n3, m)).max(axis=1)
+        maxima = _row_maxima(rng, n3, m)
         below = int(np.sum(maxima < thr))
         report.claims.append(tail_claim(f"max-normal-m{m}-u{u:g}", n3, below,
                                         math.exp(-u)))
@@ -367,7 +376,7 @@ def validate_lemmas(config: ExperimentConfig) -> ValidationReport:
     alpha, delta = math.sqrt(2.0), 1.0
     threshold = phi(alpha, delta, m, u)
     n5 = max(trials // 10, 1)
-    maxima = rng.standard_normal(size=(n5, m - 1)).max(axis=1)
+    maxima = _row_maxima(rng, n5, m - 1)
     maxima = np.maximum(maxima, 0.0)       # the base point itself is in the set
     below = int(np.sum(maxima < threshold))
     report.claims.append(tail_claim(f"packed-max-m{m}-u{u:g}", n5, below,
@@ -375,7 +384,7 @@ def validate_lemmas(config: ExperimentConfig) -> ValidationReport:
     vac = phi(alpha, delta, 3, 1.0)
     report.claims.append(tail_claim("packed-max-vacuous-m3-u1", n5,
                                     int(np.sum(np.maximum(
-                                        rng.standard_normal(size=(n5, 2)).max(axis=1),
+                                        _row_maxima(rng, n5, 2),
                                         0.0) < vac)),
                                     math.exp(-1.0),
                                     note="vacuous: threshold clamps to zero"))

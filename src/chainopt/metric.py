@@ -32,6 +32,7 @@ _TRIANGLE_FULL_LIMIT = 64    # exhaustive triangle check below, sampled above
 _TRIANGLE_SAMPLES = 10_000
 _SYMMETRY_RTOL = 1e-12
 _TRIANGLE_SLACK = 1e-9       # relative slack for floating-point distances
+_BLOCK_BYTES = 1 << 20       # bytes per block where a large array is worked through in pieces
 
 
 class FiniteMetricSpace:
@@ -113,6 +114,21 @@ class FiniteMetricSpace:
         d = self._coords - self._coords[i]
         return np.sqrt(np.einsum("ij,ij->i", d, d))
 
+    def rows(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Distances from the given point ids (rows) to every point, as :meth:`row` gives them."""
+        ids = self._checked_ids(ids)
+        if self._dist is not None:
+            return self._dist[ids]
+        d = self._coords[None, :, :] - self._coords[ids, None, :]
+        return np.sqrt(np.einsum("kij,kij->ki", d, d))
+
+    def row_blocks(self, ids: Sequence[int] | np.ndarray):
+        """Yield ``(start, rows(ids[start:stop]))`` over ``ids`` in blocks of about 1 MiB."""
+        ids = np.asarray(ids, dtype=int)
+        step = max(1, _BLOCK_BYTES // (8 * self.n))
+        for lo in range(0, len(ids), step):
+            yield lo, self.rows(ids[lo:lo + step])
+
     def distance(self, i: int, j: int) -> float:
         """Pseudo-metric distance ``d(i, j)``, as :meth:`row` gives it."""
         self._check_id(i)
@@ -150,10 +166,7 @@ class FiniteMetricSpace:
     def _compute_diameter(self) -> float:
         if self._dist is not None:
             return float(self._dist.max())
-        best = 0.0
-        for i in range(self.n):
-            best = max(best, float(self.row(i).max()))
-        return best
+        return max(float(blk.max()) for _, blk in self.row_blocks(np.arange(self.n)))
 
 
 def _check_finite(what: str, arr: np.ndarray) -> None:
@@ -171,7 +184,7 @@ def _checked_metric(d: np.ndarray) -> np.ndarray:
     _check_finite("distance", d)
     if np.any(np.abs(np.diag(d)) > 0):
         raise ArgumentError("d(i,i) must be zero for every point")
-    if not np.array_equal(d, d.T):
+    if not _exactly_symmetric(d):
         scale = max(np.abs(d).max(), 1.0)
         if not np.allclose(d, d.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * scale):
             raise ArgumentError("distance matrix is not symmetric")
@@ -194,6 +207,13 @@ def _checked_metric(d: np.ndarray) -> np.ndarray:
             b = bad[0]
             raise ArgumentError(f"triangle inequality violated on ({i[b]},{j[b]},{k[b]})")
     return d
+
+
+def _exactly_symmetric(d: np.ndarray) -> bool:
+    """``array_equal(d, d.T)``, compared tile against transposed tile to stay in cache."""
+    b = 256
+    return all(np.array_equal(d[i:i + b, j:j + b], d[j:j + b, i:i + b].T)
+               for i in range(0, d.shape[0], b) for j in range(i, d.shape[0], b))
 
 
 @dataclass(frozen=True)
@@ -220,7 +240,8 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     most not-yet-covered points, then removes that ball.  Ties break toward
     the smallest point id, which makes the construction deterministic.
     Candidates are restricted to the not-yet-covered points themselves, so
-    the result is both a cover and (strictly) epsilon-separated.
+    the result is both a cover and (strictly) epsilon-separated.  The ball
+    matrix is filled from blocks of whole distance rows: m² booleans, no floats.
     """
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
@@ -234,7 +255,9 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
         raise ArgumentError("subset contains out-of-range point ids")
 
     m = ids.size
-    ball = space.pairwise(ids) <= epsilon
+    ball = np.empty((m, m), dtype=bool)
+    for lo, blk in space.row_blocks(ids):
+        np.take(blk <= epsilon, ids, axis=1, out=ball[lo:lo + len(blk)])
     alive = np.ones(m, dtype=bool)
     counts = ball.sum(axis=1).astype(np.int64)
     assigned = np.full(m, -1, dtype=np.int64)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
-                      build_forward, build_tree, canonical_metric_space, is_cover,
-                      lower_bound_functional, lower_value, make_star, omega,
+                      build_forward, build_tree, canonical_metric_space, greedy_cover,
+                      is_cover, lower_bound_functional, lower_value, make_star, omega,
                       omega_table, parent_at_depth, phi, prune_backward,
                       sample_paths, validate_tree, write_tree, zeta)
+from chainopt import chaining, metric
 from chainopt.chaining import (_EXP_OVERFLOW, _REL_TOL, TreeValidation, _cell_excess,
                                restart_limit)
 from chainopt.smoothness import SmoothnessModel, confidence_level_u_i, psi_star_inv
@@ -465,6 +466,79 @@ class TestTreeProperties:
         assert check.ok and check == _validate_tree_by_loops(tree)
 
 
+def _build_forward_by_loops(space, schedule, shift):
+    """Reference oracle for build_forward: the smallest positive distance and each new
+    point's nearest-tree-point update as loops over single rows, in cover order."""
+    n = space.n
+    parent, depth, location = [-1], [0], [0]
+    latest = np.full(n, -1)
+    latest[0] = 0
+    best_d = space.row(0).copy()
+    best_pt = np.zeros(n, dtype=int)
+    pos = [space.row(i)[space.row(i) > 0].min() for i in range(n) if space.row(i).max() > 0]
+    h_limit = math.ceil(math.log2(space.diameter / min(pos))) + shift + 3 if pos else 2
+    h = 0
+    while np.any(latest < 0):
+        h += 1
+        assert h <= h_limit
+        eps_h = space.diameter * 2.0 ** (-h - shift)
+        remaining = np.flatnonzero(latest < 0)
+        uncovered = remaining[best_d[remaining] > eps_h]
+        if uncovered.size:
+            new_points = list(greedy_cover(space, eps_h, uncovered).centers)
+        elif np.all(best_d[remaining] == 0.0):
+            new_points = remaining.tolist()
+        else:
+            new_points = []
+        old = np.flatnonzero(latest >= 0).tolist()
+        for p, up in [(p, latest[p]) for p in old] + [(p, latest[best_pt[p]]) for p in new_points]:
+            parent.append(int(up))
+            depth.append(h)
+            location.append(p)
+            latest[p] = len(location) - 1
+        for pid in new_points:
+            row = space.row(pid)
+            closer = row < best_d
+            best_d[closer] = row[closer]
+            best_pt[closer] = pid
+            tie = (row == best_d) & (best_pt > pid)
+            best_pt[tie] = pid
+    return ChainingTree(space, schedule, shift, parent, depth, location)
+
+
+class TestBuildForwardByBlocks:
+    """build_forward reads distance rows in blocks; the per-row loops are its oracle."""
+
+    @staticmethod
+    def _built(space, schedule, shift, per_block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metric, "_BLOCK_BYTES", 8 * space.n * per_block)
+            return build_forward(space, schedule, shift)
+
+    @settings(max_examples=60)
+    @given(space=_small_spaces(), schedule=st.sampled_from(["geometric", "entropy"]),
+           shift=st.sampled_from([0, 1]), per_block=st.integers(1, 3))
+    def test_matches_the_row_loops(self, space, schedule, shift, per_block):
+        got = self._built(space, schedule, shift, per_block)
+        want = _build_forward_by_loops(space, schedule, shift)
+        for col in ("parent", "depth", "location"):
+            assert np.array_equal(getattr(got, col), getattr(want, col))
+
+    def test_points_entering_out_of_id_order(self):
+        # lattice ties and duplicates; some level's covers select points out of id order
+        rng = np.random.default_rng(8)
+        pts = rng.integers(0, 8, size=(60, 2)) / 4.0
+        sp = FiniteMetricSpace.from_coordinates(np.concatenate((pts, pts[:10])))
+        want = _build_forward_by_loops(sp, "geometric", 1)
+        for per_block in (1, 2, 3, sp.n):
+            got = self._built(sp, "geometric", 1, per_block)
+            assert np.array_equal(got.parent, want.parent)
+            assert np.array_equal(got.location, want.location)
+        entered = [got.location[lvl][got.location[lvl] != got.location[got.parent[lvl]]]
+                   for lvl in got.levels[1:]]
+        assert any(np.any(np.diff(new) < 0) for new in entered)
+
+
 def _validate_tree_by_loops(tree):
     """Reference oracle for validate_tree: every check as a per-node or per-leaf loop.
 
@@ -855,22 +929,21 @@ class TestValidateMatchesLoops:
 
 
 class TestSeparationGathers:
-    """The full |T_h| x |T_h| separation gather runs only where the carried bound fails."""
+    """A level's separation is read in full only where the carried bound fails."""
 
     @staticmethod
     def _square_gathers(monkeypatch, tree):
-        for h in range(tree.max_depth + 1):
-            tree.capacity(h)    # the entropy schedule's covers gather on their own
-        calls = []
-        inner = tree.space.pairwise
+        calls, seen = [], []
+        inner = chaining._min_positive
 
-        def spy(ids, others=None):
-            if others is None:
-                calls.append(len(ids))
-            return inner(ids, others)
+        def spy(space, rows, cols=None):
+            if seen and seen[-1] is cols:       # a second read of the same level
+                calls.append(len(rows))
+            seen.append(cols)
+            return inner(space, rows, cols)
 
         with monkeypatch.context() as patch:
-            patch.setattr(tree.space, "pairwise", spy)
+            patch.setattr(chaining, "_min_positive", spy)
             return validate_tree(tree), calls
 
     def test_none_on_valid_trees(self, monkeypatch):

@@ -142,6 +142,12 @@ class TestOptimize:
         assert code == 2
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, cloud_file, capsys):
+        code = main(["optimize", "--space", cloud_file, "--t", "3", "--seed", "-1",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
     def test_matrix_space_rejected(self, tmp_path, matrix_file):
         code = main(["optimize", "--space", matrix_file, "--t", "3",
                      "--out", str(tmp_path / "r.csv")])
@@ -200,7 +206,8 @@ class TestValidateCommands:
 
     @pytest.mark.parametrize("line", ["kernel = se:lengthscale=0.2", "model = gaussian:nu=1",
                                       "model = squaredgp:n=2,kappa=1.0",
-                                      "model = subgamma:nu=nan", "u = nan", "a = inf"])
+                                      "model = subgamma:nu=nan", "u = nan", "a = inf",
+                                      "seed_base = -1"])
     def test_bad_kernel_model_or_loop_value_exits_2(self, tmp_path, line):
         cfg = tmp_path / "v.cfg"
         cfg.write_text(f"{line}\ntrials = 10\n")

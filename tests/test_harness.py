@@ -14,7 +14,7 @@ from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetr
                       make_star, parse_config, run_experiment, sample_paths,
                       space_from_spec, validate_lemmas, validate_lower,
                       validate_upper)
-from chainopt import gp
+from chainopt import gp, harness
 from conftest import tied_spaces, ultrametric_spaces
 
 
@@ -183,7 +183,8 @@ class TestSamplePaths:
     def test_path_limit_before_the_gram(self, monkeypatch, kernel):
         sp = FiniteMetricSpace.from_coordinates(np.arange(4.0))
         monkeypatch.setattr(gp, "gram", _unreachable)
-        monkeypatch.setattr(sp, "pairwise", _unreachable)
+        monkeypatch.setattr(sp, "row", _unreachable)
+        monkeypatch.setattr(sp, "rows", _unreachable)
         with pytest.raises(CapacityError, match="16777217 paths over 4 points"):
             sample_paths(sp, kernel, 8192 ** 2 // 4 + 1, seed=0)
 
@@ -301,6 +302,14 @@ class TestValidateLemmas:
         assert len(vac) == 1
         assert vac[0].violations == 0 and vac[0].passed
         assert "vacuous" in vac[0].note
+
+    @pytest.mark.parametrize("rows,m,per_block", [(1, 3, 2), (7, 2, 3), (10, 5, 3), (9, 199, 1)])
+    def test_row_maxima_equal_one_draw(self, monkeypatch, rows, m, per_block):
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * m * per_block)
+        blocked, whole = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(harness._row_maxima(blocked, rows, m),
+                              whole.standard_normal(size=(rows, m)).max(axis=1))
+        assert blocked.standard_normal() == whole.standard_normal()
 
     def test_report_csv(self, tmp_path):
         cfg = ExperimentConfig(trials=2_000)

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainopt import metric
 from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
                       ParseError, brute_force_min_cover, greedy_cover,
                       is_cover, load_distance_matrix,
                       load_point_cloud, load_space, metric_entropy,
                       sample_cover_compact, write_cover_csv)
-from conftest import tied_spaces
+from conftest import tied_spaces, ultrametric_spaces
 
 
 @pytest.fixture
@@ -64,14 +65,17 @@ class TestFiniteMetricSpace:
             line5.distance(-1, 0)
 
     def test_distance_without_a_stored_matrix_matches_rows(self):
-        # past DENSE_LIMIT nothing is stored: distance, distances and row
-        # compute one formula, bit for bit
+        # past DENSE_LIMIT nothing is stored: distance, distances, row and
+        # rows compute one formula, bit for bit
         rng = np.random.default_rng(5)
         sp = FiniteMetricSpace.from_coordinates(rng.standard_normal((8193, 3)))
         i, j = rng.integers(0, 8193, size=(2, 500)).tolist()
         rows = [sp.row(a)[b] for a, b in zip(i, j)]
         assert [sp.distance(a, b) for a, b in zip(i, j)] == rows
         assert sp.distances(i, j).tolist() == rows
+        block = sp.rows(i[:40])
+        assert all(np.array_equal(block[k], sp.row(a)) for k, a in enumerate(i[:40]))
+        assert sp.diameter >= block.max()
         for bad in ((0, 8193), (-1, 0), (0.0, 1)):
             with pytest.raises(ArgumentError, match="out of range"):
                 sp.distance(*bad)
@@ -137,6 +141,16 @@ class TestFiniteMetricSpace:
         assert sp.distance(0, 1) == 0.0
         assert sp.diameter == 1.0
 
+    def test_asymmetry_in_a_far_tile(self):
+        # the exact check compares tiles; break one entry far off the diagonal
+        D = _random_space(np.random.default_rng(8), 600).pairwise(np.arange(600))
+        D[5, 590] += 1e-14
+        sp = FiniteMetricSpace.from_distance_matrix(D)
+        assert sp.distance(5, 590) == sp.distance(590, 5) == 0.5 * (D[5, 590] + D[590, 5])
+        D[5, 590] += 0.5
+        with pytest.raises(ArgumentError, match="not symmetric"):
+            FiniteMetricSpace.from_distance_matrix(D)
+
     def test_sampled_triangle_check_on_large_space(self):
         rng = np.random.default_rng(3)
         D = _random_space(rng, 80).pairwise(np.arange(80))
@@ -149,6 +163,38 @@ class TestFiniteMetricSpace:
         with pytest.raises(ArgumentError,
                            match=r"^triangle inequality violated on \(7,47,3\)$"):
             FiniteMetricSpace.from_distance_matrix(D)
+
+
+@st.composite
+def _float_spaces(draw):
+    """Seeded Gaussian clouds of 1-5 dimensions, as coordinates or as their matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    sp = FiniteMetricSpace.from_coordinates(
+        rng.standard_normal((draw(st.integers(1, 40)), draw(st.integers(1, 5)))))
+    return FiniteMetricSpace.from_distance_matrix(sp.pairwise(np.arange(sp.n))) \
+        if draw(st.booleans()) else sp
+
+
+class TestRows:
+    @given(space=st.one_of(_float_spaces(), tied_spaces(), ultrametric_spaces()),
+           data=st.data())
+    def test_rows_match_row_and_pairwise(self, space, data):
+        ids = data.draw(st.lists(st.integers(0, space.n - 1), max_size=2 * space.n))
+        got = space.rows(ids)
+        assert got.shape == (len(ids), space.n)
+        assert all(np.array_equal(got[k], space.row(i)) for k, i in enumerate(ids))
+        assert np.array_equal(got, space.pairwise(ids, np.arange(space.n)))
+        per_block = data.draw(st.integers(1, 3))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metric, "_BLOCK_BYTES", 8 * space.n * per_block)
+            blocks = list(space.row_blocks(ids))
+        assert [lo for lo, _ in blocks] == list(range(0, len(ids), per_block))
+        assert np.array_equal(np.concatenate([b for _, b in blocks] or [got]), got)
+
+    def test_rows_out_of_range(self, line5):
+        for bad in ([5], [-1], [0, 7]):
+            with pytest.raises(ArgumentError, match="out of range"):
+                line5.rows(bad)
 
 
 class TestGreedyCover:
