@@ -142,7 +142,7 @@ class FiniteMetricSpace:
         others = ids if others is None else self._checked_ids(others)
         if self._dist is not None:
             return self._dist[np.ix_(ids, others)]
-        return cdist(self._coords[ids], self._coords[others])
+        return self.rows(ids)[:, others]
 
     def distances(self, i: Sequence[int] | np.ndarray,
                   j: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -75,6 +75,7 @@ class TestFiniteMetricSpace:
         assert sp.distances(i, j).tolist() == rows
         block = sp.rows(i[:40])
         assert all(np.array_equal(block[k], sp.row(a)) for k, a in enumerate(i[:40]))
+        assert np.array_equal(sp.pairwise(i[:40], j), block[:, j])
         assert sp.diameter >= block.max()
         for bad in ((0, 8193), (-1, 0), (0.0, 1)):
             with pytest.raises(ArgumentError, match="out of range"):
