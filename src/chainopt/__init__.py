@@ -12,8 +12,7 @@ from .bandit import (BanditState, GPPosterior, OptimizerConfig,
                      regret_bound_rhs, run_gp_ucb, run_squared_gp_ucb)
 from .chaining import (ChainingTree, TreeNode, build_forward, build_tree,
                        lower_bound_functional, lower_value, omega, omega_table,
-                       parent_at_depth, phi, prune_backward, validate_tree,
-                       write_tree)
+                       phi, prune_backward, validate_tree, write_tree)
 from .errors import (ArgumentError, CapacityError, ChainoptError, InternalError,
                      NumericError, ParseError)
 from .gp import (Kernel, c_eta, canonical_metric_space, gram,

@@ -146,13 +146,6 @@ class ChainingTree:
     def leaves(self) -> np.ndarray:
         return np.flatnonzero(self.alive & (np.diff(self._child_ptr) == 0))
 
-    def chain(self, node_id: int) -> list[int]:
-        """Node ids from the root down to ``node_id`` (inclusive)."""
-        out = [self.node(node_id).node_id]
-        while self.parent[out[-1]] >= 0:
-            out.append(int(self.parent[out[-1]]))
-        return out[::-1]
-
     def descendant_points(self, node_id: int) -> np.ndarray:
         """Sorted point ids of the leaves below (and including) a node."""
         v = self.node(node_id).node_id
@@ -275,7 +268,7 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     from a tree point can never become uncovered; they are attached at
     distance zero once everything else has entered.  Each level's columns
     are built in one piece, and the tree is derived once at the end.  Every
-    distance is read in blocks of whole rows, so no m×m float array exists.
+    distance is read in row blocks of about 1 MiB, so no m×m float array exists.
     """
     if schedule not in ("geometric", "entropy"):
         raise ArgumentError(f"schedule must be 'geometric' or 'entropy', got {schedule!r}")
@@ -435,21 +428,11 @@ def _prune_pass(tree: ChainingTree, src: ChainingTree) -> bool:
             tree.parent[moved] = pid        # a leaf has no self-copy below; it moves itself
             tree.depth[moved] = h + 1
             pts = np.concatenate([src._leaf_loc[src._lo[d]:src._hi[d]] for d in dropped.tolist()])
-            tree.radius[pid] = float(tree.space.row(int(tree.location[sid]))[pts].max())
+            tree.radius[pid] = float(tree.space.rows([tree.location[sid]], pts).max())
             if len(spliced) + len(moved) > tree.child_capacity(h):
                 return False    # restart the pruning on the updated tree
             tree.value[pid] = tree.value[np.concatenate((spliced, moved))].max() + _phi_term(tree, pid)
     return True
-
-
-def parent_at_depth(tree: ChainingTree, node_id: int, h: int) -> int:
-    """Ancestor of a node at depth h; the node itself if already at depth <= h."""
-    if h < 0:
-        raise ArgumentError("depth must be nonnegative")
-    nid = tree.node(node_id).node_id
-    while tree.depth[nid] > h:
-        nid = int(tree.parent[nid])
-    return nid
 
 
 def omega_table(tree: ChainingTree, u: float, a: float, model: SmoothnessModel,
@@ -649,9 +632,7 @@ def _min_positive(space: FiniteMetricSpace, rows: np.ndarray,
                   cols: np.ndarray | None = None) -> float:
     """Smallest positive distance from the points ``rows`` to ``cols`` (default: every point)."""
     best = math.inf
-    for _, blk in space.row_blocks(rows):
-        if cols is not None:
-            blk = blk[:, cols]
+    for _, blk in space.row_blocks(rows, cols):
         best = min(best, float(np.min(blk, where=blk > 0, initial=math.inf)))
     return best
 

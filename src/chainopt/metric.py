@@ -3,7 +3,10 @@
 A space is a set of points 0..n-1 together with a pseudo-metric, given
 either as an explicit distance matrix or as coordinate vectors under the
 Euclidean metric (kernel-induced canonical distances are built by
-:mod:`chainopt.gp`, which hands the resulting matrix to this module).
+:mod:`chainopt.gp`, which hands the resulting matrix to this module).  A
+coordinate space stores no distance matrix at any size: every read
+computes the requested rows and columns with ``cdist``, bit for bit the
+entries of ``cdist(coords, coords)``.
 
 Covers come in three flavours:
 
@@ -27,7 +30,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, ParseError
 
-DENSE_LIMIT = 8192           # precompute the full distance matrix up to this size
+DENSE_LIMIT = 8192           # size cap of a generated space and of a path draw's side
 _TRIANGLE_FULL_LIMIT = 64    # exhaustive triangle check below, sampled above
 _TRIANGLE_SAMPLES = 10_000
 _SYMMETRY_RTOL = 1e-12
@@ -39,26 +42,33 @@ class FiniteMetricSpace:
     """Points ``0..n-1`` with a pseudo-metric and a cached diameter.
 
     Construct through :meth:`from_coordinates` or
-    :meth:`from_distance_matrix`.  Coordinates, whichever constructor
-    receives them, must be finite.  Every distance matrix is checked
-    against the pseudo-metric axioms: finite entries, zero diagonal,
-    symmetry, nonnegativity and the triangle inequality (exhaustive for
-    n <= 64, on 10 000 random triples beyond).  A coordinate space's
-    Euclidean distances satisfy the axioms by construction and are not
-    re-checked.  :meth:`from_distance_matrix` copies the matrix it is
-    given, so later writes by the caller do not reach the space; calling
-    the constructor with ``matrix=`` takes the array over without a copy,
-    which the canonical spaces of :mod:`chainopt.gp` do with the matrix
-    they build.  Instances are immutable once built and safe for
-    concurrent readers.
+    :meth:`from_distance_matrix`.  A matrix space keeps its checked
+    matrix.  A coordinate space keeps only its coordinates, a 1-D or 2-D
+    finite array, at any number of points: each read computes the
+    requested distances with ``scipy.spatial.distance.cdist`` (paired
+    reads sum the squared differences one dimension at a time, then take
+    the square root), so every read gives the bits of
+    ``cdist(coords, coords)`` without holding the n×n matrix.  Every
+    distance matrix is checked against the pseudo-metric axioms: finite
+    entries, zero diagonal, symmetry, nonnegativity and the triangle
+    inequality (exhaustive for n <= 64, on 10 000 random triples beyond).
+    :meth:`from_distance_matrix` copies the matrix it is given, so later
+    writes by the caller do not reach the space; calling the constructor
+    with ``matrix=`` takes the array over without a copy, which the
+    canonical spaces of :mod:`chainopt.gp` do with the matrix they build.
+    Instances are immutable once built and safe for concurrent readers.
     """
 
     def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None):
         if coords is None and matrix is None:
             raise ArgumentError("need coordinates or a distance matrix")
         self._coords = None if coords is None else np.asarray(coords, dtype=float)
-        if self._coords is not None and self._coords.ndim == 1:
-            self._coords = self._coords[:, None]
+        if self._coords is not None:
+            if self._coords.ndim == 1:
+                self._coords = self._coords[:, None]
+            elif self._coords.ndim != 2:
+                raise ArgumentError(f"coordinates must be a 1-D or 2-D array, "
+                                    f"got {self._coords.ndim} dimensions")
         n = matrix.shape[0] if matrix is not None else self._coords.shape[0]
         if n < 1:
             raise ArgumentError("space must contain at least one point")
@@ -74,11 +84,10 @@ class FiniteMetricSpace:
             _check_finite("coordinate", self._coords)
         if matrix is not None:
             self._dist = _checked_metric(matrix)
-        elif self.n <= DENSE_LIMIT:
-            self._dist = cdist(self._coords, self._coords)
+            self._diameter = float(self._dist.max())
         else:
-            self._dist = None  # rows computed on the fly from coordinates
-        self._diameter = self._compute_diameter()
+            self._dist = None  # distances computed from coordinates on request
+            self._diameter = max(float(blk.max()) for _, blk in self.row_blocks(np.arange(n)))
 
     # -- constructors ------------------------------------------------------
 
@@ -109,25 +118,31 @@ class FiniteMetricSpace:
     def row(self, i: int) -> np.ndarray:
         """Distances from point ``i`` to every point."""
         self._check_id(i)
-        if self._dist is not None:
-            return self._dist[i]
-        d = self._coords - self._coords[i]
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
+        return self.rows([i])[0]
 
-    def rows(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Distances from the given point ids (rows) to every point, as :meth:`row` gives them."""
+    def rows(self, ids: Sequence[int] | np.ndarray,
+             cols: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
+        """Distances from the point ids ``ids`` (rows) to ``cols`` (columns; default every point)."""
         ids = self._checked_ids(ids)
-        if self._dist is not None:
+        cols = None if cols is None else self._checked_ids(cols)
+        if self._dist is None:
+            return cdist(self._coords[ids], self._coords if cols is None else self._coords[cols])
+        if cols is None:
             return self._dist[ids]
-        d = self._coords[None, :, :] - self._coords[ids, None, :]
-        return np.sqrt(np.einsum("kij,kij->ki", d, d))
+        return np.take(self._dist[ids], cols, axis=1)
 
-    def row_blocks(self, ids: Sequence[int] | np.ndarray):
-        """Yield ``(start, rows(ids[start:stop]))`` over ``ids`` in blocks of about 1 MiB."""
+    def row_blocks(self, ids: Sequence[int] | np.ndarray,
+                   cols: Sequence[int] | np.ndarray | None = None):
+        """Yield ``(start, rows(ids[start:stop], cols))`` over ``ids`` in blocks of about 1 MiB.
+
+        A block holds about 1 MiB of what it reads: whole rows of a stored
+        matrix, or the requested columns of a coordinate space.
+        """
         ids = np.asarray(ids, dtype=int)
-        step = max(1, _BLOCK_BYTES // (8 * self.n))
+        width = self.n if cols is None or self._dist is not None else len(cols)
+        step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
         for lo in range(0, len(ids), step):
-            yield lo, self.rows(ids[lo:lo + step])
+            yield lo, self.rows(ids[lo:lo + step], cols)
 
     def distance(self, i: int, j: int) -> float:
         """Pseudo-metric distance ``d(i, j)``, as :meth:`row` gives it."""
@@ -138,11 +153,7 @@ class FiniteMetricSpace:
     def pairwise(self, ids: Sequence[int] | np.ndarray,
                  others: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
         """Distances from the given point ids (rows) to ``others`` (columns; default ``ids``)."""
-        ids = self._checked_ids(ids)
-        others = ids if others is None else self._checked_ids(others)
-        if self._dist is not None:
-            return self._dist[np.ix_(ids, others)]
-        return self.rows(ids)[:, others]
+        return self.rows(ids, ids if others is None else others)
 
     def distances(self, i: Sequence[int] | np.ndarray,
                   j: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -150,8 +161,11 @@ class FiniteMetricSpace:
         i, j = self._checked_ids(i), self._checked_ids(j)
         if self._dist is not None:
             return self._dist[i, j]
-        d = self._coords[j] - self._coords[i]
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
+        diff = self._coords[i] - self._coords[j]
+        sq = np.zeros(diff.shape[:-1])
+        for k in range(diff.shape[-1]):     # cdist's order: one dimension at a time
+            sq += diff[..., k] * diff[..., k]
+        return np.sqrt(sq)
 
     def _checked_ids(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=int)
@@ -162,11 +176,6 @@ class FiniteMetricSpace:
     def _check_id(self, i) -> None:
         if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
             raise ArgumentError(f"point id {i!r} out of range for n={self.n}")
-
-    def _compute_diameter(self) -> float:
-        if self._dist is not None:
-            return float(self._dist.max())
-        return max(float(blk.max()) for _, blk in self.row_blocks(np.arange(self.n)))
 
 
 def _check_finite(what: str, arr: np.ndarray) -> None:
@@ -241,7 +250,7 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     the smallest point id, which makes the construction deterministic.
     Candidates are restricted to the not-yet-covered points themselves, so
     the result is both a cover and (strictly) epsilon-separated.  The ball
-    matrix is filled from blocks of whole distance rows: m² booleans, no floats.
+    matrix is filled from row blocks of about 1 MiB: m² booleans, no m×m floats.
     """
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
@@ -256,8 +265,14 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
 
     m = ids.size
     ball = np.empty((m, m), dtype=bool)
-    for lo, blk in space.row_blocks(ids):
-        np.take(blk <= epsilon, ids, axis=1, out=ball[lo:lo + len(blk)])
+    # A stored matrix is read fastest as whole rows, compared, then the
+    # columns taken; a coordinate space computes only the m×m block.
+    cols = ids if space._dist is None else None
+    for lo, blk in space.row_blocks(ids, cols):
+        if cols is None:
+            np.take(blk <= epsilon, ids, axis=1, out=ball[lo:lo + len(blk)])
+        else:
+            np.less_equal(blk, epsilon, out=ball[lo:lo + len(blk)])
     alive = np.ones(m, dtype=bool)
     counts = ball.sum(axis=1).astype(np.int64)
     assigned = np.full(m, -1, dtype=np.int64)

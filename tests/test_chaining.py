@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
                       build_forward, build_tree, canonical_metric_space, greedy_cover,
                       is_cover, lower_bound_functional, lower_value, make_star, omega,
-                      omega_table, parent_at_depth, phi, prune_backward,
+                      omega_table, phi, prune_backward,
                       sample_paths, validate_tree, write_tree, zeta)
 from chainopt import chaining, metric
 from chainopt.chaining import (_EXP_OVERFLOW, _REL_TOL, TreeValidation, _cell_excess,
@@ -316,27 +316,6 @@ class TestLowerBoundFunctional:
         assert lower_bound_functional(tree, tree.root_id) > 0.0
 
 
-class TestParentAtDepth:
-    def test_identity_at_own_depth(self, line5_tree):
-        leaf = line5_tree.leaves()[0]
-        d = line5_tree.nodes[leaf].depth
-        assert parent_at_depth(line5_tree, leaf, d) == leaf
-
-    def test_root_at_zero(self, line5_tree):
-        leaf = line5_tree.leaves()[-1]
-        assert parent_at_depth(line5_tree, leaf, 0) == line5_tree.root_id
-
-    def test_shallow_node_unchanged(self, line5_tree):
-        assert parent_at_depth(line5_tree, line5_tree.root_id, 3) == line5_tree.root_id
-
-    def test_consecutive_depths(self, line5_tree):
-        leaf = line5_tree.leaves()[2]
-        d = line5_tree.nodes[leaf].depth
-        p = parent_at_depth(line5_tree, leaf, d - 1)
-        assert line5_tree.nodes[p].depth == d - 1
-        assert line5_tree.nodes[leaf].parent == p
-
-
 class TestUpperBoundMonteCarlo:
     def test_joint_event_frequency(self):
         kernel = Kernel("se", 0.2)
@@ -400,11 +379,19 @@ class TestSerialization:
         assert root_row[0] == "0" and root_row[3] == "" and root_row[4] == "0"
 
 
+def _root_chain(tree, nid):
+    """Node ids from the root down to ``nid``, walked along ``tree.nodes[...].parent``."""
+    chain = [nid]
+    while tree.nodes[chain[-1]].parent is not None:
+        chain.append(tree.nodes[chain[-1]].parent)
+    return chain[::-1]
+
+
 def _omega_by_leaf_chains(tree, u, a, model, majorized):
     """omega_table's definition: a suffix sum along every leaf's root chain."""
     table = np.zeros(tree.max_depth + 1)
     for leaf in tree.leaves():
-        chain = tree.chain(leaf)
+        chain = _root_chain(tree, leaf)
         depth = len(chain) - 1
         terms = np.zeros(depth + 1)
         for i in range(1, depth + 1):
@@ -448,7 +435,7 @@ class TestTreeProperties:
                 kids[nd.parent].append(nid)
         below = {nid: set() for nid in tree.nodes}
         for leaf in tree.leaves():
-            for nid in tree.chain(leaf):
+            for nid in _root_chain(tree, leaf):
                 below[nid].add(tree.nodes[leaf].location)
         for nid, nd in tree.nodes.items():
             assert tree.children(nid).tolist() == kids[nid]

@@ -7,18 +7,21 @@ exhaustive subset enumeration for minimum covers.
 
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from chainopt import metric
 from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
-                      ParseError, brute_force_min_cover, greedy_cover,
+                      ParseError, brute_force_min_cover, build_tree, greedy_cover,
                       is_cover, load_distance_matrix,
                       load_point_cloud, load_space, metric_entropy,
-                      sample_cover_compact, write_cover_csv)
+                      sample_cover_compact, write_cover_csv, write_tree)
 from conftest import tied_spaces, ultrametric_spaces
 
 
@@ -80,6 +83,22 @@ class TestFiniteMetricSpace:
         for bad in ((0, 8193), (-1, 0), (0.0, 1)):
             with pytest.raises(ArgumentError, match="out of range"):
                 sp.distance(*bad)
+
+    @pytest.mark.parametrize("coords", [np.zeros((2, 2, 2)), np.float64(1.0)])
+    def test_coordinates_must_be_1d_or_2d(self, coords):
+        with pytest.raises(ArgumentError, match="1-D or 2-D"):
+            FiniteMetricSpace.from_coordinates(coords)
+        with pytest.raises(ArgumentError, match="1-D or 2-D"):
+            FiniteMetricSpace.from_distance_matrix(np.zeros((2, 2)), coords=coords)
+
+    def test_zero_column_cloud_has_all_distances_zero(self):
+        sp = FiniteMetricSpace.from_coordinates(np.zeros((4, 0)))
+        assert sp.n == 4 and sp.diameter == 0.0
+        assert np.array_equal(sp.rows([0, 3, 3]), np.zeros((3, 4)))
+        assert np.array_equal(sp.pairwise([1, 2], [0]), np.zeros((2, 1)))
+        assert np.array_equal(sp.distances([0, 1, 2], [3, 3, 0]), np.zeros(3))
+        assert sp.distance(0, 3) == 0.0
+        assert greedy_cover(sp, 1.0).centers == (0,)
 
     def test_matrix_symmetry_enforced(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -196,6 +215,76 @@ class TestRows:
         for bad in ([5], [-1], [0, 7]):
             with pytest.raises(ArgumentError, match="out of range"):
                 line5.rows(bad)
+
+
+class TestCoordinateReadsMatchCdist:
+    """Every read of a coordinate space gives the bits of ``cdist(coords, coords)``."""
+
+    @staticmethod
+    def _cloud(kind, dim):
+        rng = np.random.default_rng([17, dim])
+        if kind == "gaussian":
+            return rng.standard_normal((300, dim))
+        pts = rng.integers(0, 9, size=(280, dim)) / 4.0       # a 1/4 lattice: many ties
+        return np.concatenate([pts, pts[rng.integers(0, 280, 20)]])   # and duplicates
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lattice"])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_every_read_is_cdist(self, kind, dim):
+        coords = self._cloud(kind, dim)
+        D = cdist(coords, coords)
+        sp = FiniteMetricSpace.from_coordinates(coords)
+        rng = np.random.default_rng(dim)
+        ids, cols = rng.integers(0, sp.n, size=(2, 90))
+        assert sp.diameter == D.max()
+        assert all(np.array_equal(sp.row(int(i)), D[i]) for i in ids[:10])
+        assert np.array_equal(sp.rows(ids), D[ids])
+        assert np.array_equal(sp.rows(ids, cols), D[np.ix_(ids, cols)])
+        assert np.array_equal(sp.pairwise(ids), D[np.ix_(ids, ids)])
+        assert np.array_equal(sp.pairwise(ids, cols), D[np.ix_(ids, cols)])
+        assert np.array_equal(sp.distances(ids, cols), D[ids, cols])
+        assert [sp.distance(int(i), int(j)) for i, j in zip(ids, cols)] == D[ids, cols].tolist()
+        for want, c in ((D[ids], None), (D[np.ix_(ids, cols)], cols)):
+            width = sp.n if c is None else len(c)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(metric, "_BLOCK_BYTES", 8 * width * 7)
+                blocks = list(sp.row_blocks(ids, c))
+            assert [lo for lo, _ in blocks] == list(range(0, len(ids), 7))
+            assert np.array_equal(np.concatenate([b for _, b in blocks]), want)
+
+
+@st.composite
+def _lattice_clouds(draw):
+    """Clouds on a 1/4 lattice in 1-3 dimensions; the small lattice makes ties and duplicates."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(0, 8).map(lambda k: k / 4.0)
+    return np.array(draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=40)))
+
+
+class TestCoordinatesAgreeWithTheirMatrix:
+    @given(coords=_lattice_clouds(), data=st.data())
+    def test_covers_and_trees_match(self, coords, data):
+        # the same cloud as coordinates and as its stored cdist matrix
+        D = cdist(coords, coords)
+        spaces = (FiniteMetricSpace.from_coordinates(coords),
+                  FiniteMetricSpace.from_distance_matrix(D, coords=coords))
+        eps = data.draw(st.sampled_from(sorted(set(D[D > 0].tolist())) or [1.0]))
+        subset = data.draw(st.sets(st.integers(0, len(coords) - 1), min_size=1) | st.none())
+        block_bytes = data.draw(st.sampled_from([1, metric._BLOCK_BYTES]))   # 1: a row a block
+        schedule = data.draw(st.sampled_from(["geometric", "entropy"]))
+        shift, u = data.draw(st.sampled_from([0, 1])), data.draw(st.sampled_from([0.5, 2.0]))
+        covers, trees = [], []
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(metric, "_BLOCK_BYTES", block_bytes)
+            for k, sp in enumerate(spaces):
+                covers.append(greedy_cover(sp, eps, subset))
+                path = os.path.join(tmp, f"tree{k}.csv")
+                write_tree(build_tree(sp, schedule, shift, u), path)
+                with open(path, "rb") as fh:
+                    trees.append(fh.read())
+        assert covers[0].centers == covers[1].centers
+        assert covers[0].covered_map == covers[1].covered_map
+        assert trees[0] == trees[1]
 
 
 class TestGreedyCover:
