@@ -442,3 +442,42 @@ class TestReportFingerprints:
                                seed_base=12)
         got = _report_digest(validate_lower(cfg), tmp_path / "report.csv")
         assert got == _REPORT_FINGERPRINTS[f"lower {space}"]
+
+
+def _run_digest(files, out):
+    """sha256 over every file a run left in ``out``, by name, plus its all_pass flag."""
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(f"{path.name}\n".encode())
+        digest.update(path.read_bytes())
+    digest.update(f"all_pass={files['all_pass']}\n".encode())
+    return digest.hexdigest()
+
+
+_EXPERIMENT_FINGERPRINT_RUNS = {
+    "halflog2": {"depth_rule": "halflog2"},
+    "omega": {"depth_rule": "omega"},
+    "squaredgp": {"model": "squaredgp:n=2"},
+}
+
+# sha256 of the file sets of seeded two-replicate run_experiment calls
+_EXPERIMENT_FINGERPRINTS = {
+    "halflog2": "ab184e24605e5d0860639fefc692bb2c9b1a1c39a22a95969c6c6eb1289d3786",
+    "omega": "f4660229fa18892124927674824c84be65936b8259d9c6afbe98b7cf4d4d5d89",
+    "squaredgp": "4469160bd357dd607a922692d728c1f07385be8fb9639f00045bf2d8fc328d95",
+}
+
+
+class TestExperimentFingerprints:
+    """Seeded run_experiment file sets come out byte for byte as pinned."""
+
+    @pytest.mark.parametrize("run", sorted(_EXPERIMENT_FINGERPRINT_RUNS))
+    def test_file_set(self, tmp_path, run):
+        out = tmp_path / run
+        cfg = ExperimentConfig(space="grid:dim=1,per_dim=16", kernel="se:ls=0.2",
+                               t_max=70, replicates=2, seed_base=9, out_dir=str(out),
+                               **_EXPERIMENT_FINGERPRINT_RUNS[run])
+        files = run_experiment(cfg)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "replicate_0000.csv", "replicate_0001.csv", "validation.csv"]
+        assert _run_digest(files, out) == _EXPERIMENT_FINGERPRINTS[run]
