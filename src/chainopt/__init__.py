@@ -6,10 +6,9 @@ the process over each cell, and runs optimistic (upper-confidence-bound)
 query loops whose cumulative regret admits computable certificates.
 """
 
-from .bandit import (BanditState, GPPosterior, OptimizerConfig,
-                     RegretBoundSeries, RegretRecord, depth_half_log2,
-                     depth_omega_threshold, gamma_t, gp_ucb_step,
-                     regret_bound_rhs, run_gp_ucb, run_squared_gp_ucb)
+from .bandit import (GPPosterior, OptimizerConfig, RegretBoundSeries,
+                     RegretRecord, depth_half_log2, depth_omega_threshold,
+                     gamma_t, regret_bound_rhs, run_gp_ucb, run_squared_gp_ucb)
 from .chaining import (ChainingTree, TreeNode, build_forward, build_tree,
                        lower_bound_functional, lower_value, omega, omega_table,
                        phi, prune_backward, validate_tree, write_tree)

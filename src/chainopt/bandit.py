@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -52,12 +53,14 @@ class OptimizerConfig:
             raise ArgumentError("a must exceed 1 and be finite")
         if not 0 < self.eta2 < math.inf:
             raise ArgumentError("eta2 must be positive and finite")
-        if self.t_max < 0:
-            raise ArgumentError("t_max must be nonnegative")
+        if not isinstance(self.t_max, Integral) or self.t_max < 0:
+            raise ArgumentError("t_max must be a nonnegative integer")
         if self.depth_rule not in _DEPTH_RULES:
             raise ArgumentError(f"depth_rule must be one of {_DEPTH_RULES}")
         if self.schedule not in ("geometric", "entropy"):
             raise ArgumentError("schedule must be 'geometric' or 'entropy'")
+        if self.shift not in (0, 1):
+            raise ArgumentError("shift must be 0 or 1")
 
 
 def depth_half_log2(i: int, max_depth: int | None = None) -> int:
@@ -109,6 +112,8 @@ class GPPosterior:
             raise ArgumentError("noise variance must be positive and finite")
         if replicates < 1:
             raise ArgumentError("replicates must be at least 1")
+        if capacity < 0:
+            raise ArgumentError("capacity must be nonnegative")
         self.kernel = kernel
         self.X = _as_points(coords)
         self.diag = _kernel_diag(kernel, self.X)
@@ -224,29 +229,6 @@ def gamma_t(kernel: Kernel, space: FiniteMetricSpace, t: int, eta2: float,
     return total
 
 
-@dataclass
-class StepChoice:
-    point: int
-    u_i: float
-    depth: int
-    ucb: float
-
-
-@dataclass
-class BanditState:
-    """State consumed by :func:`gp_ucb_step`: posterior, tree and config.
-
-    ``posterior`` is over the coordinates of ``tree.space``, in point order.
-    """
-
-    posterior: GPPosterior
-    tree: ChainingTree
-    config: OptimizerConfig
-    model: SmoothnessModel = field(default_factory=SmoothnessModel.gaussian)
-    last_depth: int = 0
-    omega_values: np.ndarray | None = None
-
-
 def _select_depth(tree: ChainingTree, config: OptimizerConfig, model: SmoothnessModel,
                   omega_values: np.ndarray | None, i: int, last_depth: int) -> int:
     """Depth h(i) under the configured rule, never below the previous depth."""
@@ -257,30 +239,6 @@ def _select_depth(tree: ChainingTree, config: OptimizerConfig, model: Smoothness
                                                   omega_values=omega_values)
     # the recorded depth schedule must be non-decreasing in i
     return max(h, last_depth)
-
-
-def gp_ucb_step(state: BanditState, i: int) -> StepChoice:
-    """One optimistic selection over the candidate nodes at the current depth.
-
-    Returns the argmax of ``mu + sigma sqrt(2 u_i)`` over the non-pruned
-    node locations at depth <= h(i), breaking ties toward the smallest
-    point id.
-    """
-    if i < 1:
-        raise ArgumentError("iteration index must be positive")
-    tree, cfg = state.tree, state.config
-    if cfg.depth_rule == "omega" and state.omega_values is None:
-        state.omega_values = omega_table(tree, cfg.u, cfg.a, state.model)
-    h = state.last_depth = _select_depth(tree, cfg, state.model, state.omega_values,
-                                         i, state.last_depth)
-    u_i = confidence_level_u_i(cfg.u, tree.capacity(h), i, cfg.a)
-    cand = tree.candidate_locations(h)
-    mu, sig = state.posterior.predict()
-    if mu.shape[0] != tree.space.n:
-        raise ArgumentError("the posterior's point set must be the tree's space")
-    ucb = _plain_ucb(cand, mu, sig, u_i)[0]
-    j = int(np.argmax(ucb))                  # first maximum = smallest id
-    return StepChoice(int(cand[j]), u_i, h, float(ucb[j]))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, NumericError
-from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace
+from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _check_finite
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
@@ -94,12 +94,13 @@ def parse_kernel(spec: str) -> Kernel:
 
 
 def _as_points(X) -> np.ndarray:
-    """Coerce to an (n, D) coordinate array; 1-D input means n scalar points."""
+    """Coerce to a finite (n, D) coordinate array; 1-D input means n scalar points."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
-        return X[:, None]
-    if X.ndim != 2:
+        X = X[:, None]
+    elif X.ndim != 2:
         raise ArgumentError(f"coordinates must be 1-D or 2-D, got shape {X.shape}")
+    _check_finite("coordinate", X)
     return X
 
 
@@ -348,10 +349,3 @@ def squared_gp_bounds(mu: float, sigma: float, u: float, n_processes: int
     l, up = squared_gaussian_interval(mu, sigma, s)
     return l * l, up * up
 
-
-def write_observation_log(path: str, points: np.ndarray, ys: np.ndarray) -> None:
-    """Write the observation log CSV with columns ``iter,point_id,y``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iter,point_id,y\n")
-        for i, (p, y) in enumerate(zip(points, ys), start=1):
-            fh.write(f"{i},{int(p)},{float(y):.12g}\n")

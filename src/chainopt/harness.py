@@ -119,26 +119,20 @@ def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpac
 # -- configuration ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed experiment description; see :func:`parse_config` for the format."""
+class ExperimentConfig(OptimizerConfig):
+    """Parsed experiment description: the loop settings of :class:`OptimizerConfig`
+    plus what to run them on; see :func:`parse_config` for the format."""
 
     space: str = "line:n=16"
     kernel: str = "se:ls=1.0"
     model: str = "gaussian"
-    u: float = OptimizerConfig.u
-    a: float = OptimizerConfig.a
-    eta2: float = OptimizerConfig.eta2
-    t_max: int = OptimizerConfig.t_max
     replicates: int = 1
     seed_base: int = 0
     trials: int = 1000
-    depth_rule: str = OptimizerConfig.depth_rule
-    schedule: str = OptimizerConfig.schedule
-    shift: int = OptimizerConfig.shift
     out_dir: str = "."
 
     def __post_init__(self):
-        self.optimizer_config()          # checks the loop fields
+        super().__post_init__()
         if self.replicates < 1:
             raise ArgumentError("replicates must be at least 1")
         if self.trials < 1:
@@ -156,11 +150,6 @@ class ExperimentConfig:
     def build_model(self) -> SmoothnessModel:
         variant, opts = _parse_spec(self.model, _MODEL_SPECS)
         return SmoothnessModel(variant, n_processes=opts.pop("n", 1), **opts)
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(u=self.u, a=self.a, eta2=self.eta2, t_max=self.t_max,
-                               depth_rule=self.depth_rule, schedule=self.schedule,
-                               shift=self.shift)
 
 
 _MODEL_SPECS = {"gaussian": {},
@@ -432,17 +421,16 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
     var_info_ok: list[bool] = []
     ceta = c_eta(config.eta2)
     files: dict[str, str] = {}
-    opt_cfg = config.optimizer_config()
     n_paths = model.n_processes if squared else 1
     truth = np.stack([sample_paths(space, kernel, n_paths, [config.seed_base, r, 0])
                       for r in range(config.replicates)])
     seeds = [[config.seed_base, r, 1] for r in range(config.replicates)]
     if squared:
-        records = run_squared_gp_ucb(space, kernel, n_paths, opt_cfg, truth,
+        records = run_squared_gp_ucb(space, kernel, n_paths, config, truth,
                                      seed=seeds, tree=tree)
     else:
-        records = run_gp_ucb(space, kernel, opt_cfg, truth[:, 0], seed=seeds, tree=tree)
-    series_list = regret_bound_rhs(records, tree, model, opt_cfg)
+        records = run_gp_ucb(space, kernel, config, truth[:, 0], seed=seeds, tree=tree)
+    series_list = regret_bound_rhs(records, tree, model, config)
     for r, (record, series) in enumerate(zip(records, series_list)):
         bounds.append(series.per_step)
         # both hold on an empty record: np.all of no comparisons is True

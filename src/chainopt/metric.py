@@ -359,6 +359,8 @@ def sample_cover_compact(sampler: Callable[[int], np.ndarray], epsilon: float,
         raise ArgumentError("m_estimate must be at least 1")
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
+    if not 0 < u < math.inf:
+        raise ArgumentError("u must be positive and finite")
     n_draw = math.ceil(m_estimate * (math.log(m_estimate) + u))
     pts = np.asarray(sampler(n_draw), dtype=float)
     if pts.ndim == 1:

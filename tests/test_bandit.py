@@ -1,15 +1,16 @@
 """Tests for depth rules, optimistic selection, run loops and regret bounds."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from chainopt import (ArgumentError, BanditState, ChainingTree,
+from chainopt import (ArgumentError, ChainingTree,
                       FiniteMetricSpace, GPPosterior, Kernel, NumericError,
                       OptimizerConfig, build_forward, build_tree, c_eta,
                       canonical_metric_space, gram,
-                      depth_half_log2, depth_omega_threshold, gp_ucb_step,
+                      depth_half_log2, depth_omega_threshold,
                       information_gain, make_grid, omega_table,
                       prune_backward, regret_bound_rhs, run_gp_ucb,
                       run_squared_gp_ucb, sample_paths)
@@ -31,6 +32,26 @@ def _dense_posterior(kernel, eta2, coords, obs, ys):
     Kq = K[:, obs]
     var = np.diag(K) - np.einsum("ij,jk,ik->i", Kq, C_inv, Kq)
     return Kq @ C_inv @ np.asarray(ys), np.sqrt(np.maximum(var, 0.0))
+
+
+_Choice = namedtuple("_Choice", "point u_i depth ucb")
+
+
+def _ucb_step(post, tree, config, i, last_depth=0):
+    """R=1 oracle of one run-loop selection at iteration i.
+
+    Picks the argmax of ``mu + sigma sqrt(2 u_i)`` over the non-pruned node
+    locations at depth <= h(i), ties to the smallest point id, with the
+    depth never below ``last_depth``.
+    """
+    h = bandit._select_depth(tree, config, SmoothnessModel.gaussian(), None, i,
+                             last_depth)
+    u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
+    cand = tree.candidate_locations(h)
+    mu, sig = post.predict()
+    ucb = mu[cand, 0] + sig[cand] * math.sqrt(2.0 * u_i)
+    j = int(np.argmax(ucb))
+    return _Choice(int(cand[j]), u_i, h, float(ucb[j]))
 
 
 @pytest.fixture
@@ -90,8 +111,7 @@ class TestGpUcbStep:
         config = OptimizerConfig(u=2.0, t_max=5)
         tree = prune_backward(build_forward(grid16), config.u)
         post = GPPosterior(Kernel("se", 0.3), config.eta2, grid16.coords, config.t_max)
-        state = BanditState(post, tree, config)
-        choice = gp_ucb_step(state, 1)
+        choice = _ucb_step(post, tree, config, 1)
         assert choice.point == int(tree.candidate_locations(0).min())
         assert choice.depth == 0
         u1 = confidence_level_u_i(config.u, tree.capacity(0), 1, config.a)
@@ -104,9 +124,8 @@ class TestGpUcbStep:
         post = GPPosterior(kernel, config.eta2, grid16.coords, config.t_max)
         post.add(3, 0.8)
         post.add(11, -0.2)
-        state = BanditState(post, tree, config)
         i = 6
-        choice = gp_ucb_step(state, i)
+        choice = _ucb_step(post, tree, config, i)
         h = choice.depth
         cand = tree.candidate_locations(h)
         u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
@@ -123,8 +142,7 @@ class TestGpUcbStep:
         kernel = Kernel("se", 0.3)
         post = GPPosterior(kernel, config.eta2, grid16.coords, config.t_max)
         post.add(5, 1.0)
-        state = BanditState(post, tree, config)
-        choice = gp_ucb_step(state, 4)
+        choice = _ucb_step(post, tree, config, 4)
         cand = tree.candidate_locations(choice.depth)
         mu, sig = post.predict()
         scores = mu[cand, 0] + sig[cand] * math.sqrt(2 * choice.u_i)
@@ -170,16 +188,17 @@ class TestRunGpUcb:
 
         rng = np.random.default_rng(3)
         post = GPPosterior(kernel, config.eta2, grid16.coords, config.t_max)
-        state = BanditState(post, tree, config)
+        h = 0
         for k in range(config.t_max):
-            choice = gp_ucb_step(state, k + 1)
+            choice = _ucb_step(post, tree, config, k + 1, h)
+            h = choice.depth
             assert choice.point == record.points[k]
             assert choice.depth == record.depths[k]
             assert choice.u_i == pytest.approx(record.u_is[k])
             assert choice.ucb == pytest.approx(record.ucbs[k], abs=1e-8)
             y = float(truth[choice.point]) + rng.normal(0.0, math.sqrt(config.eta2))
             assert y == pytest.approx(record.ys[k])
-            state.posterior.add(choice.point, y)
+            post.add(choice.point, y)
 
     def test_regret_identities(self, grid16):
         kernel = Kernel("se", 0.25)
@@ -233,19 +252,6 @@ class TestRunGpUcb:
         record = run_gp_ucb(grid16, kernel, config, truth, seed=82)
         assert np.all(np.diff(record.info_gain) >= -1e-12)
         assert record.info_gain[-1] > 0.0
-
-    def test_observation_log_csv(self, tmp_path, grid16):
-        from chainopt.gp import write_observation_log
-        kernel = Kernel("se", 0.3)
-        config = OptimizerConfig(t_max=6)
-        truth = sample_paths(grid16, kernel, 1, seed=91)[0]
-        record = run_gp_ucb(grid16, kernel, config, truth, seed=92)
-        path = tmp_path / "obs.csv"
-        write_observation_log(str(path), record.points, record.ys)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,point_id,y"
-        assert len(lines) == 7
-        assert lines[1].split(",")[0] == "1"
 
     def test_needs_truth_or_callback(self, grid16):
         with pytest.raises(ArgumentError):
@@ -482,6 +488,14 @@ class TestConfigValidation:
     def test_non_finite_values(self, field, bad):
         with pytest.raises(ArgumentError, match=f"^{field} must .* finite$"):
             OptimizerConfig(**{field: bad})
+
+    def test_shift_other_than_zero_or_one(self):
+        with pytest.raises(ArgumentError, match="shift must be 0 or 1"):
+            OptimizerConfig(shift=2)
+
+    def test_fractional_t_max(self):
+        with pytest.raises(ArgumentError, match="t_max must be a nonnegative integer"):
+            OptimizerConfig(t_max=2.5)
 
 
 class TestRecordCsv:

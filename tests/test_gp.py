@@ -293,6 +293,10 @@ class TestPosterior:
             with pytest.raises(ArgumentError):
                 GPPosterior(Kernel("se"), eta2, [[0.0]], 1)
 
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(ArgumentError, match="capacity must be nonnegative"):
+            GPPosterior(Kernel("se"), 0.1, [[0.0]], -1)
+
     def test_capacity_exhausted(self):
         post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
         post.add(0, 1.0)
@@ -353,6 +357,23 @@ class TestPosterior:
         _, sig = _predict_at(Kernel("se", 0.5), 0.1, X, rng.normal(size=8),
                              rng.normal(size=(20, 1)))
         assert np.all(sig * sig <= 1.0 + 1e-9)
+
+
+_COORDINATE_ENTRY_POINTS = {
+    "gram": lambda X: gram(Kernel("se"), X),
+    "sample_prior": lambda X: sample_prior(Kernel("se"), X, 0),
+    "information_gain": lambda X: information_gain(Kernel("se"), X, 0.1),
+    "canonical_metric_space": lambda X: canonical_metric_space(Kernel("se"), X),
+    "GPPosterior": lambda X: GPPosterior(Kernel("se"), 0.1, X, 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(_COORDINATE_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinate_rejected(entry, bad):
+    with pytest.raises(ArgumentError, match=f"coordinate must be finite, found {bad}"):
+        _COORDINATE_ENTRY_POINTS[entry]([[bad], [0.0], [1.0]])
 
 
 class TestInformationGain:

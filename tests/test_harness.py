@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,7 +35,19 @@ class TestParseConfig:
         assert cfg == ExperimentConfig()
         assert cfg.u == 2.0 and cfg.a == 2.0 and cfg.eta2 == 0.01
         assert cfg.depth_rule == "halflog2" and cfg.schedule == "geometric"
-        assert cfg.optimizer_config() == OptimizerConfig()
+        assert all(getattr(cfg, f.name) == getattr(OptimizerConfig(), f.name)
+                   for f in fields(OptimizerConfig))
+
+    def test_keys_are_the_loop_settings_plus_the_experiment(self):
+        assert issubclass(ExperimentConfig, OptimizerConfig)
+        assert {f.name for f in fields(ExperimentConfig)} == (
+            {f.name for f in fields(OptimizerConfig)}
+            | {"space", "kernel", "model", "replicates", "seed_base", "trials", "out_dir"})
+
+    def test_shift_checked_before_anything_runs(self, tmp_path):
+        with pytest.raises(ArgumentError, match="shift must be 0 or 1"):
+            ExperimentConfig(shift=5, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_a_must_exceed_one(self, tmp_path):
         with pytest.raises(ArgumentError, match="a must exceed 1"):

@@ -464,6 +464,11 @@ class TestSampleCoverCompact:
         with pytest.raises(ArgumentError):
             sample_cover_compact(lambda n: np.zeros((n, 1)), 0.5, 0, 1.0)
 
+    @pytest.mark.parametrize("u", [-5.0, 0.0, math.nan, math.inf])
+    def test_invalid_u(self, u):
+        with pytest.raises(ArgumentError, match="u must be positive and finite"):
+            sample_cover_compact(lambda n: np.zeros((n, 1)), 0.5, 4, u)
+
     def test_unit_interval_cover_property(self):
         def sampler(n):
             return np.random.default_rng(99).uniform(size=(n, 1))
