@@ -348,4 +348,3 @@ def squared_gp_bounds(mu: float, sigma: float, u: float, n_processes: int
     s = math.sqrt(u + math.log(n_processes))
     l, up = squared_gaussian_interval(mu, sigma, s)
     return l * l, up * up
-
