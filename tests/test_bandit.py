@@ -1,5 +1,6 @@
 """Tests for depth rules, optimistic selection, run loops and regret bounds."""
 
+import hashlib
 import math
 from collections import namedtuple
 
@@ -400,6 +401,83 @@ class TestReplicateAxis:
         with pytest.raises(NumericError, match="replicate 2"):
             run_squared_gp_ucb(grid16, Kernel("se", 0.3), 2, config, channels,
                                seed=[0, 1, 2])
+
+
+_RECORD_ARRAYS = ("iters", "depths", "u_is", "points", "ucbs", "ys", "inst_regret",
+                  "cum_regret", "simple_regret", "sigma_before", "widths", "info_gain",
+                  "sigma_sq_cum", "y_channels", "channel_covered")
+
+
+def _record_digest(records):
+    """sha256 over every array field of each record, bit for bit, plus its
+    ``sup_f`` and ``tree_signature``."""
+    digest = hashlib.sha256()
+    for rec in records:
+        digest.update(f"{rec.sup_f!r} {rec.tree_signature!r}\n".encode())
+        for name in _RECORD_ARRAYS:
+            arr = getattr(rec, name)
+            if arr is None:
+                digest.update(f"{name} None\n".encode())
+                continue
+            arr = np.ascontiguousarray(arr)
+            digest.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+# name -> (channels or None for a plain run, R, depth rule, t_max, split batches)
+_RECORD_FINGERPRINT_RUNS = {
+    "halflog2": (None, 3, "halflog2", 70, False),
+    "omega": (None, 3, "omega", 70, False),
+    "sq1": (1, 2, "halflog2", 70, False),
+    "sq3": (3, 2, "omega", 70, False),
+    "sq4": (4, 2, "halflog2", 70, False),
+    "live": ("live", 1, "halflog2", 70, False),
+    "batched": (None, 3, "halflog2", 70, True),
+    "t0": (None, 2, "halflog2", 0, False),
+}
+
+# sha256 of the records of seeded runs on a 30-point canonical grid; "batched"
+# equals "halflog2", since splitting the replicates into batches changes no bit
+_RECORD_FINGERPRINTS = {
+    "halflog2": "a5f8424d52e63563af4a9672060ad0268e27cd03ff97237a178c276495158e4f",
+    "omega": "39983abc880d71be4c5abdf781252438a7f92aa56a717dd524c580d754fe768b",
+    "sq1": "166f3c533541d522b105e5627f6e1fd1d2f2f4ff8837d66466215bfea8a226c6",
+    "sq3": "fef856bd7c23ff4665bec9476532771013ace885beb7605320a5517c9e8327f5",
+    "sq4": "7a8304fbe6ed10fbbc85f4b38fecd0c4948808d1d8780098ce7f383f08f4996f",
+    "live": "9fdda1ced5f59c0829e635917e169091a9adb229af1a2e31858bc159ddb23904",
+    "batched": "a5f8424d52e63563af4a9672060ad0268e27cd03ff97237a178c276495158e4f",
+    "t0": "906401e10faf5eb16b08c86947106db8a40d753c52eb2948924d58cdea6ada89",
+}
+
+
+class TestRecordFingerprints:
+    """Every field of the records of seeded runs comes out bit for bit as pinned."""
+
+    @pytest.mark.parametrize("run", sorted(_RECORD_FINGERPRINT_RUNS))
+    def test_records(self, monkeypatch, run):
+        channels, R, depth_rule, t_max, split = _RECORD_FINGERPRINT_RUNS[run]
+        kernel = Kernel("se", 0.2)
+        space = canonical_metric_space(kernel, make_grid(1, 30, 1.0))
+        config = OptimizerConfig(t_max=t_max, depth_rule=depth_rule)
+        tree = build_tree(space, config.schedule, config.shift, config.u)
+        seeds = [[6, r] for r in range(R)]
+        if split:       # batches of two replicates and one
+            monkeypatch.setattr(bandit, "_BATCH_BYTES", 8 * t_max * space.n * 2)
+        if channels is None:
+            truth = sample_paths(space, kernel, R, seed=5)
+            records = run_gp_ucb(space, kernel, config, truth, seed=seeds, tree=tree)
+        elif channels == "live":
+            truth = sample_paths(space, kernel, 1, seed=5)[0]
+            records = [run_gp_ucb(space, kernel, config, seed=seeds[0], tree=tree,
+                                  observe=lambda x, rng: truth[x] + rng.normal(0.0, 0.1))]
+        else:
+            truth = np.stack([sample_paths(space, kernel, channels, seed=[5, r])
+                              for r in range(R)])
+            records = run_squared_gp_ucb(space, kernel, channels, config, truth,
+                                         seed=seeds, tree=tree)
+        assert len(records) == R and all(len(rec) == t_max for rec in records)
+        assert _record_digest(records) == _RECORD_FINGERPRINTS[run]
 
 
 class TestRegretBoundRhs:
