@@ -24,7 +24,7 @@ from scipy.linalg import solve_triangular
 from .chaining import ChainingTree, build_tree, omega_table
 from .errors import ArgumentError, CapacityError, NumericError
 from .gp import Kernel, _as_points, _kernel_diag, _kernel_rows, c_eta, information_gain
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _point_ids
 from .smoothness import SmoothnessModel, confidence_level_u_i
 
 _DEPTH_RULES = ("halflog2", "omega")
@@ -112,8 +112,8 @@ class GPPosterior:
             raise ArgumentError("noise variance must be positive and finite")
         if replicates < 1:
             raise ArgumentError("replicates must be at least 1")
-        if capacity < 0:
-            raise ArgumentError("capacity must be nonnegative")
+        if not isinstance(capacity, Integral) or capacity < 0:
+            raise ArgumentError(f"capacity must be nonnegative and integral, got {capacity!r}")
         self.kernel = kernel
         self.X = _as_points(coords)
         self.diag = _kernel_diag(kernel, self.X)
@@ -143,7 +143,7 @@ class GPPosterior:
         R = self.V.shape[0]
         if t == self.V.shape[1]:
             raise ArgumentError(f"posterior capacity {t} exhausted")
-        js = np.broadcast_to(np.asarray(j, dtype=int), (R,))
+        js = np.broadcast_to(_point_ids(j, self.X.shape[0]), (R,))
         y = np.asarray(y_row, dtype=float).reshape(R, -1)
         reps = np.arange(R)
         w = self.V[reps, :t, js]                             # (R, t)
@@ -375,7 +375,10 @@ def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
 def _run_batch(space, kernel, config, seeds, tree, model, omega_vals, acquire,
                objective, truth, observe) -> list[RegretRecord]:
     """One batch of :func:`_run_loop`: the replicates share h(i), u_i and the
-    candidate set of every iteration, and each takes its own argmax."""
+    candidate set of every iteration, and each takes its own argmax.  Only the
+    posterior and the last depth carry across iterations: the loop records the
+    facts of each query (depth, u_i, point, channels, variance, UCB, width,
+    coverage), and the running columns and regrets are computed from them after."""
     R = len(seeds)
     t_max = config.t_max
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -385,36 +388,24 @@ def _run_batch(space, kernel, config, seeds, tree, model, omega_vals, acquire,
         # one draw per replicate, the same numbers as a draw per iteration
         noise = np.stack([rng.normal(0.0, math.sqrt(config.eta2), size=(t_max, n_out))
                           for rng in rngs])
-        f = objective(truth)
-        sup_f = f.max(axis=1)
-    cols = {name: np.zeros((R, t_max)) for name in
-            ("ucbs", "ys", "sigma", "width", "info", "ssq")}
-    cols.update({name: np.full((R, t_max), math.nan if truth is None else 0.0)
-                 for name in ("inst", "cum", "simple")})
     depths = np.zeros(t_max, dtype=int)
     u_is = np.zeros(t_max)
     points = np.zeros((R, t_max), dtype=int)
     y_channels = np.zeros((R, t_max, n_out))
+    var_q, ucbs, widths = np.zeros((3, R, t_max))
     covered = np.zeros((R, t_max), dtype=bool)
 
     reps = np.arange(R)
     h = 0
-    cum = np.zeros(R)
-    best_f = np.full(R, -math.inf)
-    info = np.zeros(R)
-    ssq = np.zeros(R)
     for k in range(t_max):
         i = k + 1
         h = _select_depth(tree, config, model, omega_vals, i, h)
         u_i = confidence_level_u_i(config.u, tree.capacity(h), i, config.a)
         cand = tree.candidate_locations(h)
         var = post.variance()
-        sig = np.sqrt(var)
-        ucb, width, cover = acquire(cand, post.mean, sig, u_i, truth)
+        ucb, width, cover = acquire(cand, post.mean, np.sqrt(var), u_i, truth)
         j = np.argmax(ucb, axis=1)               # first maximum = smallest id
         x = cand[j]
-
-        var_b = var[reps, x]
         if truth is not None:
             y = truth[reps, :, x] + noise[:, k]
         else:
@@ -424,37 +415,36 @@ def _run_batch(space, kernel, config, seeds, tree, model, omega_vals, acquire,
             r = bad[0]
             raise NumericError(f"non-finite observation at point {x[r]} "
                                f"(iteration {i}, replicate {r})")
-        info += 0.5 * np.log1p(var_b / config.eta2)
-        ssq += var_b
         post.add(x, y)
 
         depths[k] = h
         u_is[k] = u_i
         points[:, k] = x
         y_channels[:, k] = y
+        var_q[:, k] = var[reps, x]
+        ucbs[:, k] = ucb[reps, j]
+        widths[:, k] = width[reps, j]
         if cover is not None:
             covered[:, k] = cover[reps, j]
-        cols["ucbs"][:, k] = ucb[reps, j]
-        cols["ys"][:, k] = objective(y)
-        cols["sigma"][:, k] = sig[reps, x]
-        cols["width"][:, k] = width[reps, j]
-        cols["info"][:, k] = info
-        cols["ssq"][:, k] = ssq
-        if truth is not None:
-            fx = f[reps, x]
-            inst = sup_f - fx
-            cum += inst
-            np.maximum(best_f, fx, out=best_f)
-            cols["inst"][:, k] = inst
-            cols["cum"][:, k] = cum
-            cols["simple"][:, k] = sup_f - best_f
 
-    return [RegretRecord(config, space.n, None if truth is None else float(sup_f[r]),
-                         _tree_signature(tree), np.arange(1, t_max + 1), depths.copy(),
-                         u_is.copy(), points[r], cols["ucbs"][r], cols["ys"][r],
-                         cols["inst"][r], cols["cum"][r], cols["simple"][r],
-                         cols["sigma"][r], cols["width"][r], cols["info"][r],
-                         cols["ssq"][r], y_channels=y_channels[r],
+    info = np.cumsum(0.5 * np.log1p(var_q / config.eta2), axis=1)
+    ssq = np.cumsum(var_q, axis=1)
+    ys = objective(y_channels.transpose(0, 2, 1))
+    if truth is None:
+        sup_f = [None] * R
+        inst, cum, simple = np.full((3, R, t_max), math.nan)
+    else:
+        f = objective(truth)
+        top = f.max(axis=1, keepdims=True)
+        fx = f[reps[:, None], points]
+        inst = top - fx
+        cum = np.cumsum(inst, axis=1)
+        simple = top - np.maximum.accumulate(fx, axis=1)
+        sup_f = top[:, 0].tolist()
+    return [RegretRecord(config, space.n, sup_f[r], _tree_signature(tree),
+                         np.arange(1, t_max + 1), depths.copy(), u_is.copy(), points[r],
+                         ucbs[r], ys[r], inst[r], cum[r], simple[r], np.sqrt(var_q[r]),
+                         widths[r], info[r], ssq[r], y_channels=y_channels[r],
                          channel_covered=covered[r])
             for r in range(R)]
 

@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -133,12 +134,10 @@ class ExperimentConfig(OptimizerConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.replicates < 1:
-            raise ArgumentError("replicates must be at least 1")
-        if self.trials < 1:
-            raise ArgumentError("trials must be at least 1")
-        if self.seed_base < 0:
-            raise ArgumentError("seed_base must be nonnegative")
+        for name, low in (("replicates", 1), ("trials", 1), ("seed_base", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ArgumentError(f"{name} must be an integer of at least {low}")
 
     def build_kernel(self) -> Kernel:
         return parse_kernel(self.kernel)

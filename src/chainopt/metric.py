@@ -117,14 +117,13 @@ class FiniteMetricSpace:
 
     def row(self, i: int) -> np.ndarray:
         """Distances from point ``i`` to every point."""
-        self._check_id(i)
         return self.rows([i])[0]
 
     def rows(self, ids: Sequence[int] | np.ndarray,
              cols: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
         """Distances from the point ids ``ids`` (rows) to ``cols`` (columns; default every point)."""
-        ids = self._checked_ids(ids)
-        cols = None if cols is None else self._checked_ids(cols)
+        ids = _point_ids(ids, self.n)
+        cols = None if cols is None else _point_ids(cols, self.n)
         if self._dist is None:
             return cdist(self._coords[ids], self._coords if cols is None else self._coords[cols])
         if cols is None:
@@ -138,7 +137,7 @@ class FiniteMetricSpace:
         A block holds about 1 MiB of what it reads: whole rows of a stored
         matrix, or the requested columns of a coordinate space.
         """
-        ids = np.asarray(ids, dtype=int)
+        ids = np.asarray(ids)                # each block is checked by rows
         width = self.n if cols is None or self._dist is not None else len(cols)
         step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
         for lo in range(0, len(ids), step):
@@ -146,8 +145,6 @@ class FiniteMetricSpace:
 
     def distance(self, i: int, j: int) -> float:
         """Pseudo-metric distance ``d(i, j)``, as :meth:`row` gives it."""
-        self._check_id(i)
-        self._check_id(j)
         return float(self.distances([i], [j])[0])
 
     def pairwise(self, ids: Sequence[int] | np.ndarray,
@@ -158,7 +155,7 @@ class FiniteMetricSpace:
     def distances(self, i: Sequence[int] | np.ndarray,
                   j: Sequence[int] | np.ndarray) -> np.ndarray:
         """Distances ``d(i[k], j[k])`` between paired point ids, as :meth:`row` gives them."""
-        i, j = self._checked_ids(i), self._checked_ids(j)
+        i, j = _point_ids(i, self.n), _point_ids(j, self.n)
         if self._dist is not None:
             return self._dist[i, j]
         diff = self._coords[i] - self._coords[j]
@@ -167,15 +164,24 @@ class FiniteMetricSpace:
             sq += diff[..., k] * diff[..., k]
         return np.sqrt(sq)
 
-    def _checked_ids(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=int)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-            raise ArgumentError("point id out of range")
-        return ids
 
-    def _check_id(self, i) -> None:
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
-            raise ArgumentError(f"point id {i!r} out of range for n={self.n}")
+def _point_ids(ids, n: int) -> np.ndarray:
+    """``ids``, one point id or a 1-D sequence of them, as an integer array; an
+    ArgumentError for a non-integer dtype (bool included), more than one dimension
+    or an id outside ``0..n-1``.  An empty sequence, of whatever dtype, has no ids."""
+    arr = np.asarray(ids)
+    if arr.ndim > 1:
+        raise ArgumentError(f"point ids must be one id or a 1-D sequence, "
+                            f"got {arr.ndim} dimensions")
+    if arr.size == 0:
+        return arr.astype(int)
+    if arr.dtype.kind not in "iu":           # signed or unsigned integers
+        raise ArgumentError(f"point id {arr.ravel().tolist()[0]!r} out of range for "
+                            f"n={n}: ids must be integers")
+    lo, hi = arr.min(), arr.max()
+    if lo < 0 or hi >= n:
+        raise ArgumentError(f"point id {lo if lo < 0 else hi} out of range for n={n}")
+    return arr
 
 
 def _check_finite(what: str, arr: np.ndarray) -> None:
@@ -254,25 +260,15 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     """
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
-    if subset is None:
-        ids = np.arange(space.n)
-    else:
-        ids = np.unique(np.asarray(list(subset), dtype=int))
+    ids = (np.arange(space.n) if subset is None
+           else np.unique(_point_ids(list(subset), space.n)))
     if ids.size == 0:
         raise ArgumentError("subset must be non-empty")
-    if ids.min() < 0 or ids.max() >= space.n:
-        raise ArgumentError("subset contains out-of-range point ids")
 
     m = ids.size
     ball = np.empty((m, m), dtype=bool)
-    # A stored matrix is read fastest as whole rows, compared, then the
-    # columns taken; a coordinate space computes only the m×m block.
-    cols = ids if space._dist is None else None
-    for lo, blk in space.row_blocks(ids, cols):
-        if cols is None:
-            np.take(blk <= epsilon, ids, axis=1, out=ball[lo:lo + len(blk)])
-        else:
-            np.less_equal(blk, epsilon, out=ball[lo:lo + len(blk)])
+    for lo, blk in space.row_blocks(ids, ids):
+        np.less_equal(blk, epsilon, out=ball[lo:lo + len(blk)])
     alive = np.ones(m, dtype=bool)
     counts = ball.sum(axis=1).astype(np.int64)
     assigned = np.full(m, -1, dtype=np.int64)
@@ -375,14 +371,12 @@ def sample_cover_compact(sampler: Callable[[int], np.ndarray], epsilon: float,
 def is_cover(space: FiniteMetricSpace, centers: Sequence[int], epsilon: float,
              subset: Iterable[int] | None = None) -> bool:
     """Exhaustively check that every subset point is within epsilon of a center."""
-    ids = np.arange(space.n) if subset is None else np.asarray(list(subset), dtype=int)
-    centers = list(centers)
-    if not centers:
+    ids = np.arange(space.n) if subset is None else _point_ids(list(subset), space.n)
+    centers = _point_ids(list(centers), space.n)
+    if not centers.size:
         return ids.size == 0
-    for p in ids:
-        if min(space.distance(int(p), c) for c in centers) > epsilon:
-            return False
-    return True
+    return not any((blk.min(axis=1) > epsilon).any()
+                   for _, blk in space.row_blocks(ids, centers))
 
 
 # -- file formats ------------------------------------------------------------

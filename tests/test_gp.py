@@ -297,6 +297,19 @@ class TestPosterior:
         with pytest.raises(ArgumentError, match="capacity must be nonnegative"):
             GPPosterior(Kernel("se"), 0.1, [[0.0]], -1)
 
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, "2", None])
+    def test_rejects_non_integer_capacity(self, capacity):
+        with pytest.raises(ArgumentError, match="capacity must be nonnegative and integral"):
+            GPPosterior(Kernel("se"), 0.1, [[0.0]], capacity)
+
+    @pytest.mark.parametrize("j", [-1, 2, 99, 1.5, True, [[0]]])
+    def test_add_rejects_a_bad_point_id(self, j):
+        # -1 would condition on the last point, 1.5 on point 1
+        post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
+        with pytest.raises(ArgumentError, match="out of range|dimensions"):
+            post.add(j, 1.0)
+        assert post.t == 0 and not post.sumsq.any()
+
     def test_capacity_exhausted(self):
         post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
         post.add(0, 1.0)

@@ -49,6 +49,14 @@ class TestParseConfig:
             ExperimentConfig(shift=5, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name,bad", [("replicates", 2.5), ("replicates", 0),
+                                          ("trials", 2.5), ("seed_base", 0.5),
+                                          ("seed_base", "1"), ("seed_base", -1)])
+    def test_integer_fields_checked_before_anything_runs(self, tmp_path, name, bad):
+        with pytest.raises(ArgumentError, match=f"{name} must be an integer of at least"):
+            ExperimentConfig(out_dir=str(tmp_path / "out"), **{name: bad})
+        assert not (tmp_path / "out").exists()
+
     def test_a_must_exceed_one(self, tmp_path):
         with pytest.raises(ArgumentError, match="a must exceed 1"):
             parse_config(_write_config(tmp_path, "a = 1.0\n"))

@@ -216,6 +216,25 @@ class TestRows:
             with pytest.raises(ArgumentError, match="out of range"):
                 line5.rows(bad)
 
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_every_read_rejects_non_integer_ids(self, line5, matrix):
+        # numpy would truncate 1.7 to row 1 and read True as id 1
+        sp = (FiniteMetricSpace.from_distance_matrix(line5.pairwise(np.arange(5)))
+              if matrix else line5)
+        reads = [lambda ids: sp.rows(ids), lambda ids: sp.rows([0], ids),
+                 lambda ids: list(sp.row_blocks(ids)), lambda ids: sp.pairwise(ids),
+                 lambda ids: sp.distances(ids, [3]), lambda ids: sp.distances([3], ids),
+                 lambda ids: sp.row(ids[0]), lambda ids: sp.distance(ids[0], 3)]
+        for read in reads:
+            for bad in ([1.7], [0.9, 3.2], [True], np.array([1.0])):
+                with pytest.raises(ArgumentError, match="must be integers"):
+                    read(bad)
+        for read in reads[:6]:
+            with pytest.raises(ArgumentError, match="2 dimensions"):
+                read([[0, 1]])
+        assert sp.rows([]).shape == (0, 5)
+        assert sp.rows(np.array([1], dtype=np.uint8)).tolist() == [[1.0, 0.0, 1.0, 2.0, 3.0]]
+
 
 class TestCoordinateReadsMatchCdist:
     """Every read of a coordinate space gives the bits of ``cdist(coords, coords)``."""
@@ -306,6 +325,22 @@ class TestGreedyCover:
     def test_empty_subset_raises(self, line5):
         with pytest.raises(ArgumentError):
             greedy_cover(line5, 1.0, subset=[])
+
+    def test_subset_ids_must_be_integers_in_range(self, line5):
+        for bad in ([0.5, 1.7, 2.2], [True, False], [[0, 1]]):
+            with pytest.raises(ArgumentError, match="integers|dimensions"):
+                greedy_cover(line5, 0.5, subset=bad)
+        with pytest.raises(ArgumentError, match="point id 5 out of range for n=5"):
+            greedy_cover(line5, 0.5, subset=[0, 5])
+
+    def test_is_cover_ids_must_be_integers_in_range(self, line5):
+        for centers, subset in (([0, 2, 4], [1.5]), ([True], None), ([0, 2, 4], [5]),
+                                ([7], None)):
+            with pytest.raises(ArgumentError, match="out of range"):
+                is_cover(line5, centers, 1.0, subset)
+        assert is_cover(line5, [], 1.0, subset=[])
+        assert not is_cover(line5, [], 1.0)
+        assert is_cover(line5, np.array([0, 2, 4]), 1.0, subset={1, 3})
 
     def test_nonpositive_epsilon_raises(self, line5):
         with pytest.raises(ArgumentError):
