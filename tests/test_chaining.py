@@ -977,7 +977,10 @@ def fingerprint_trees():
     line8 = FiniteMetricSpace.from_coordinates(np.arange(8.0))
     cloud = FiniteMetricSpace.from_coordinates(
         np.random.default_rng(7).integers(0, 65, size=(300, 2)) / 64.0)
+    lattice = np.random.default_rng(19).integers(0, 33, size=(1400, 2)) / 32.0
+    lattice = FiniteMetricSpace.from_coordinates(np.concatenate([lattice, lattice[:200]]))
     trees = {"line8": build_forward(line8),
+             "lattice1600": build_tree(lattice, "geometric", 1, 2.0),
              "line8-pruned": build_tree(line8, "geometric", 1, 2.0),
              "star100": prune_backward(build_forward(make_star(100)), 1.0),
              "six-clusters": _six_clusters_tree(),
@@ -1002,6 +1005,9 @@ _FINGERPRINTS = {
     "cloud300-geometric-1": ("6fc6bdc14a8f3c64d1f3773bca320c4519b825ff6dfd0e4e21f0e3c165a7a3b8",
                              "bc1be679c927611e0d4f2e3bf9c184d2493e997ce0ffe8260c2cd6b64522b5f9",
                              "0614454bbc8280a8f1a7dab02b31392026d2c01914b1d8c9ecca02d231e464ec"),
+    "lattice1600": ("4610dcebfb25cad5c3b596911c5ebd5c6ac2098f2ae20a73457ade31d20758e4",
+                    "7b2ac728c2ff825210de459f80efce05bbaca14a4f48d218fccef9557699c085",
+                    "86562a53551a3db6f8d1261bd35b6773181d605c7a40997e27d159ca5493d7a8"),
     "line8": ("9a33881fbcdc77665b88d54df8cc153132d79af3616ee4483519c1c2260de278",
               "82acfe115e3bfc8901b00d727832a52a8708842bcf3fe88bce0414e97a009159",
               "d4c6901e2e499291dce49bcd1297a94bd4dddb8a2f047a58dde83102a02b9f7f"),
