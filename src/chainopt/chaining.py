@@ -269,6 +269,13 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     distance zero once everything else has entered.  Each level's columns
     are built in one piece, and the tree is derived once at the end.  Every
     distance is read in row blocks of about 1 MiB, so no m×m float array exists.
+
+    The depth bound comes from the diameter and the smallest positive
+    distance, which a coordinate space finds without the n² scan (see
+    :meth:`FiniteMetricSpace.min_positive`: a k-d tree proposes, the exact
+    formula decides).  After each level the nearest-tree-point update reads
+    the new points' distances to the points still to place, not to every
+    point: only those are read again.
     """
     if schedule not in ("geometric", "entropy"):
         raise ArgumentError(f"schedule must be 'geometric' or 'entropy', got {schedule!r}")
@@ -282,8 +289,7 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     best_pt = np.zeros(n, dtype=int)
 
     diam = space.diameter
-    every = np.arange(n)
-    min_pos = _min_positive(space, every)
+    min_pos = space.min_positive(np.arange(n))
     if diam > 0 and min_pos < math.inf:
         h_limit = math.ceil(math.log2(diam / min_pos)) + shift + 3
     else:
@@ -309,14 +315,15 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
         depth.append(np.full(len(old) + len(new_points), h))
         location.append(np.concatenate((old, new_points)))
         latest[location[-1]] = latest.max() + 1 + np.arange(len(location[-1]))
-        # nearest tree points, ties toward the smaller id: argmin over ascending ids
-        pts = np.sort(new_points)
-        for lo, blk in space.row_blocks(pts):
+        # nearest tree points of the points still to place, ties toward the
+        # smaller id: argmin over ascending ids
+        pts, rest = np.sort(new_points), np.flatnonzero(latest < 0)
+        for lo, blk in space.row_blocks(pts, rest):
             k = np.argmin(blk, axis=0)
-            d, p = blk[k, every], pts[lo + k]
-            win = (d < best_d) | ((d == best_d) & (p < best_pt))
-            best_d[win] = d[win]
-            best_pt[win] = p[win]
+            d, p = blk[k, np.arange(len(rest))], pts[lo + k]
+            win = (d < best_d[rest]) | ((d == best_d[rest]) & (p < best_pt[rest]))
+            best_d[rest[win]] = d[win]
+            best_pt[rest[win]] = p[win]
 
     return ChainingTree(space, schedule, shift, np.concatenate(parent),
                         np.concatenate(depth), np.concatenate(location))
@@ -567,9 +574,9 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
         level = np.unique(locs)
         eps_h = tree.epsilon(h)
         if len(locs) > 1:
-            carried = min(carried, _min_positive(space, level[~seen[level]], level))
+            carried = min(carried, space.min_positive(level[~seen[level]], level))
             if carried < eps_h * (1 - _REL_TOL):
-                carried = _min_positive(space, level, level)    # over distinct points
+                carried = space.min_positive(level, level)    # over distinct points
                 if carried < eps_h * (1 - _REL_TOL):
                     errors.append(f"depth {h}: separation {carried:g} below eps={eps_h:g}")
         seen[:] = False
@@ -626,15 +633,6 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     warnings += [f"radius grows along path at node {k}" for k in grown[grown >= 0]]
 
     return TreeValidation(not errors, errors, warnings, capacity_flags)
-
-
-def _min_positive(space: FiniteMetricSpace, rows: np.ndarray,
-                  cols: np.ndarray | None = None) -> float:
-    """Smallest positive distance from the points ``rows`` to ``cols`` (default: every point)."""
-    best = math.inf
-    for _, blk in space.row_blocks(rows, cols):
-        best = min(best, float(np.min(blk, where=blk > 0, initial=math.inf)))
-    return best
 
 
 def write_tree(tree: ChainingTree, path: str) -> None:

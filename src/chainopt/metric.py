@@ -6,7 +6,12 @@ Euclidean metric (kernel-induced canonical distances are built by
 :mod:`chainopt.gp`, which hands the resulting matrix to this module).  A
 coordinate space stores no distance matrix at any size: every read
 computes the requested rows and columns with ``cdist``, bit for bit the
-entries of ``cdist(coords, coords)``.
+entries of ``cdist(coords, coords)``.  Its two whole-space summaries skip
+the n² scan and still give those bits.  The diameter is the maximum over
+the block of the points that the triangle inequality, through one exact
+row from a central point, leaves as possible ends of the farthest pair.
+The smallest positive distance is proposed by a k-d tree and decided by
+the exact formula on the few pairs within rounding slack of the proposal.
 
 Covers come in three flavours:
 
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, ParseError
@@ -35,6 +41,9 @@ _TRIANGLE_FULL_LIMIT = 64    # exhaustive triangle check below, sampled above
 _TRIANGLE_SAMPLES = 10_000
 _SYMMETRY_RTOL = 1e-12
 _TRIANGLE_SLACK = 1e-9       # relative slack for floating-point distances
+# Below this a computed distance may have lost bits to underflow, which no
+# relative slack covers; the coordinate-space bounds then scan every pair.
+_UNDERFLOW_SAFE = 1e-100
 _BLOCK_BYTES = 1 << 20       # bytes per block where a large array is worked through in pieces
 
 
@@ -48,7 +57,11 @@ class FiniteMetricSpace:
     requested distances with ``scipy.spatial.distance.cdist`` (paired
     reads sum the squared differences one dimension at a time, then take
     the square root), so every read gives the bits of
-    ``cdist(coords, coords)`` without holding the n×n matrix.  Every
+    ``cdist(coords, coords)`` without holding the n×n matrix.  Its
+    diameter and :meth:`min_positive` are those of the n² scan, found
+    without it: the diameter from a block of candidate ends bounded by the
+    triangle inequality, the smallest positive distance from pairs that a
+    k-d tree proposes and the exact formula decides.  Every
     distance matrix is checked against the pseudo-metric axioms: finite
     entries, zero diagonal, symmetry, nonnegativity and the triangle
     inequality (exhaustive for n <= 64, on 10 000 random triples beyond).
@@ -87,7 +100,7 @@ class FiniteMetricSpace:
             self._diameter = float(self._dist.max())
         else:
             self._dist = None  # distances computed from coordinates on request
-            self._diameter = max(float(blk.max()) for _, blk in self.row_blocks(np.arange(n)))
+            self._diameter = self._coordinate_diameter()
 
     # -- constructors ------------------------------------------------------
 
@@ -121,24 +134,34 @@ class FiniteMetricSpace:
 
     def rows(self, ids: Sequence[int] | np.ndarray,
              cols: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
-        """Distances from the point ids ``ids`` (rows) to ``cols`` (columns; default every point)."""
+        """Distances from the point ids ``ids`` (rows) to ``cols`` (columns; default every point).
+
+        On a stored matrix, the whole rows of one ascending run of ids are a
+        read-only view of the matrix; every other read is a fresh array.
+        """
         ids = _point_ids(ids, self.n)
         cols = None if cols is None else _point_ids(cols, self.n)
         if self._dist is None:
             return cdist(self._coords[ids], self._coords if cols is None else self._coords[cols])
-        if cols is None:
-            return self._dist[ids]
-        return np.take(self._dist[ids], cols, axis=1)
+        if ids.ndim == 1 and ids.size and np.all(np.diff(ids) == 1):
+            block = self._dist[int(ids[0]):int(ids[-1]) + 1]
+            block.flags.writeable = False
+        else:
+            block = self._dist[ids]
+        return block if cols is None else np.take(block, cols, axis=1)
 
     def row_blocks(self, ids: Sequence[int] | np.ndarray,
                    cols: Sequence[int] | np.ndarray | None = None):
         """Yield ``(start, rows(ids[start:stop], cols))`` over ``ids`` in blocks of about 1 MiB.
 
-        A block holds about 1 MiB of what it reads: whole rows of a stored
-        matrix, or the requested columns of a coordinate space.
+        A block holds about 1 MiB of what it reads: the requested columns of
+        a coordinate space, or the whole rows of a stored matrix plus, when
+        ``cols`` is given, the copy of those columns.
         """
         ids = np.asarray(ids)                # each block is checked by rows
-        width = self.n if cols is None or self._dist is not None else len(cols)
+        width = self.n if cols is None else len(cols)
+        if self._dist is not None and cols is not None:
+            width += self.n                  # the whole rows the columns are taken from
         step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
         for lo in range(0, len(ids), step):
             yield lo, self.rows(ids[lo:lo + step], cols)
@@ -151,6 +174,69 @@ class FiniteMetricSpace:
                  others: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
         """Distances from the given point ids (rows) to ``others`` (columns; default ``ids``)."""
         return self.rows(ids, ids if others is None else others)
+
+    def min_positive(self, rows: Sequence[int] | np.ndarray,
+                     cols: Sequence[int] | np.ndarray | None = None) -> float:
+        """Smallest positive distance from the points ``rows`` to ``cols`` (default every
+        point), as a scan of their :meth:`rows` block finds it; inf if there is none.
+
+        A stored matrix is scanned in row blocks.  A coordinate space reads
+        one point of each distinct coordinate row, and a k-d tree over the
+        column points proposes: ``est`` is the smallest positive k-d
+        distance from a row point to its two nearest column points.  The
+        exact paired formula then decides over every pair within
+        ``est * (1 + 1e-9)``; the pair that attains the scan's minimum is
+        no farther than ``est`` up to rounding, so it is among them.  Where
+        ``est`` is not finite, or small enough for underflow to matter, the
+        distinct points are scanned instead.
+        """
+        rows = _point_ids(rows, self.n)
+        cols = None if cols is None else _point_ids(cols, self.n)
+        if not rows.size or (cols is not None and not cols.size):
+            return math.inf
+        if self._dist is None:
+            x = self._coords
+            if not x.shape[1]:                   # no coordinate: every distance is 0
+                return math.inf
+            every = np.arange(self.n) if cols is None else cols
+            cols = _distinct(x, every)
+            rows = cols if np.array_equal(rows, every) else _distinct(x, rows)
+            col_tree = cKDTree(x[cols])
+            near, _ = col_tree.query(x[rows], k=2)
+            est = float(np.min(near, where=near > 0, initial=math.inf))
+            if _UNDERFLOW_SAFE <= est < math.inf:
+                row_tree = col_tree if rows is cols else cKDTree(x[rows])
+                pairs = row_tree.sparse_distance_matrix(
+                    col_tree, est * (1 + _TRIANGLE_SLACK), output_type="ndarray")
+                d = self.distances(rows[pairs["i"]], cols[pairs["j"]])
+                return float(np.min(d, where=d > 0, initial=math.inf))
+        best = math.inf
+        for _, blk in self.row_blocks(rows, cols):
+            best = min(best, float(np.min(blk, where=blk > 0, initial=math.inf)))
+        return best
+
+    def _coordinate_diameter(self) -> float:
+        """The largest entry of ``cdist(coords, coords)``, read from a block of candidate ends.
+
+        ``r`` is the exact row of the point c nearest the middle of the
+        bounding box, and ``lb`` the largest distance from the point farthest
+        from c.  Since d(i, j) <= r[i] + max(r), a pair longer than ``lb``
+        has both ends among the points with ``r[i] + max(r) >= lb``, less a
+        1e-9 relative slack for rounding; so does the pair that gives ``lb``.
+        The diameter is the maximum over those points' block.  Every point
+        is a candidate where ``lb`` is not finite, or small enough for
+        underflow to matter.
+        """
+        x = self._coords
+        mid = x.min(axis=0) / 2 + x.max(axis=0) / 2
+        c = int(np.argmin(cdist(mid[None, :], x)[0]))
+        r = cdist(x[c:c + 1], x)[0]
+        lb = float(cdist(x[[np.argmax(r)]], x).max())
+        if _UNDERFLOW_SAFE <= lb < math.inf:
+            ends = np.flatnonzero(r + r.max() >= lb * (1 - _TRIANGLE_SLACK))
+        else:
+            ends = np.arange(self.n)
+        return max(float(blk.max()) for _, blk in self.row_blocks(ends, ends))
 
     def distances(self, i: Sequence[int] | np.ndarray,
                   j: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -182,6 +268,21 @@ def _point_ids(ids, n: int) -> np.ndarray:
     if lo < 0 or hi >= n:
         raise ArgumentError(f"point id {lo if lo < 0 else hi} out of range for n={n}")
     return arr
+
+
+def _distinct(coords: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """One of ``ids`` per distinct coordinate row (``coords`` has at least one column)."""
+    x = coords[ids]
+    order = np.lexsort(x.T)                  # equal rows end up next to each other
+    x = x[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = np.any(x[1:] != x[:-1], axis=1)
+    return ids[order[first]]
+
+
+def _id_array(ids: Iterable[int], n: int) -> np.ndarray:
+    """:func:`_point_ids` of an iterable of ids; an ndarray is checked as it is, not listed."""
+    return _point_ids(ids if isinstance(ids, np.ndarray) else list(ids), n)
 
 
 def _check_finite(what: str, arr: np.ndarray) -> None:
@@ -261,7 +362,7 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
     ids = (np.arange(space.n) if subset is None
-           else np.unique(_point_ids(list(subset), space.n)))
+           else np.unique(_id_array(subset, space.n)))
     if ids.size == 0:
         raise ArgumentError("subset must be non-empty")
 
@@ -371,8 +472,8 @@ def sample_cover_compact(sampler: Callable[[int], np.ndarray], epsilon: float,
 def is_cover(space: FiniteMetricSpace, centers: Sequence[int], epsilon: float,
              subset: Iterable[int] | None = None) -> bool:
     """Exhaustively check that every subset point is within epsilon of a center."""
-    ids = np.arange(space.n) if subset is None else _point_ids(list(subset), space.n)
-    centers = _point_ids(list(centers), space.n)
+    ids = np.arange(space.n) if subset is None else _id_array(subset, space.n)
+    centers = _id_array(centers, space.n)
     if not centers.size:
         return ids.size == 0
     return not any((blk.min(axis=1) > epsilon).any()

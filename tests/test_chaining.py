@@ -511,6 +511,28 @@ class TestBuildForwardByBlocks:
         for col in ("parent", "depth", "location"):
             assert np.array_equal(getattr(got, col), getattr(want, col))
 
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_every_read_is_restricted_to_columns(self, monkeypatch, matrix):
+        # the covers read their m×m block and the nearest-point update only the
+        # points still to place; whole rows are read only by a matrix space's
+        # depth-bound scan
+        sp = FiniteMetricSpace.from_coordinates(
+            np.random.default_rng(3).integers(0, 33, size=(300, 2)) / 32.0)
+        if matrix:
+            sp = FiniteMetricSpace.from_distance_matrix(sp.pairwise(np.arange(sp.n)))
+        want = build_forward(sp)
+        widths, inner = [], FiniteMetricSpace.row_blocks
+
+        def spy(space, ids, cols=None):
+            widths.append(None if cols is None else len(cols))
+            return inner(space, ids, cols)
+
+        monkeypatch.setattr(FiniteMetricSpace, "row_blocks", spy)
+        got = build_forward(sp)
+        assert np.array_equal(got.parent, want.parent)
+        assert np.array_equal(got.location, want.location)
+        assert widths.count(None) == int(matrix) < len(widths)
+
     def test_points_entering_out_of_id_order(self):
         # lattice ties and duplicates; some level's covers select points out of id order
         rng = np.random.default_rng(8)
@@ -921,7 +943,7 @@ class TestSeparationGathers:
     @staticmethod
     def _square_gathers(monkeypatch, tree):
         calls, seen = [], []
-        inner = chaining._min_positive
+        inner = FiniteMetricSpace.min_positive
 
         def spy(space, rows, cols=None):
             if seen and seen[-1] is cols:       # a second read of the same level
@@ -930,7 +952,7 @@ class TestSeparationGathers:
             return inner(space, rows, cols)
 
         with monkeypatch.context() as patch:
-            patch.setattr(chaining, "_min_positive", spy)
+            patch.setattr(FiniteMetricSpace, "min_positive", spy)
             return validate_tree(tree), calls
 
     def test_none_on_valid_trees(self, monkeypatch):

@@ -211,6 +211,31 @@ class TestRows:
         assert [lo for lo, _ in blocks] == list(range(0, len(ids), per_block))
         assert np.array_equal(np.concatenate([b for _, b in blocks] or [got]), got)
 
+    def test_contiguous_rows_of_a_matrix_are_a_read_only_view(self):
+        D = _random_space(np.random.default_rng(2), 12).pairwise(np.arange(12))
+        sp = FiniteMetricSpace.from_distance_matrix(D)
+        for ids in ([3, 4, 5, 6], np.arange(12), [7], np.array([2, 3], dtype=np.uint8)):
+            block = sp.rows(ids)
+            assert np.array_equal(block, D[np.asarray(ids)])
+            assert not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+            assert np.array_equal(sp.rows(ids, [0, 5]), D[np.ix_(ids, [0, 5])])
+        assert sp._dist.flags.writeable and np.array_equal(sp._dist, D)
+        for ids in ([3, 5], [4, 3], [2, 2], [0, 1, 3]):    # not one ascending run: a gather
+            block = sp.rows(ids)
+            assert np.array_equal(block, D[ids]) and block.flags.writeable
+
+    def test_matrix_blocks_count_the_rows_and_the_column_copy(self):
+        sp = FiniteMetricSpace.from_distance_matrix(
+            _random_space(np.random.default_rng(6), 30).pairwise(np.arange(30)))
+        cols = np.arange(0, 30, 3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metric, "_BLOCK_BYTES", 8 * (30 + len(cols)) * 4)
+            assert [lo for lo, _ in sp.row_blocks(np.arange(30), cols)] == list(range(0, 30, 4))
+            patch.setattr(metric, "_BLOCK_BYTES", 8 * 30 * 4)    # whole rows, no copy
+            assert [lo for lo, _ in sp.row_blocks(np.arange(30))] == list(range(0, 30, 4))
+
     def test_rows_out_of_range(self, line5):
         for bad in ([5], [-1], [0, 7]):
             with pytest.raises(ArgumentError, match="out of range"):
@@ -306,6 +331,91 @@ class TestCoordinatesAgreeWithTheirMatrix:
         assert trees[0] == trees[1]
 
 
+def _adversarial_clouds():
+    """Named clouds where a bound on the farthest pair or a k-d proposal could go wrong."""
+    rng = np.random.default_rng(23)
+    clouds = {"single-point": np.array([[0.3, -1.0]]), "no-coordinate": np.zeros((7, 0)),
+              "one-duplicate-pair": np.array([[1.0], [1.0]]),
+              # squares of a few bits: a triangle bound with relative slack misses here
+              "subnormal-line": np.arange(-20, 21)[:, None] * 1.2e-163}
+    for dim in range(1, 6):
+        pts = rng.integers(0, 6, size=(150, dim)) / 4.0           # lattice ties
+        dup = np.concatenate([pts, pts[:40]])                     # and duplicates
+        clouds[f"lattice-{dim}d"] = dup
+        clouds[f"all-equal-{dim}d"] = np.full((30, dim), 0.7)
+        clouds[f"huge-{dim}d"] = dup * 1e150 - 1e150                # coordinates of +-1e150
+        clouds[f"signs-{dim}d"] = rng.choice([-1e150, 1e150], size=(40, dim))
+        for scale in (1e-200, 1e-160, 1e-120):        # offsets that underflow, partly or all
+            off = np.concatenate([pts[:40], pts[:20]])    # a deep tree: keep it small
+            off[:10, 0] += scale
+            clouds[f"offsets-{scale:g}-{dim}d"] = off
+            clouds[f"tiny-lattice-{scale:g}-{dim}d"] = dup * scale
+        angle = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        ring = np.zeros((64, dim))
+        ring[:, 0] = np.cos(angle)
+        if dim > 1:
+            ring[:, 1] = np.sin(angle)
+        clouds[f"ring-{dim}d"] = ring     # from 2-D on, every point ends a farthest pair
+    return clouds
+
+
+_CLOUDS = _adversarial_clouds()
+
+
+def _scan_min_positive(D):
+    pos = D[D > 0]
+    return float(pos.min()) if pos.size else math.inf
+
+
+class TestWholeSpaceBoundsMatchTheScan:
+    """A coordinate space's diameter and smallest positive distance are the dense scan's bits."""
+
+    @pytest.mark.parametrize("name", sorted(_CLOUDS))
+    def test_adversarial_clouds(self, name):
+        coords = _CLOUDS[name]
+        D = cdist(coords, coords)
+        sp = FiniteMetricSpace.from_coordinates(coords)
+        assert sp.diameter == D.max()
+        assert sp.min_positive(np.arange(sp.n)) == _scan_min_positive(D)
+        rng = np.random.default_rng(sp.n)
+        for _ in range(4):
+            cols = np.sort(rng.choice(sp.n, size=rng.integers(1, sp.n + 1), replace=False))
+            rows = rng.choice(cols, size=rng.integers(0, len(cols) + 1), replace=False)
+            other = rng.choice(sp.n, size=rng.integers(1, sp.n + 1))    # repeats, any order
+            for r, c in ((rows, cols), (cols, cols), (other, cols), (rows, other)):
+                assert sp.min_positive(r, c) == _scan_min_positive(D[np.ix_(r, c)])
+        # the rows and columns validate_tree asks for, level by level
+        tree = build_tree(sp, "geometric", 1, 2.0)
+        seen = np.zeros(sp.n, dtype=bool)
+        for lvl in tree.levels:
+            level = np.unique(tree.location[lvl[~tree.is_pruned[lvl]]])
+            new = level[~seen[level]]
+            assert sp.min_positive(new, level) == _scan_min_positive(D[np.ix_(new, level)])
+            assert sp.min_positive(level, level) == _scan_min_positive(D[np.ix_(level, level)])
+            seen[:] = False
+            seen[level] = True
+
+    def test_matrix_space_scans_its_rows(self):
+        line = [[0.0], [0.0], [2.0], [5.0]]
+        sp = FiniteMetricSpace.from_distance_matrix(cdist(line, line))
+        assert sp.min_positive([0, 1, 2, 3]) == 2.0
+        assert sp.min_positive([3]) == 3.0
+        assert sp.min_positive([0], [1]) == math.inf
+        assert sp.min_positive([], [0]) == sp.min_positive([0], []) == math.inf
+
+    @given(coords=_lattice_clouds(), scale=st.sampled_from([1.0, 1e150, 1e-120, 1e-170]),
+           data=st.data())
+    def test_lattice_clouds(self, coords, scale, data):
+        coords = coords * scale
+        D = cdist(coords, coords)
+        sp = FiniteMetricSpace.from_coordinates(coords)
+        ids = st.lists(st.integers(0, len(coords) - 1), max_size=2 * len(coords))
+        rows, cols = data.draw(ids), data.draw(ids | st.none())
+        assert sp.diameter == D.max()
+        want = D[rows] if cols is None else D[np.ix_(rows, cols)]
+        assert sp.min_positive(rows, cols) == _scan_min_positive(want)
+
+
 class TestGreedyCover:
     def test_line_frozen_from_oracle(self, line5):
         cover = greedy_cover(line5, 1.0)
@@ -341,6 +451,16 @@ class TestGreedyCover:
         assert is_cover(line5, [], 1.0, subset=[])
         assert not is_cover(line5, [], 1.0)
         assert is_cover(line5, np.array([0, 2, 4]), 1.0, subset={1, 3})
+
+    @pytest.mark.parametrize("kind", [list, set, iter, np.array, tuple])
+    def test_subsets_and_centers_of_any_iterable(self, kind):
+        sp = _random_space(np.random.default_rng(9), 40)
+        subset, centers = [31, 2, 17, 2, 8, 25, 39], [2, 8, 17, 25, 31, 39]
+        want = greedy_cover(sp, 0.2, subset)
+        got = greedy_cover(sp, 0.2, kind(subset))
+        assert (got.centers, got.covered_map) == (want.centers, want.covered_map)
+        assert is_cover(sp, kind(centers), 0.0, kind(subset))
+        assert not is_cover(sp, kind(centers[1:]), 0.0, kind(subset))
 
     def test_nonpositive_epsilon_raises(self, line5):
         with pytest.raises(ArgumentError):
