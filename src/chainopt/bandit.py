@@ -16,13 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .chaining import ChainingTree, build_tree, omega_table
-from .errors import ArgumentError, CapacityError, NumericError
+from .errors import ArgumentError, CapacityError, NumericError, is_int
 from .gp import Kernel, _as_points, _kernel_diag, _kernel_rows, c_eta, information_gain
 from .metric import FiniteMetricSpace, _point_ids
 from .smoothness import SmoothnessModel, confidence_level_u_i
@@ -53,13 +52,13 @@ class OptimizerConfig:
             raise ArgumentError("a must exceed 1 and be finite")
         if not 0 < self.eta2 < math.inf:
             raise ArgumentError("eta2 must be positive and finite")
-        if not isinstance(self.t_max, Integral) or self.t_max < 0:
+        if not is_int(self.t_max) or self.t_max < 0:
             raise ArgumentError("t_max must be a nonnegative integer")
         if self.depth_rule not in _DEPTH_RULES:
             raise ArgumentError(f"depth_rule must be one of {_DEPTH_RULES}")
         if self.schedule not in ("geometric", "entropy"):
             raise ArgumentError("schedule must be 'geometric' or 'entropy'")
-        if self.shift not in (0, 1):
+        if not is_int(self.shift) or self.shift not in (0, 1):
             raise ArgumentError("shift must be 0 or 1")
 
 
@@ -110,9 +109,9 @@ class GPPosterior:
                  n_outputs: int = 1, replicates: int = 1):
         if not 0 < eta2 < math.inf:
             raise ArgumentError("noise variance must be positive and finite")
-        if replicates < 1:
-            raise ArgumentError("replicates must be at least 1")
-        if not isinstance(capacity, Integral) or capacity < 0:
+        if not is_int(replicates) or replicates < 1:
+            raise ArgumentError("replicates must be an integer of at least 1")
+        if not is_int(capacity) or capacity < 0:
             raise ArgumentError(f"capacity must be nonnegative and integral, got {capacity!r}")
         self.kernel = kernel
         self.X = _as_points(coords)
@@ -137,13 +136,16 @@ class GPPosterior:
 
     def add(self, j, y_row) -> None:
         """Condition replicate r on a noisy observation ``y_row[r]`` (one value per
-        channel) at point ``j[r]``; with one replicate, ``j`` may be an int and
-        ``y_row`` one row."""
+        channel) at point ``j[r]``, or at ``j`` if it is one id; with one replicate,
+        ``y_row`` may be one row."""
         t = self.t
         R = self.V.shape[0]
         if t == self.V.shape[1]:
             raise ArgumentError(f"posterior capacity {t} exhausted")
-        js = np.broadcast_to(_point_ids(j, self.X.shape[0]), (R,))
+        js = _point_ids(j, self.X.shape[0])
+        if js.size not in (1, R):
+            raise ArgumentError(f"need one point id or {R}, got {js.size}")
+        js = np.broadcast_to(js, (R,))
         y = np.asarray(y_row, dtype=float).reshape(R, -1)
         reps = np.arange(R)
         w = self.V[reps, :t, js]                             # (R, t)

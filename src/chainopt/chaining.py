@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, InternalError
+from .errors import ArgumentError, InternalError, is_int
 from .metric import FiniteMetricSpace, greedy_cover
 from .smoothness import SmoothnessModel, confidence_level_u_i, psi_star_inv
 
@@ -62,10 +62,9 @@ class _NodeView(Mapping):
 
     def __getitem__(self, nid) -> TreeNode:
         t = self._tree
-        if not (isinstance(nid, (int, np.integer)) and 0 <= nid < len(t.alive) and t.alive[nid]):
-            raise KeyError(nid)
+        nid = t._node_id(nid, KeyError)
         p = int(t.parent[nid])
-        return TreeNode(int(nid), int(t.depth[nid]), int(t.location[nid]),
+        return TreeNode(nid, int(t.depth[nid]), int(t.location[nid]),
                         None if p == -1 else p, bool(t.is_pruned[nid]),
                         float(t.radius[nid]), float(t.value[nid]))
 
@@ -107,8 +106,7 @@ class ChainingTree:
     def _derive(self) -> None:
         """Set the child lists, levels, leaf order and radii from the columns."""
         live = np.flatnonzero(self.alive)
-        self.levels = _levels(self.depth, live)
-        self._child_ids, self._child_ptr, self._lo, self._hi, leaves = _leaf_order(
+        self._child_ids, self._child_ptr, self._lo, self._hi, leaves, self.levels = _leaf_order(
             self.parent, self.depth, live)
         self._leaf_loc = self.location[leaves]
         self.radius[live] = _radii(self.space, self.location, self._lo, self._hi, leaves, live)
@@ -132,15 +130,18 @@ class ChainingTree:
     def root_id(self) -> int:
         return int(self.levels[0][0])
 
+    def _node_id(self, node_id, error: type[Exception] = ArgumentError) -> int:
+        """``node_id`` if it names a live node (an integer, not a bool); ``error`` otherwise."""
+        if not (is_int(node_id) and 0 <= node_id < len(self.alive) and self.alive[node_id]):
+            raise error(f"unknown node id {node_id}")
+        return int(node_id)
+
     def node(self, node_id: int) -> TreeNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise ArgumentError(f"unknown node id {node_id}") from None
+        return self.nodes[self._node_id(node_id)]
 
     def children(self, node_id: int) -> np.ndarray:
         """Ids of a node's children, ascending; shared, do not modify."""
-        v = self.node(node_id).node_id
+        v = self._node_id(node_id)
         return self._child_ids[self._child_ptr[v]:self._child_ptr[v + 1]]
 
     def leaves(self) -> np.ndarray:
@@ -148,7 +149,7 @@ class ChainingTree:
 
     def descendant_points(self, node_id: int) -> np.ndarray:
         """Sorted point ids of the leaves below (and including) a node."""
-        v = self.node(node_id).node_id
+        v = self._node_id(node_id)
         return np.sort(self._leaf_loc[self._lo[v]:self._hi[v]])
 
     # -- schedules ----------------------------------------------------------
@@ -204,7 +205,8 @@ def _leaf_order(parent: np.ndarray, rank: np.ndarray, nodes: np.ndarray):
 
     Each node's parent is -1 or another node of smaller ``rank``.  Returns the
     children as ``kids[ptr[v]:ptr[v + 1]]``, in id order, and ``lo``, ``hi``
-    and ``leaves`` such that v's leaves, v included, are ``leaves[lo[v]:hi[v]]``.
+    and ``leaves`` such that v's leaves, v included, are ``leaves[lo[v]:hi[v]]``,
+    and last the nodes grouped by rank as :func:`_levels` gives them.
     """
     n = len(parent)
     up = np.where(parent >= 0, parent, n)          # tops hang under a virtual node n
@@ -220,7 +222,8 @@ def _leaf_order(parent: np.ndarray, rank: np.ndarray, nodes: np.ndarray):
     lo[kids] = before - before[ptr[up[kids]]]      # offsets among siblings
     for lvl in levels[1:]:                         # plus the parent's, top-down
         lo[lvl] += lo[up[lvl]]
-    return kids[:ptr[n]], ptr[:n + 1], lo[:n], lo[:n] + size[:n], leaf[np.argsort(lo[leaf])]
+    return (kids[:ptr[n]], ptr[:n + 1], lo[:n], lo[:n] + size[:n], leaf[np.argsort(lo[leaf])],
+            levels)
 
 
 def _radii(space: FiniteMetricSpace, location: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -279,7 +282,7 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     """
     if schedule not in ("geometric", "entropy"):
         raise ArgumentError(f"schedule must be 'geometric' or 'entropy', got {schedule!r}")
-    if shift not in (0, 1):
+    if not is_int(shift) or shift not in (0, 1):
         raise ArgumentError("shift must be 0 or 1")
     n = space.n
     parent, depth, location = [np.array([-1])], [np.array([0])], [np.array([0])]
@@ -482,21 +485,24 @@ def lower_value(tree: ChainingTree, node_id: int) -> float:
     """Stored anti-concentration value of a node in a pruned tree."""
     if not tree.pruned:
         raise ArgumentError("lower values exist only after pruning")
-    return tree.node(node_id).value
+    return float(tree.value[tree._node_id(node_id)])
 
 
 def lower_bound_functional(tree: ChainingTree, node_id: int) -> float:
-    """Supremum over descendant leaves of sum_{i>=h} radius(p_i(x)) 2^{i/2}."""
-    best = 0.0
-    stack = [(tree.node(node_id).node_id, 0.0)]
-    while stack:
-        nid, acc = stack.pop()
-        acc += float(tree.radius[nid]) * 2.0 ** (int(tree.depth[nid]) / 2.0)
-        kids = tree.children(nid)
-        if not kids.size:
-            best = max(best, acc)
-        stack.extend((c, acc) for c in kids.tolist())
-    return best
+    """Supremum over descendant leaves of sum_{i>=h} radius(p_i(x)) 2^{i/2}.
+
+    One top-down sweep over the node's subtree, level by level: a node's sum
+    is its parent's plus its own term.  The subtree's nodes at a level are
+    those whose leaf-order offset falls in the node's slice.
+    """
+    v = tree._node_id(node_id)
+    acc = np.zeros(len(tree.parent))
+    acc[v] = tree.radius[v] * 2.0 ** (int(tree.depth[v]) / 2.0)
+    for h in range(int(tree.depth[v]) + 1, tree.max_depth + 1):
+        lvl = tree.levels[h]
+        lvl = lvl[(tree._lo[lvl] >= tree._lo[v]) & (tree._lo[lvl] < tree._hi[v])]
+        acc[lvl] = acc[tree.parent[lvl]] + tree.radius[lvl] * 2.0 ** (h / 2.0)
+    return float(np.max(acc, where=np.diff(tree._child_ptr) == 0, initial=0.0))
 
 
 @dataclass
@@ -609,7 +615,7 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
         steps[up] += steps[anc[up]]
         anc[up] = anc[anc[up]]
     walked = live[anc[live] < 0]                # not on or below a parent cycle
-    _, _, lo, hi, below = _leaf_order(par, steps, walked)
+    _, _, lo, hi, below, chains = _leaf_order(par, steps, walked)
     expect = _radii(space, loc, lo, hi, below, walked)
     bad = ~(np.abs(radius[walked] - expect) <= _REL_TOL * np.maximum(1.0, expect))
     for k, rk, ek in zip(walked[bad], radius[walked][bad], expect[bad]):
@@ -621,7 +627,7 @@ def validate_tree(tree: ChainingTree) -> TreeValidation:
     prev = radius.copy()
     has = ~pruned
     viol = np.full(n_nodes, -1, dtype=np.int64)
-    for g in _levels(steps, walked)[1:]:
+    for g in chains[1:]:
         pg = par[g]
         pv = prev[pg]
         viol[g] = viol[pg]

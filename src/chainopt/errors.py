@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer test of its settings.
 
 The CLI maps these onto process exit codes: usage/argument/parse problems
 exit with 2, numeric failures with 3, and a failed validation claim with 1.
 """
+
+from numbers import Integral
 
 
 class ChainoptError(Exception):
@@ -33,3 +35,8 @@ class NumericError(ChainoptError):
 
 class InternalError(ChainoptError):
     """An internal invariant was broken; indicates an implementation bug."""
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: an int or numpy integer, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)

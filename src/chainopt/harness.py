@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .bandit import (OptimizerConfig, regret_bound_rhs, run_gp_ucb,
                      run_squared_gp_ucb)
 from .chaining import (_cell_excess, build_tree, lower_bound_functional, omega_table,
                        phi, validate_tree)
-from .errors import ArgumentError, CapacityError, ParseError
+from .errors import ArgumentError, CapacityError, InternalError, ParseError, is_int
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
 from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, load_space
@@ -41,8 +40,8 @@ def _check_size(spec: str, n: int) -> None:
 
 def make_grid(dim: int, per_dim: int, extent: float = 1.0) -> np.ndarray:
     """Regular grid coordinates in lexicographic order, shape (per_dim^dim, dim)."""
-    if dim < 1 or per_dim < 1:
-        raise ArgumentError("grid needs dim >= 1 and per_dim >= 1")
+    if not (is_int(dim) and is_int(per_dim)) or dim < 1 or per_dim < 1:
+        raise ArgumentError("grid needs integers dim >= 1 and per_dim >= 1")
     # per_dim^dim points, with the exponent capped where 2^cap already exceeds the limit
     _check_size(f"grid:dim={dim},per_dim={per_dim}",
                 per_dim ** min(dim, DENSE_LIMIT.bit_length()))
@@ -54,16 +53,16 @@ def make_grid(dim: int, per_dim: int, extent: float = 1.0) -> np.ndarray:
 
 def make_line(n: int) -> np.ndarray:
     """Integer-spaced points on the line, shape (n, 1)."""
-    if n < 1:
-        raise ArgumentError("line needs n >= 1")
+    if not is_int(n) or n < 1:
+        raise ArgumentError("line needs an integer n >= 1")
     _check_size(f"line:n={n}", n)
     return np.arange(n, dtype=float)[:, None]
 
 
 def make_star(n: int) -> FiniteMetricSpace:
     """n points at unit distance from each other (forces heavy pruning)."""
-    if n < 1:
-        raise ArgumentError("star needs n >= 1")
+    if not is_int(n) or n < 1:
+        raise ArgumentError("star needs an integer n >= 1")
     _check_size(f"star:n={n}", n)
     D = np.ones((n, n)) - np.eye(n)
     return FiniteMetricSpace.from_distance_matrix(D)
@@ -136,7 +135,7 @@ class ExperimentConfig(OptimizerConfig):
         super().__post_init__()
         for name, low in (("replicates", 1), ("trials", 1), ("seed_base", 0)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < low:
+            if not is_int(value) or value < low:
                 raise ArgumentError(f"{name} must be an integer of at least {low}")
 
     def build_kernel(self) -> Kernel:
@@ -413,7 +412,7 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
     tree = build_tree(space, config.schedule, config.shift, config.u)
     check = validate_tree(tree)
     if not check.ok:
-        raise ArgumentError("tree validation failed: " + "; ".join(check.errors))
+        raise InternalError("tree validation failed: " + "; ".join(check.errors))
 
     bounds: list[np.ndarray] = []
     bound_ok: list[bool] = []

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import ArgumentError, CapacityError, ParseError
+from .errors import ArgumentError, CapacityError, ParseError, is_int
 
 DENSE_LIMIT = 8192           # size cap of a generated space and of a path draw's side
 _TRIANGLE_FULL_LIMIT = 64    # exhaustive triangle check below, sampled above
@@ -139,11 +139,13 @@ class FiniteMetricSpace:
         On a stored matrix, the whole rows of one ascending run of ids are a
         read-only view of the matrix; every other read is a fresh array.
         """
-        ids = _point_ids(ids, self.n)
-        cols = None if cols is None else _point_ids(cols, self.n)
+        return self._rows(_point_ids(ids, self.n),
+                          None if cols is None else _point_ids(cols, self.n))
+
+    def _rows(self, ids: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
         if self._dist is None:
             return cdist(self._coords[ids], self._coords if cols is None else self._coords[cols])
-        if ids.ndim == 1 and ids.size and np.all(np.diff(ids) == 1):
+        if ids.size and np.all(np.diff(ids) == 1):
             block = self._dist[int(ids[0]):int(ids[-1]) + 1]
             block.flags.writeable = False
         else:
@@ -158,13 +160,14 @@ class FiniteMetricSpace:
         a coordinate space, or the whole rows of a stored matrix plus, when
         ``cols`` is given, the copy of those columns.
         """
-        ids = np.asarray(ids)                # each block is checked by rows
+        ids = _point_ids(ids, self.n)
+        cols = None if cols is None else _point_ids(cols, self.n)
         width = self.n if cols is None else len(cols)
         if self._dist is not None and cols is not None:
             width += self.n                  # the whole rows the columns are taken from
         step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
         for lo in range(0, len(ids), step):
-            yield lo, self.rows(ids[lo:lo + step], cols)
+            yield lo, self._rows(ids[lo:lo + step], cols)
 
     def distance(self, i: int, j: int) -> float:
         """Pseudo-metric distance ``d(i, j)``, as :meth:`row` gives it."""
@@ -173,7 +176,8 @@ class FiniteMetricSpace:
     def pairwise(self, ids: Sequence[int] | np.ndarray,
                  others: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
         """Distances from the given point ids (rows) to ``others`` (columns; default ``ids``)."""
-        return self.rows(ids, ids if others is None else others)
+        ids = _point_ids(ids, self.n)
+        return self._rows(ids, ids if others is None else _point_ids(others, self.n))
 
     def min_positive(self, rows: Sequence[int] | np.ndarray,
                      cols: Sequence[int] | np.ndarray | None = None) -> float:
@@ -240,8 +244,11 @@ class FiniteMetricSpace:
 
     def distances(self, i: Sequence[int] | np.ndarray,
                   j: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Distances ``d(i[k], j[k])`` between paired point ids, as :meth:`row` gives them."""
+        """Distances ``d(i[k], j[k])`` between paired point ids, as :meth:`row` gives them;
+        one id on either side pairs with every id on the other."""
         i, j = _point_ids(i, self.n), _point_ids(j, self.n)
+        if i.size != j.size and 1 not in (i.size, j.size):
+            raise ArgumentError(f"cannot pair {i.size} point ids with {j.size}")
         if self._dist is not None:
             return self._dist[i, j]
         diff = self._coords[i] - self._coords[j]
@@ -252,22 +259,30 @@ class FiniteMetricSpace:
 
 
 def _point_ids(ids, n: int) -> np.ndarray:
-    """``ids``, one point id or a 1-D sequence of them, as an integer array; an
-    ArgumentError for a non-integer dtype (bool included), more than one dimension
-    or an id outside ``0..n-1``.  An empty sequence, of whatever dtype, has no ids."""
-    arr = np.asarray(ids)
+    """``ids`` (one id, an ndarray checked as it is, or any iterable, listed once) as a 1-D
+    integer array; an ArgumentError for a non-integer id (bool included), more than one
+    dimension or an id outside ``0..n-1``.  An empty sequence, of whatever dtype, has no ids."""
+    if not isinstance(ids, np.ndarray) and np.iterable(ids):
+        ids = list(ids)
+        if any(isinstance(k, (bool, np.bool_)) for k in ids):
+            ids = np.array(ids, dtype=object)    # numpy would read a bool among ints as 0 or 1
+    try:
+        arr = np.atleast_1d(ids)
+    except ValueError:
+        raise ArgumentError("point ids must be one id or a 1-D sequence, "
+                            "got sequences of unequal lengths") from None
     if arr.ndim > 1:
         raise ArgumentError(f"point ids must be one id or a 1-D sequence, "
                             f"got {arr.ndim} dimensions")
     if arr.size == 0:
         return arr.astype(int)
     if arr.dtype.kind not in "iu":           # signed or unsigned integers
-        raise ArgumentError(f"point id {arr.ravel().tolist()[0]!r} out of range for "
-                            f"n={n}: ids must be integers")
+        bad = next((k for k in arr.tolist() if not is_int(k)), arr[0])
+        raise ArgumentError(f"point id {bad!r} out of range for n={n}: ids must be integers")
     lo, hi = arr.min(), arr.max()
     if lo < 0 or hi >= n:
         raise ArgumentError(f"point id {lo if lo < 0 else hi} out of range for n={n}")
-    return arr
+    return arr.astype(int, copy=False)
 
 
 def _distinct(coords: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -278,11 +293,6 @@ def _distinct(coords: np.ndarray, ids: np.ndarray) -> np.ndarray:
     first = np.ones(len(ids), dtype=bool)
     first[1:] = np.any(x[1:] != x[:-1], axis=1)
     return ids[order[first]]
-
-
-def _id_array(ids: Iterable[int], n: int) -> np.ndarray:
-    """:func:`_point_ids` of an iterable of ids; an ndarray is checked as it is, not listed."""
-    return _point_ids(ids if isinstance(ids, np.ndarray) else list(ids), n)
 
 
 def _check_finite(what: str, arr: np.ndarray) -> None:
@@ -362,7 +372,7 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
     ids = (np.arange(space.n) if subset is None
-           else np.unique(_id_array(subset, space.n)))
+           else np.unique(_point_ids(subset, space.n)))
     if ids.size == 0:
         raise ArgumentError("subset must be non-empty")
 
@@ -472,8 +482,8 @@ def sample_cover_compact(sampler: Callable[[int], np.ndarray], epsilon: float,
 def is_cover(space: FiniteMetricSpace, centers: Sequence[int], epsilon: float,
              subset: Iterable[int] | None = None) -> bool:
     """Exhaustively check that every subset point is within epsilon of a center."""
-    ids = np.arange(space.n) if subset is None else _id_array(subset, space.n)
-    centers = _id_array(centers, space.n)
+    ids = np.arange(space.n) if subset is None else _point_ids(subset, space.n)
+    centers = _point_ids(centers, space.n)
     if not centers.size:
         return ids.size == 0
     return not any((blk.min(axis=1) > epsilon).any()

@@ -316,6 +316,70 @@ class TestLowerBoundFunctional:
         assert lower_bound_functional(tree, tree.root_id) > 0.0
 
 
+def _tree_with_dead_nodes():
+    """A pruned 30-point cloud whose pruning dropped an inner node."""
+    sp = FiniteMetricSpace.from_coordinates(np.random.default_rng(1).uniform(size=(30, 2)))
+    tree = prune_backward(build_forward(sp), 0.5)
+    assert not tree.alive.all()
+    return tree
+
+
+def _functional_by_stack_walk(tree, nid):
+    """The functional as the depth-first walk that calls ``children`` node by node."""
+    best, stack = 0.0, [(nid, 0.0)]
+    while stack:
+        v, acc = stack.pop()
+        acc += float(tree.radius[v]) * 2.0 ** (int(tree.depth[v]) / 2.0)
+        kids = tree.children(v)
+        if not kids.size:
+            best = max(best, acc)
+        stack.extend((c, acc) for c in kids.tolist())
+    return best
+
+
+class TestLowerBoundSweep:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: prune_backward(build_forward(make_star(64)), 1.0), id="star64"),
+        pytest.param(_tree_with_dead_nodes, id="dead-nodes"),
+        pytest.param(lambda: build_tree(FiniteMetricSpace.from_coordinates(
+            np.random.default_rng(5).uniform(size=(120, 2)))), id="cloud120"),
+        pytest.param(lambda: build_forward(FiniteMetricSpace.from_coordinates(np.arange(9.0))),
+                     id="line9-forward")])
+    def test_level_sweep_gives_the_bits_of_the_stack_walk(self, make):
+        tree = make()
+        for nid in tree.nodes:
+            assert lower_bound_functional(tree, nid) == _functional_by_stack_walk(tree, nid)
+
+
+class TestNodeIds:
+    """One check on the columns: an integer, not a bool, in range and alive."""
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return _tree_with_dead_nodes()
+
+    def test_bad_ids_are_argument_errors_and_missing_keys(self, tree):
+        dead = int(np.flatnonzero(~tree.alive)[0])
+        reads = [tree.node, tree.children, tree.descendant_points,
+                 lambda v: lower_value(tree, v), lambda v: lower_bound_functional(tree, v)]
+        for bad in (True, False, 1.0, -1, dead, len(tree.alive), np.float64(2.0)):
+            for read in reads:
+                with pytest.raises(ArgumentError, match="unknown node id"):
+                    read(bad)
+            with pytest.raises(KeyError):
+                tree.nodes[bad]
+            assert bad not in tree.nodes
+
+    def test_integer_ids_of_any_kind_read_the_same_node(self, tree):
+        v = int(tree.levels[1][0])
+        for nid in (v, np.int64(v), np.uint16(v)):
+            assert tree.node(nid) == tree.nodes[nid] == tree.nodes[v]
+            assert tree.node(nid).node_id == v and type(tree.node(nid).node_id) is int
+            assert np.array_equal(tree.children(nid), tree.children(v))
+            assert np.array_equal(tree.descendant_points(nid), tree.descendant_points(v))
+            assert lower_value(tree, nid) == lower_value(tree, v)
+
+
 class TestUpperBoundMonteCarlo:
     def test_joint_event_frequency(self):
         kernel = Kernel("se", 0.2)

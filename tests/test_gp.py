@@ -297,7 +297,7 @@ class TestPosterior:
         with pytest.raises(ArgumentError, match="capacity must be nonnegative"):
             GPPosterior(Kernel("se"), 0.1, [[0.0]], -1)
 
-    @pytest.mark.parametrize("capacity", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, "2", None, True])
     def test_rejects_non_integer_capacity(self, capacity):
         with pytest.raises(ArgumentError, match="capacity must be nonnegative and integral"):
             GPPosterior(Kernel("se"), 0.1, [[0.0]], capacity)
@@ -309,6 +309,16 @@ class TestPosterior:
         with pytest.raises(ArgumentError, match="out of range|dimensions"):
             post.add(j, 1.0)
         assert post.t == 0 and not post.sumsq.any()
+
+    @pytest.mark.parametrize("j", [[0, 1], [], np.array([0, 1, 0, 1]), range(2)])
+    def test_add_takes_one_id_or_one_per_replicate(self, j):
+        post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2, replicates=3)
+        with pytest.raises(ArgumentError, match="need one point id or 3, got"):
+            post.add(j, 1.0)
+        assert post.t == 0 and not post.sumsq.any()
+        post.add(np.int64(1), [[1.0], [0.5], [0.0]])  # one id conditions every replicate
+        post.add((0, 1, 0), [[0.2], [0.4], [0.6]])
+        assert post.q[:, :2].tolist() == [[1, 0], [1, 1], [1, 0]]
 
     def test_capacity_exhausted(self):
         post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)

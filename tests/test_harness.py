@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetricSpace,
-                      Kernel, OptimizerConfig, ParseError, RegretRecord,
+                      GPPosterior, InternalError, Kernel, OptimizerConfig, ParseError,
+                      RegretRecord, build_forward,
                       SmoothnessModel, make_ellipsoid, make_grid, make_line,
                       make_star, parse_config, run_experiment, sample_paths,
                       space_from_spec, validate_lemmas, validate_lower,
                       validate_upper)
 from chainopt import gp, harness
+from chainopt.chaining import TreeValidation
 from conftest import tied_spaces, ultrametric_spaces
 
 
@@ -51,7 +53,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name,bad", [("replicates", 2.5), ("replicates", 0),
                                           ("trials", 2.5), ("seed_base", 0.5),
-                                          ("seed_base", "1"), ("seed_base", -1)])
+                                          ("seed_base", "1"), ("seed_base", -1),
+                                          ("replicates", True)])
     def test_integer_fields_checked_before_anything_runs(self, tmp_path, name, bad):
         with pytest.raises(ArgumentError, match=f"{name} must be an integer of at least"):
             ExperimentConfig(out_dir=str(tmp_path / "out"), **{name: bad})
@@ -157,6 +160,34 @@ class TestGenerators:
         sp = space_from_spec("line:n=3", kernel=Kernel("se", 1.0))
         expect = math.sqrt(2 - 2 * math.exp(-0.5))
         assert sp.distance(0, 1) == pytest.approx(expect)
+
+
+class TestIntegerSettings:
+    """Integer settings refuse bools and non-integers where they come in."""
+
+    @pytest.mark.parametrize("build,message", [
+        pytest.param(lambda: OptimizerConfig(shift=True), "shift must be 0 or 1",
+                     id="config-shift"),
+        pytest.param(lambda: build_forward(FiniteMetricSpace.from_coordinates([[0.0], [1.0]]),
+                                           shift=True), "shift must be 0 or 1",
+                     id="forward-shift"),
+        pytest.param(lambda: OptimizerConfig(t_max=True), "t_max must be a nonnegative integer",
+                     id="t_max"),
+        pytest.param(lambda: GPPosterior(Kernel("se"), 0.1, [[0.0]], 1, replicates=2.5),
+                     "replicates must be an integer of at least 1", id="posterior-replicates"),
+        pytest.param(lambda: make_star(2.5), "star needs an integer n >= 1", id="star"),
+        pytest.param(lambda: make_grid(1, 2.5), "grid needs integers dim >= 1 and per_dim >= 1",
+                     id="grid"),
+        pytest.param(lambda: make_line(2.5), "line needs an integer n >= 1", id="line"),
+    ])
+    def test_rejected(self, build, message):
+        with pytest.raises(ArgumentError, match=message):
+            build()
+
+    def test_numpy_integers_are_integers(self):
+        assert make_line(np.int64(3)).shape == (3, 1)
+        assert make_grid(np.int8(2), np.uint16(3)).shape == (9, 2)
+        assert OptimizerConfig(shift=np.int64(0), t_max=np.int32(4)).t_max == 4
 
 
 class TestBuildModel:
@@ -407,6 +438,15 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError):
             run_experiment(cfg)
         assert not any(p.name.startswith("replicate") for p in out.iterdir())
+
+    def test_a_built_tree_failing_validation_is_an_internal_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "validate_tree",
+                            lambda tree: TreeValidation(False, ["node 3: broken"], [], []))
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(space="line:n=6", t_max=3, replicates=2, out_dir=str(out))
+        with pytest.raises(InternalError, match="tree validation failed: node 3: broken"):
+            run_experiment(cfg)
+        assert not list(out.iterdir())
 
     def test_validation_csv_reproducible(self, tmp_path):
         cfg = ExperimentConfig(space="grid:dim=1,per_dim=10", t_max=8,

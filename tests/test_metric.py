@@ -261,6 +261,108 @@ class TestRows:
         assert sp.rows(np.array([1], dtype=np.uint8)).tolist() == [[1.0, 0.0, 1.0, 2.0, 3.0]]
 
 
+_ID_FORMS = {
+    "int": lambda: 4, "numpy-int": lambda: np.int32(4), "list": lambda: [4, 1, 6, 1],
+    "tuple": lambda: (4, 1, 6, 1), "range": lambda: range(2, 7), "set": lambda: {6, 1, 4},
+    "generator": lambda: (k for k in [4, 1, 6, 1]),
+    "int8": lambda: np.array([4, 1, 6, 1], dtype=np.int8),
+    "uint8": lambda: np.array([6, 1, 4], dtype=np.uint8),
+    "int64": lambda: np.array([4, 1, 6, 1], dtype=np.int64), "empty": lambda: [],
+}
+
+
+def _as_list(ids):
+    return list(ids) if np.iterable(ids) else [ids]
+
+
+def _every_read(sp, form):
+    """Each read of ``sp`` on the ids ``form()`` makes, as a value or an (error, message) pair."""
+    n, partner = sp.n, lambda: [(k + 3) % sp.n for k in _as_list(form())]
+    reads = {
+        "rows": lambda: sp.rows(form()), "rows-cols": lambda: sp.rows([0, 2], form()),
+        "row_blocks": lambda: [(lo, b) for lo, b in sp.row_blocks(form())],
+        "row_blocks-cols": lambda: [(lo, b) for lo, b in sp.row_blocks(form(), form())],
+        "pairwise": lambda: sp.pairwise(form()),
+        "pairwise-others": lambda: sp.pairwise([0, 8], form()),
+        "distances": lambda: sp.distances(form(), partner()),
+        "min_positive": lambda: sp.min_positive(form()),
+        "min_positive-cols": lambda: sp.min_positive(form(), range(n)),
+        "greedy_cover": lambda: greedy_cover(sp, 1.1, subset=form()),
+        "is_cover-centers": lambda: is_cover(sp, form(), 1.1),
+        "is_cover-subset": lambda: is_cover(sp, [4], 2.5, subset=form()),
+    }
+    out = {}
+    for name, read in reads.items():
+        try:
+            out[name] = read()
+        except ArgumentError as exc:
+            out[name] = ("ArgumentError", str(exc))
+    return out
+
+
+def _same(a, b):
+    """Equal values and shapes, through lists, tuples and cover results."""
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestPointIdForms:
+    """Every read takes every id form, through one normalizer, on both kinds of space."""
+
+    @pytest.mark.parametrize("form", sorted(_ID_FORMS))
+    def test_each_form_reads_as_its_list_on_both_twins(self, form):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5],
+                           [2.0, 0.0], [0.5, 0.5], [2.0, 1.5], [0.0, 2.0]])
+        twins = [FiniteMetricSpace.from_coordinates(coords),
+                 FiniteMetricSpace.from_distance_matrix(cdist(coords, coords))]
+        make = _ID_FORMS[form]
+        as_list = lambda: _as_list(make())      # noqa: E731
+        got = [_every_read(sp, make) for sp in twins]
+        want = [_every_read(sp, as_list) for sp in twins]
+        for name in got[0]:
+            assert _same(got[0][name], got[1][name]), (form, name)
+            assert _same(got[0][name], want[0][name]), (form, name)
+            assert _same(got[1][name], want[1][name]), (form, name)
+
+    def test_the_normalizer_gives_a_1d_integer_array(self):
+        for form, make in _ID_FORMS.items():
+            ids = metric._point_ids(make(), 9)
+            assert ids.ndim == 1 and ids.dtype.kind == "i", form
+            assert ids.tolist() == _as_list(make()), form
+        arr = np.arange(5)
+        assert metric._point_ids(arr, 9) is arr          # checked as it is, not copied
+        assert metric._point_ids(np.array(3), 9).tolist() == [3]
+        with pytest.raises(ArgumentError, match="must be integers"):
+            metric._point_ids(True, 9)
+
+    @pytest.mark.parametrize("read,message", [
+        pytest.param(lambda sp: sp.rows([True, 2]), "point id True .* must be integers",
+                     id="bool-among-ints"),
+        pytest.param(lambda sp: sp.pairwise((2, np.True_)),
+                     "point id np.True_ .* must be integers", id="numpy-bool-among-ints"),
+        pytest.param(lambda sp: greedy_cover(sp, 1.0, subset=[[0], [1, 2]]),
+                     "unequal lengths", id="ragged"),
+        pytest.param(lambda sp: sp.distances([0, 1], [2, 3, 4]),
+                     "cannot pair 2 point ids with 3", id="unpaired")])
+    def test_malformed_ids_fail_alike_on_both_twins(self, line5, read, message):
+        # numpy alone reads a bool among ints as 0 or 1 and fails the others with errors
+        # that differ by kind of space
+        twin = FiniteMetricSpace.from_distance_matrix(line5.pairwise(np.arange(5)))
+        for sp in (line5, twin):
+            with pytest.raises(ArgumentError, match=message):
+                read(sp)
+        assert np.array_equal(line5.distances(3, [0, 1, 4]), twin.distances([3], [0, 1, 4]))
+
+    def test_uint8_ids_past_255_are_not_one_ascending_run(self):
+        # as uint8, 0 - 255 wraps to 1: the ids must not pass for one ascending run
+        D = cdist(np.arange(300.0)[:, None], np.arange(300.0)[:, None])
+        sp = FiniteMetricSpace.from_distance_matrix(D)
+        assert np.array_equal(sp.rows(np.array([255, 0], dtype=np.uint8)), D[[255, 0]])
+
+
 class TestCoordinateReadsMatchCdist:
     """Every read of a coordinate space gives the bits of ``cdist(coords, coords)``."""
 
