@@ -146,7 +146,12 @@ class GPPosterior:
         if js.size not in (1, R):
             raise ArgumentError(f"need one point id or {R}, got {js.size}")
         js = np.broadcast_to(js, (R,))
-        y = np.asarray(y_row, dtype=float).reshape(R, -1)
+        y = np.asarray(y_row, dtype=float)
+        width = self.B.shape[2]
+        if y.size != R * width:
+            raise ArgumentError(f"need {R * width} observations ({R} replicates x {width} "
+                                f"channels), got {y.size}")
+        y = y.reshape(R, width)
         reps = np.arange(R)
         w = self.V[reps, :t, js]                             # (R, t)
         wm = w[:, None, :]

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, NumericError
-from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _check_finite
+from .metric import (_BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _cdist_blocks,
+                     _check_finite, _euclidean_diameter, _euclidean_pairs, _far_ends)
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
@@ -26,6 +27,14 @@ _MATERN_P = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
 _IN_PLACE_BYTES = 1 << 25  # smallest matrix chol_with_jitter factors without a copy
 _KERNEL_SPECS = {fam: {"ls": 1.0, "var": 1.0} for fam in ("se", "ou", *_MATERN_P)}
 _KERNEL_SPECS["linear"] = {"var": 1.0}    # a linear kernel has no lengthscale
+# A canonical space decides on Euclidean distances within a slack on the computed
+# d² of 1e-10 times the variance, thousands of times the few ulps of the variance
+# by which that d² can be off.  The bound holds for variances in the range below,
+# where the closed forms neither overflow nor lose bits to underflow.
+_D2_SLACK = 1e-10
+_BAND_VARIANCE = (1e-200, 1e200)
+_BAND_GRID = 1024           # intervals of a canonical space's grid of Euclidean distances
+_REFINE_STEPS = np.arange(1, 256) / 256    # the finer grid between two of those
 
 
 @dataclass(frozen=True)
@@ -192,23 +201,149 @@ def gram(kernel: Kernel, X) -> np.ndarray:
 def canonical_metric_space(kernel: Kernel, coords) -> FiniteMetricSpace:
     """Space whose metric is the process distance sqrt(k(x,x) - 2k(x,y) + k(y,y)).
 
-    The Gram matrix is turned into the distance matrix in place, one block
-    of rows at a time, as ``(k(x,x) + k(y,y)) - 2k(x,y)`` clipped at 0, and
-    the space takes that array over without a copy.  It is still checked
-    against the pseudo-metric axioms.
+    The space keeps the coordinates and the kernel, and no n×n array: every
+    read computes its entries from the kernel rows as ``(k(x,x) + k(y,y)) -
+    2k(x,y)``, clipped at 0, under a square root, with the same bits for
+    any choice of rows and columns.  A space on which some distance is not
+    finite is refused when it is built.
     """
-    coords = _as_points(coords)
-    K = gram(kernel, coords)
-    diag = K.diagonal().copy()
-    n = K.shape[0]
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        blk = diag[rows, None] + diag[None, :]
-        blk -= 2.0 * K[rows]
-        np.maximum(blk, 0.0, out=blk)
-        np.sqrt(blk, out=K[rows])
-    return FiniteMetricSpace(coords=coords, matrix=K)
+    return _CanonicalSpace(kernel, _as_points(coords))
+
+
+def _canonical(k: np.ndarray, di, dj) -> np.ndarray:
+    """``sqrt(max((di + dj) - 2k, 0))`` elementwise, in a new array; k is overwritten."""
+    d = di + dj
+    k *= 2.0
+    d -= k
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
+
+
+class _CanonicalSpace(FiniteMetricSpace):
+    """The canonical metric of ``kernel`` over an (n, D) coordinate array.
+
+    It keeps the coordinates, the kernel and its diagonal.  Reads compute
+    the distances they return from :func:`_kernel_rows` (:meth:`_rows`) or
+    the same operations on paired points (:meth:`_pairs`).
+
+    For a stationary kernel the distance is g(r) for the Euclidean distance
+    r, with g nondecreasing.  The computed d² = (v + v) - 2k(r), for the
+    variance v, differs from the exact value of that expression at the same
+    float r by a few ulps of v, far below the slack ``_D2_SLACK * v``.  So
+    a Euclidean distance whose computed d² is at most eps² less the slack
+    bounds every shorter pair within eps, and one whose computed d² is at
+    least eps² plus the slack bounds every longer pair out of it
+    (:meth:`_band`).  The cover balls, :meth:`min_positive` and the diameter
+    are decided on the Euclidean distances, as a coordinate space's are,
+    and the exact distance is computed only between those two bounds.  The
+    linear kernel, whose diagonal varies, and variances outside
+    ``_BAND_VARIANCE`` have no bounds: every pair is decided by its exact
+    distance.
+    """
+
+    def __init__(self, kernel: Kernel, coords: np.ndarray):
+        self._kernel = kernel
+        lo, hi = _BAND_VARIANCE
+        self._banded = kernel.family != "linear" and lo <= kernel.variance <= hi
+        # a distance that overflows is refused when the diameter is found, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._kdiag = _kernel_diag(kernel, coords)
+            super().__init__(coords=coords, matrix=None)
+
+    def _rows(self, ids: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+        x, diag = self._coords, self._kdiag
+        xc, dc = (x, diag) if cols is None else (x[cols], diag[cols])
+        return _canonical(_kernel_rows(self._kernel, x[ids], xc), diag[ids, None], dc)
+
+    def _pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        x, kernel = self._coords, self._kernel
+        if kernel.family == "linear":
+            k = _inner(x[i], x[j])
+            k *= kernel.variance
+        else:
+            k = _scaled_dist(kernel, _euclidean_pairs(x, i, j))
+        return _canonical(k, self._kdiag[i], self._kdiag[j])
+
+    def _exact(self, rows: np.ndarray, cols: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The distances at the true entries of ``mask`` over rows × cols, in C order."""
+        if mask.all():
+            return self._rows(rows, cols).ravel()
+        i, j = np.nonzero(mask)
+        return self._pairs(rows[i], cols[j])
+
+    def _d2(self, r: np.ndarray) -> np.ndarray:
+        """The clipped d² that a read computes at Euclidean distances r (stationary kernels)."""
+        v = self._kernel.variance
+        return np.maximum((v + v) - 2.0 * _scaled_dist(self._kernel, r), 0.0)
+
+    def _band(self, eps: float) -> tuple[float, float]:
+        if not self._banded:
+            return -math.inf, math.inf
+        if eps >= self._d_sup:
+            return math.inf, math.inf
+        t, slack = eps * eps, _D2_SLACK * self._kernel.variance
+        return (self._edge(lambda d2: d2 <= t - slack, last=True),
+                self._edge(lambda d2: d2 >= t + slack, last=False))
+
+    def _edge(self, ok, last: bool) -> float:
+        """A Euclidean distance whose computed d² passes ``ok``: the last (or first) such
+        point of the cached grid, moved as far toward its failing neighbour as a finer
+        grid between the two allows; -inf (or inf) where no grid point passes.  Any
+        passing point is a valid bound, since the exact d² never decreases in r."""
+        r = self._grid
+        hit = np.flatnonzero(ok(self._grid_d2))
+        if not hit.size:
+            return -math.inf if last else math.inf
+        k = int(hit[-1] if last else hit[0])
+        other = min(k + 1, len(r) - 1) if last else max(k - 1, 0)
+        fine = r[k] + (r[other] - r[k]) * _REFINE_STEPS
+        hit = np.flatnonzero(ok(self._d2(fine)))
+        return float(fine[hit[-1]] if hit.size else r[k])
+
+    def _fill_ball(self, ids: np.ndarray, eps: float, out: np.ndarray) -> None:
+        r_in, r_out = self._band(eps)
+        for lo, r in _cdist_blocks(self._coords, ids, ids):
+            ball = out[lo:lo + len(r)]
+            np.less_equal(r, r_in, out=ball)
+            band = (r <= r_out) & ~ball
+            if band.any():
+                ball[band] = self._exact(ids[lo:lo + len(r)], ids, band) <= eps
+
+    def _coordinate_diameter(self) -> float:
+        """The largest distance, which is also the check that every distance is finite.
+
+        The pair farthest apart in Euclidean distance gives a first value
+        ``top``, which is the diameter where it equals sqrt(v + v), the
+        largest value g takes.  Otherwise only pairs longer than
+        ``_band(top)``'s ``r_in`` can be longer than ``top``; the candidate
+        ends of such pairs come from the Euclidean diameter's central row.
+        A stationary kernel's distance is finite up to some Euclidean
+        distance and not beyond, so the farthest pair is finite only if
+        every pair is; without bounds every pair is read.  The grid of
+        Euclidean distances that :meth:`_band` reads is set up here, from 0
+        to the Euclidean diameter.
+        """
+        x = self._coords
+        rmax, (i, j), r = _euclidean_diameter(x)
+        self._banded = self._banded and rmax < math.inf
+        self._d_sup = math.sqrt(2.0 * self._kernel.variance) if self._banded else math.inf
+        if self._banded:
+            self._grid = np.linspace(0.0, rmax, _BAND_GRID + 1)
+            self._grid_d2 = self._d2(self._grid)
+        top = self._pairs(np.array([i]), np.array([j]))
+        _check_finite("distance", top)
+        best = float(top[0])
+        if best == self._d_sup:
+            return best
+        r_in = self._band(best)[0]
+        ends = _far_ends(r, r_in)
+        for lo, blk in _cdist_blocks(x, ends, ends):
+            far = blk > r_in
+            if far.any():
+                d = self._exact(ends[lo:lo + len(blk)], ends, far)
+                _check_finite("distance", d)
+                best = max(best, float(d.max()))
+        return best
 
 
 def chol_with_jitter(M: np.ndarray) -> np.ndarray:

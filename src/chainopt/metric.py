@@ -2,8 +2,8 @@
 
 A space is a set of points 0..n-1 together with a pseudo-metric, given
 either as an explicit distance matrix or as coordinate vectors under the
-Euclidean metric (kernel-induced canonical distances are built by
-:mod:`chainopt.gp`, which hands the resulting matrix to this module).  A
+Euclidean metric; :mod:`chainopt.gp` adds the canonical (kernel) spaces,
+whose distances it computes from coordinates and a covariance kernel.  A
 coordinate space stores no distance matrix at any size: every read
 computes the requested rows and columns with ``cdist``, bit for bit the
 entries of ``cdist(coords, coords)``.  Its two whole-space summaries skip
@@ -51,24 +51,22 @@ class FiniteMetricSpace:
     """Points ``0..n-1`` with a pseudo-metric and a cached diameter.
 
     Construct through :meth:`from_coordinates` or
-    :meth:`from_distance_matrix`.  A matrix space keeps its checked
-    matrix.  A coordinate space keeps only its coordinates, a 1-D or 2-D
-    finite array, at any number of points: each read computes the
-    requested distances with ``scipy.spatial.distance.cdist`` (paired
-    reads sum the squared differences one dimension at a time, then take
-    the square root), so every read gives the bits of
-    ``cdist(coords, coords)`` without holding the n×n matrix.  Its
-    diameter and :meth:`min_positive` are those of the n² scan, found
-    without it: the diameter from a block of candidate ends bounded by the
-    triangle inequality, the smallest positive distance from pairs that a
-    k-d tree proposes and the exact formula decides.  Every
-    distance matrix is checked against the pseudo-metric axioms: finite
+    :meth:`from_distance_matrix` (or :func:`chainopt.gp.canonical_metric_space`
+    for a kernel's canonical metric).  A matrix space keeps its checked
+    matrix, which is checked against the pseudo-metric axioms: finite
     entries, zero diagonal, symmetry, nonnegativity and the triangle
     inequality (exhaustive for n <= 64, on 10 000 random triples beyond).
-    :meth:`from_distance_matrix` copies the matrix it is given, so later
-    writes by the caller do not reach the space; calling the constructor
-    with ``matrix=`` takes the array over without a copy, which the
-    canonical spaces of :mod:`chainopt.gp` do with the matrix they build.
+    A coordinate space keeps only its coordinates, a 1-D or 2-D finite
+    array, at any number of points: each read computes the requested
+    distances with ``scipy.spatial.distance.cdist`` (paired reads sum the
+    squared differences one dimension at a time, then take the square
+    root), so every read gives the bits of ``cdist(coords, coords)``
+    without holding the n×n matrix.  Its diameter and :meth:`min_positive`
+    are those of the n² scan, found without it: the diameter from a block
+    of candidate ends bounded by the triangle inequality, the smallest
+    positive distance from pairs that a k-d tree proposes and the exact
+    formula decides.  :meth:`from_distance_matrix` copies the matrix it is
+    given, so later writes by the caller do not reach the space.
     Instances are immutable once built and safe for concurrent readers.
     """
 
@@ -165,9 +163,17 @@ class FiniteMetricSpace:
         width = self.n if cols is None else len(cols)
         if self._dist is not None and cols is not None:
             width += self.n                  # the whole rows the columns are taken from
-        step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
-        for lo in range(0, len(ids), step):
-            yield lo, self._rows(ids[lo:lo + step], cols)
+        for lo, hi in _spans(len(ids), width):
+            yield lo, self._rows(ids[lo:hi], cols)
+
+    def _fill_ball(self, ids: np.ndarray, eps: float, out: np.ndarray) -> None:
+        """Write ``pairwise(ids) <= eps`` into the boolean m×m ``out``, a row block at a time.
+
+        A space whose distances cost more than a comparison decides most
+        entries from something cheaper; the result is the same booleans.
+        """
+        for lo, blk in self.row_blocks(ids, ids):
+            np.less_equal(blk, eps, out=out[lo:lo + len(blk)])
 
     def distance(self, i: int, j: int) -> float:
         """Pseudo-metric distance ``d(i, j)``, as :meth:`row` gives it."""
@@ -184,15 +190,17 @@ class FiniteMetricSpace:
         """Smallest positive distance from the points ``rows`` to ``cols`` (default every
         point), as a scan of their :meth:`rows` block finds it; inf if there is none.
 
-        A stored matrix is scanned in row blocks.  A coordinate space reads
-        one point of each distinct coordinate row, and a k-d tree over the
-        column points proposes: ``est`` is the smallest positive k-d
-        distance from a row point to its two nearest column points.  The
-        exact paired formula then decides over every pair within
-        ``est * (1 + 1e-9)``; the pair that attains the scan's minimum is
-        no farther than ``est`` up to rounding, so it is among them.  Where
-        ``est`` is not finite, or small enough for underflow to matter, the
-        distinct points are scanned instead.
+        A stored matrix is scanned in row blocks.  A space read from
+        coordinates reads one point of each distinct coordinate row, and a
+        k-d tree over the column points proposes: ``est`` is the smallest
+        positive exact distance from a row point to its nearest column point
+        at a positive Euclidean distance.  The exact distances then decide
+        over every pair whose Euclidean distance is within ``1e-9`` relative
+        slack of the largest one that :meth:`_band` leaves possible for a
+        distance of at most ``est``; the pair that attains the scan's
+        minimum is among them.  Where there is no such bound, or it is small
+        enough for underflow to matter, the distinct points are scanned
+        instead.
         """
         rows = _point_ids(rows, self.n)
         cols = None if cols is None else _point_ids(cols, self.n)
@@ -206,41 +214,34 @@ class FiniteMetricSpace:
             cols = _distinct(x, every)
             rows = cols if np.array_equal(rows, every) else _distinct(x, rows)
             col_tree = cKDTree(x[cols])
-            near, _ = col_tree.query(x[rows], k=2)
-            est = float(np.min(near, where=near > 0, initial=math.inf))
-            if _UNDERFLOW_SAFE <= est < math.inf:
+            near, at = col_tree.query(x[rows], k=2)
+            first = (near[:, 0] == 0).astype(int)     # a duplicate of the row point comes first
+            near, at = near[np.arange(len(rows)), first], at[np.arange(len(rows)), first]
+            ok = np.isfinite(near)
+            d = self._pairs(rows[ok], cols[at[ok]])
+            est = float(np.min(d, where=d > 0, initial=math.inf))
+            reach = self._band(est)[1] if est < math.inf else math.inf
+            if _UNDERFLOW_SAFE <= reach < math.inf:
                 row_tree = col_tree if rows is cols else cKDTree(x[rows])
                 pairs = row_tree.sparse_distance_matrix(
-                    col_tree, est * (1 + _TRIANGLE_SLACK), output_type="ndarray")
-                d = self.distances(rows[pairs["i"]], cols[pairs["j"]])
+                    col_tree, reach * (1 + _TRIANGLE_SLACK), output_type="ndarray")
+                d = self._pairs(rows[pairs["i"]], cols[pairs["j"]])
                 return float(np.min(d, where=d > 0, initial=math.inf))
         best = math.inf
         for _, blk in self.row_blocks(rows, cols):
             best = min(best, float(np.min(blk, where=blk > 0, initial=math.inf)))
         return best
 
-    def _coordinate_diameter(self) -> float:
-        """The largest entry of ``cdist(coords, coords)``, read from a block of candidate ends.
+    def _band(self, eps: float) -> tuple[float, float]:
+        """``(r_in, r_out)``: a pair whose Euclidean distance (the bits of ``cdist``) is
+        at most ``r_in`` is within ``eps``, one whose Euclidean distance exceeds
+        ``r_out`` is not; between the two only the exact distance decides.  A
+        coordinate space's distance is the Euclidean one, so both are ``eps``."""
+        return eps, eps
 
-        ``r`` is the exact row of the point c nearest the middle of the
-        bounding box, and ``lb`` the largest distance from the point farthest
-        from c.  Since d(i, j) <= r[i] + max(r), a pair longer than ``lb``
-        has both ends among the points with ``r[i] + max(r) >= lb``, less a
-        1e-9 relative slack for rounding; so does the pair that gives ``lb``.
-        The diameter is the maximum over those points' block.  Every point
-        is a candidate where ``lb`` is not finite, or small enough for
-        underflow to matter.
-        """
-        x = self._coords
-        mid = x.min(axis=0) / 2 + x.max(axis=0) / 2
-        c = int(np.argmin(cdist(mid[None, :], x)[0]))
-        r = cdist(x[c:c + 1], x)[0]
-        lb = float(cdist(x[[np.argmax(r)]], x).max())
-        if _UNDERFLOW_SAFE <= lb < math.inf:
-            ends = np.flatnonzero(r + r.max() >= lb * (1 - _TRIANGLE_SLACK))
-        else:
-            ends = np.arange(self.n)
-        return max(float(blk.max()) for _, blk in self.row_blocks(ends, ends))
+    def _coordinate_diameter(self) -> float:
+        """The largest entry of ``cdist(coords, coords)``, from :func:`_euclidean_diameter`."""
+        return _euclidean_diameter(self._coords)[0]
 
     def distances(self, i: Sequence[int] | np.ndarray,
                   j: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -249,19 +250,79 @@ class FiniteMetricSpace:
         i, j = _point_ids(i, self.n), _point_ids(j, self.n)
         if i.size != j.size and 1 not in (i.size, j.size):
             raise ArgumentError(f"cannot pair {i.size} point ids with {j.size}")
+        return self._pairs(i, j)
+
+    def _pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """:meth:`distances` of checked point ids."""
         if self._dist is not None:
             return self._dist[i, j]
-        diff = self._coords[i] - self._coords[j]
-        sq = np.zeros(diff.shape[:-1])
-        for k in range(diff.shape[-1]):     # cdist's order: one dimension at a time
-            sq += diff[..., k] * diff[..., k]
-        return np.sqrt(sq)
+        return _euclidean_pairs(self._coords, i, j)
+
+
+def _spans(count: int, width: int):
+    """``(lo, hi)`` slices of ``count`` rows of ``width`` floats, about 1 MiB each."""
+    step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
+    return ((lo, lo + step) for lo in range(0, count, step))
+
+
+def _cdist_blocks(x: np.ndarray, ids: np.ndarray, cols: np.ndarray):
+    """Yield ``(start, cdist(x[ids[start:stop]], x[cols]))`` in blocks of about 1 MiB."""
+    for lo, hi in _spans(len(ids), len(cols)):
+        yield lo, cdist(x[ids[lo:hi]], x[cols])
+
+
+def _euclidean_pairs(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``cdist``'s bits for the paired rows ``x[i]``, ``x[j]``: squares summed one
+    dimension at a time, in ``cdist``'s order, then the square root."""
+    diff = x[i] - x[j]
+    sq = np.zeros(diff.shape[:-1])
+    for k in range(diff.shape[-1]):
+        sq += diff[..., k] * diff[..., k]
+    return np.sqrt(sq)
+
+
+def _euclidean_diameter(x: np.ndarray) -> tuple[float, tuple[int, int], np.ndarray]:
+    """The largest entry of ``cdist(x, x)``, a pair that attains it, and the row ``r``
+    of the central point that bounds the candidate ends (see :func:`_far_ends`).
+
+    ``r`` is the exact row of the point c nearest the middle of the bounding
+    box, and ``lb`` the largest distance from the point farthest from c.
+    The maximum is taken over the block of the points that
+    :func:`_far_ends` keeps for ``lb``: a pair longer than ``lb`` has both
+    ends among them, and so does the pair that gives ``lb``.
+    """
+    mid = x.min(axis=0) / 2 + x.max(axis=0) / 2
+    c = int(np.argmin(cdist(mid[None, :], x)[0]))
+    r = cdist(x[c:c + 1], x)[0]
+    lb = float(cdist(x[[np.argmax(r)]], x).max())
+    ends = _far_ends(r, lb)
+    best, pair = -math.inf, (0, 0)
+    for lo, blk in _cdist_blocks(x, ends, ends):
+        k = int(np.argmax(blk))
+        if blk.flat[k] > best:
+            best = float(blk.flat[k])
+            pair = (int(ends[lo + k // len(ends)]), int(ends[k % len(ends)]))
+    return best, pair, r
+
+
+def _far_ends(r: np.ndarray, bound: float) -> np.ndarray:
+    """The points that can end a pair longer than ``bound``, from the row ``r`` of one point.
+
+    Since d(i, j) <= r[i] + max(r), such a pair has both ends among the
+    points with ``r[i] + max(r) >= bound``, less a 1e-9 relative slack for
+    rounding.  Every point is kept where ``bound`` is not finite, or small
+    enough for underflow to matter.
+    """
+    if _UNDERFLOW_SAFE <= bound < math.inf:
+        return np.flatnonzero(r + r.max() >= bound * (1 - _TRIANGLE_SLACK))
+    return np.arange(len(r))
 
 
 def _point_ids(ids, n: int) -> np.ndarray:
     """``ids`` (one id, an ndarray checked as it is, or any iterable, listed once) as a 1-D
     integer array; an ArgumentError for a non-integer id (bool included), more than one
-    dimension or an id outside ``0..n-1``.  An empty sequence, of whatever dtype, has no ids."""
+    dimension or an id outside ``0..n-1``.  An object array passes when every element is
+    an integer.  An empty sequence, of whatever dtype, has no ids."""
     if not isinstance(ids, np.ndarray) and np.iterable(ids):
         ids = list(ids)
         if any(isinstance(k, (bool, np.bool_)) for k in ids):
@@ -277,8 +338,10 @@ def _point_ids(ids, n: int) -> np.ndarray:
     if arr.size == 0:
         return arr.astype(int)
     if arr.dtype.kind not in "iu":           # signed or unsigned integers
-        bad = next((k for k in arr.tolist() if not is_int(k)), arr[0])
-        raise ArgumentError(f"point id {bad!r} out of range for n={n}: ids must be integers")
+        bad = [k for k in arr.tolist() if not is_int(k)]
+        if bad:                              # else an object array of integers
+            raise ArgumentError(f"point id {bad[0]!r} out of range for n={n}: "
+                                f"ids must be integers")
     lo, hi = arr.min(), arr.max()
     if lo < 0 or hi >= n:
         raise ArgumentError(f"point id {lo if lo < 0 else hi} out of range for n={n}")
@@ -367,7 +430,8 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     the smallest point id, which makes the construction deterministic.
     Candidates are restricted to the not-yet-covered points themselves, so
     the result is both a cover and (strictly) epsilon-separated.  The ball
-    matrix is filled from row blocks of about 1 MiB: m² booleans, no m×m floats.
+    matrix is filled by the space a row block of about 1 MiB of distances at
+    a time: m² booleans, no m×m floats.
     """
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
@@ -378,8 +442,7 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
 
     m = ids.size
     ball = np.empty((m, m), dtype=bool)
-    for lo, blk in space.row_blocks(ids, ids):
-        np.less_equal(blk, epsilon, out=ball[lo:lo + len(blk)])
+    space._fill_ball(ids, epsilon, ball)
     alive = np.ones(m, dtype=bool)
     counts = ball.sum(axis=1).astype(np.int64)
     assigned = np.full(m, -1, dtype=np.int64)

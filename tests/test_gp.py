@@ -320,6 +320,19 @@ class TestPosterior:
         post.add((0, 1, 0), [[0.2], [0.4], [0.6]])
         assert post.q[:, :2].tolist() == [[1, 0], [1, 1], [1, 0]]
 
+    @pytest.mark.parametrize("y", [1.0, [1.0, 2.0], [[1.0, 2.0, 3.0, 4.0]], []])
+    def test_add_needs_one_observation_per_replicate_and_channel(self, y):
+        post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2, replicates=3)
+        with pytest.raises(ArgumentError,
+                           match=r"need 3 observations \(3 replicates x 1 channels\), got"):
+            post.add(1, y)
+        assert post.t == 0 and not post.sumsq.any()
+        two = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2, n_outputs=2)
+        with pytest.raises(ArgumentError, match="need 2 observations"):
+            two.add(0, 1.0)
+        two.add(0, [1.0, 2.0])
+        assert two.Yraw[0, 0].tolist() == [1.0, 2.0]
+
     def test_capacity_exhausted(self):
         post = GPPosterior(Kernel("se"), 0.1, [[0.0], [1.0]], 2)
         post.add(0, 1.0)

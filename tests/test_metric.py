@@ -338,6 +338,18 @@ class TestPointIdForms:
         with pytest.raises(ArgumentError, match="must be integers"):
             metric._point_ids(True, 9)
 
+    def test_object_arrays_of_integers(self, line5):
+        ids = np.array([1, np.int64(4), 2], dtype=object)
+        assert np.array_equal(line5.rows(ids), line5.rows([1, 4, 2]))
+        assert metric._point_ids(ids, 5).tolist() == [1, 4, 2]
+        for bad in ([1, True], [1, 2.0], [3, None]):
+            with pytest.raises(ArgumentError, match=f"point id {bad[1]!r} .* must be integers"):
+                line5.rows(np.array(bad, dtype=object))
+        with pytest.raises(ArgumentError, match="point id 7 out of range for n=5$"):
+            line5.rows(np.array([1, 7], dtype=object))
+        with pytest.raises(ArgumentError, match=f"point id {2 ** 70} out of range"):
+            line5.rows(np.array([2 ** 70, 1], dtype=object))
+
     @pytest.mark.parametrize("read,message", [
         pytest.param(lambda sp: sp.rows([True, 2]), "point id True .* must be integers",
                      id="bool-among-ints"),
