@@ -126,6 +126,10 @@ def _scaled_dist(kernel: Kernel, r):
         h = 1.0 + d
     else:
         h = 1.0 + d + d * d / 3.0
+    if kernel.variance > _BAND_VARIANCE[1]:
+        # variance * h would overflow where the covariance is finite; the
+        # ordinary order below keeps the bits of every other covariance
+        return kernel.variance * (h * np.exp(-d))
     return kernel.variance * h * np.exp(-d)
 
 

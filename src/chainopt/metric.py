@@ -15,8 +15,11 @@ the exact formula on the few pairs within rounding slack of the proposal.
 
 Covers come in three flavours:
 
-* ``greedy_cover`` - the quadratic heuristic that repeatedly grabs the
-  point whose epsilon-ball covers the most remaining points;
+* ``greedy_cover`` - the heuristic that repeatedly grabs the point whose
+  epsilon-ball covers the most remaining points.  Its ball is neighbour
+  lists from a k-d tree where a sampled density says the ball is sparse,
+  and an m×m boolean array otherwise; both give the same cover.  A ball
+  over the byte budget is refused before it is allocated;
 * ``brute_force_min_cover`` - an exhaustive minimum-cardinality oracle,
   capped at 20 points, intended for tests;
 * ``sample_cover_compact`` - reduction from a compact domain to the
@@ -45,6 +48,19 @@ _TRIANGLE_SLACK = 1e-9       # relative slack for floating-point distances
 # relative slack covers; the coordinate-space bounds then scan every pair.
 _UNDERFLOW_SAFE = 1e-100
 _BLOCK_BYTES = 1 << 20       # bytes per block where a large array is worked through in pieces
+# The largest quadratic allocation a call may make: a cover whose ball would
+# take more is refused with a CapacityError before anything is allocated.
+_BUDGET_BYTES = 1 << 30
+# A cover's ball is built as neighbour lists from a k-d tree when it has at
+# least _SPARSE_MIN points and, on _DENSITY_ROWS evenly spaced rows, fewer
+# than _SPARSE_DENSITY of the pairs are k-d candidates; otherwise it is the
+# m×m boolean array.  _PAIR_BYTES is what one candidate pair costs the lists:
+# the k-d pair (16 bytes), its distance (8), and its two list entries with
+# their sort keys and order (48).
+_SPARSE_MIN = 512
+_SPARSE_DENSITY = 0.02
+_DENSITY_ROWS = 32
+_PAIR_BYTES = 72
 
 
 class FiniteMetricSpace:
@@ -175,6 +191,48 @@ class FiniteMetricSpace:
         for lo, blk in self.row_blocks(ids, ids):
             np.less_equal(blk, eps, out=out[lo:lo + len(blk)])
 
+    def _ball_lists(self, ids: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """``pairwise(ids) <= eps`` as neighbour lists, or None where the dense ball is faster.
+
+        Returns ``(start, nbr)``: the positions in ``ids`` within ``eps`` of
+        position ``k`` are ``nbr[start[k]:start[k + 1]]``, ``k`` itself
+        included.  Lists are built for a space read from coordinates whose
+        :meth:`_band` has a finite ``r_out`` of at least ``_UNDERFLOW_SAFE``,
+        when ``ids`` holds at least ``_SPARSE_MIN`` points and fewer than
+        ``_SPARSE_DENSITY`` of the pairs from ``_DENSITY_ROWS`` evenly spaced
+        rows to every point have a Euclidean distance of at most ``r_out``.
+        A k-d tree proposes the pairs within ``r_out`` plus ``1e-9`` relative
+        slack; each is decided as :meth:`_fill_ball` decides it, on the bits
+        of ``cdist`` against ``r_in`` and by the exact distance between
+        ``r_in`` and ``r_out``.  The lists' estimated size is checked against
+        the byte budget before they are built.
+        """
+        m = len(ids)
+        if self._dist is not None or m < _SPARSE_MIN:
+            return None
+        r_in, r_out = self._band(eps)
+        if not _UNDERFLOW_SAFE <= r_out < math.inf:
+            return None
+        x = self._coords
+        rows = ids[np.linspace(0, m - 1, _DENSITY_ROWS).astype(int)]
+        density = np.count_nonzero(cdist(x[rows], x[ids]) <= r_out) / (len(rows) * m)
+        if density >= _SPARSE_DENSITY:
+            return None
+        _check_budget(density * m * m / 2 * _PAIR_BYTES, f"a sparse ball over {m} points")
+        pairs = cKDTree(x[ids]).query_pairs(r_out * (1 + _TRIANGLE_SLACK), output_type="ndarray")
+        a, b = pairs[:, 0], pairs[:, 1]
+        r = _euclidean_pairs(x, ids[a], ids[b])
+        keep = r <= r_in
+        band = np.flatnonzero(~keep & (r <= r_out))
+        if band.size:
+            keep[band] = self._pairs(ids[a[band]], ids[b[band]]) <= eps
+        a, b, own = a[keep], b[keep], np.arange(m)
+        src = np.concatenate((own, a, b))
+        nbr = np.concatenate((own, b, a))[np.argsort(src, kind="stable")]
+        start = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=m), out=start[1:])
+        return start, nbr
+
     def distance(self, i: int, j: int) -> float:
         """Pseudo-metric distance ``d(i, j)``, as :meth:`row` gives it."""
         return float(self.distances([i], [j])[0])
@@ -263,6 +321,21 @@ def _spans(count: int, width: int):
     """``(lo, hi)`` slices of ``count`` rows of ``width`` floats, about 1 MiB each."""
     step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
     return ((lo, lo + step) for lo in range(0, count, step))
+
+
+def _check_budget(nbytes: float, what: str) -> None:
+    """A CapacityError naming ``what`` when ``nbytes`` is over the byte budget."""
+    if nbytes > _BUDGET_BYTES:
+        raise CapacityError(f"{what} needs about {nbytes:.3g} bytes, over the "
+                            f"{_BUDGET_BYTES}-byte limit of one allocation")
+
+
+def _gathered(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The positions ``start[k]:start[k + 1]`` for every k in the non-empty ``rows``, in turn."""
+    lo = start[rows]
+    size = start[rows + 1] - lo
+    ends = np.cumsum(size)
+    return np.repeat(lo - (ends - size), size) + np.arange(ends[-1])
 
 
 def _cdist_blocks(x: np.ndarray, ids: np.ndarray, cols: np.ndarray):
@@ -429,9 +502,16 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
     most not-yet-covered points, then removes that ball.  Ties break toward
     the smallest point id, which makes the construction deterministic.
     Candidates are restricted to the not-yet-covered points themselves, so
-    the result is both a cover and (strictly) epsilon-separated.  The ball
-    matrix is filled by the space a row block of about 1 MiB of distances at
-    a time: m² booleans, no m×m floats.
+    the result is both a cover and (strictly) epsilon-separated.
+
+    The ball is held one of two ways, with the same booleans and so the
+    same cover.  Where it is sparse it is neighbour lists from a k-d tree
+    (:meth:`FiniteMetricSpace._ball_lists`); otherwise it is an m×m boolean
+    array that the space fills a row block of about 1 MiB of distances at
+    a time.  Each step takes from every ball's count of uncovered points
+    the points it shares with the chosen ball: a sum of the members' rows
+    of the array, or a ``bincount`` over the members' lists.  A ball over
+    the byte budget raises a CapacityError before it is allocated.
     """
     if not epsilon > 0:
         raise ArgumentError("epsilon must be positive")
@@ -441,27 +521,46 @@ def greedy_cover(space: FiniteMetricSpace, epsilon: float,
         raise ArgumentError("subset must be non-empty")
 
     m = ids.size
-    ball = np.empty((m, m), dtype=bool)
-    space._fill_ball(ids, epsilon, ball)
+    lists = space._ball_lists(ids, epsilon)
+    if lists is None:
+        _check_budget(m * m, f"the ball of a cover of {m} points")
+        ball = np.empty((m, m), dtype=bool)
+        space._fill_ball(ids, epsilon, ball)
+        counts = ball.sum(axis=1).astype(np.int64)
+
+        def near(k):
+            return np.flatnonzero(ball[k])
+
+        def hits(rows):
+            return ball[rows].sum(axis=0)    # ball is symmetric
+    else:
+        start, nbr = lists
+        counts = np.diff(start)
+
+        def near(k):
+            return nbr[start[k]:start[k + 1]]
+
+        def hits(rows):
+            return np.bincount(nbr[_gathered(start, rows)], minlength=m)
     alive = np.ones(m, dtype=bool)
-    counts = ball.sum(axis=1).astype(np.int64)
     assigned = np.full(m, -1, dtype=np.int64)
     centers: list[int] = []
     remaining = m
     while remaining > 0:
-        masked = np.where(alive, counts, -1)
-        best = int(np.argmax(masked))          # first maximum = smallest id
+        best = int(np.argmax(counts))          # first maximum = smallest id
         if counts[best] == 1:
             # Every remaining ball is a singleton; flush in id order at once.
             for k in np.flatnonzero(alive):
                 centers.append(int(ids[k]))
                 assigned[k] = ids[k]
             break
-        members = np.flatnonzero(alive & ball[best])
+        members = near(best)
+        members = members[alive[members]]
         centers.append(int(ids[best]))
         assigned[members] = ids[best]
         alive[members] = False
-        counts = counts - ball[members].sum(axis=0)    # ball is symmetric
+        counts -= hits(members)
+        counts[members] = -1                   # below every live count, which is at least 1
         remaining -= members.size
     covered_map = {int(ids[k]): int(assigned[k]) for k in range(m)}
     return CoverResult(tuple(centers), float(epsilon), covered_map)

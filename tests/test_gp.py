@@ -60,6 +60,25 @@ class TestKernels:
             h = {0.5: 1.0, 1.5: 1.0 + d, 2.5: 1.0 + d + d * d / 3.0}[p]
             assert kernel_eval(Kernel(fam), [0.0], [r]) == pytest.approx(h * math.exp(-d))
 
+    def test_matern_at_a_huge_variance_stays_finite(self):
+        # variance * h alone overflows from about 3.3 apart on; the covariance does not
+        kernel, X = Kernel("matern52", 0.1, 1e305), np.linspace(0.0, 8.0, 60)
+        K = gram(kernel, X)
+        assert np.all(np.isfinite(K)) and K.min() > 0
+        d = math.sqrt(5.0) * 8.0 / 0.1
+        assert K[0, 59] == pytest.approx(1e305 * ((1 + d + d * d / 3) * math.exp(-d)))
+        assert canonical_metric_space(kernel, X).distance(0, 59) == pytest.approx(
+            math.sqrt(2e305))
+
+    @pytest.mark.parametrize("fam", ["matern12", "matern32", "matern52"])
+    @pytest.mark.parametrize("var", [1e-200, 0.3, 2.5, 1e200])
+    def test_ordinary_variances_keep_their_rounding(self, fam, var):
+        # up to the band's upper end the covariance is variance * h * exp(-d), left to right
+        r = np.linspace(0.0, 3.0, 301)
+        d = math.sqrt(2 * {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}[fam]) * (r / 0.7)
+        h = {"matern12": 1.0, "matern32": 1.0 + d, "matern52": 1.0 + d + d * d / 3.0}[fam]
+        assert np.array_equal(gp._scaled_dist(Kernel(fam, 0.7, var), r), var * h * np.exp(-d))
+
     def test_ou_is_matern12(self):
         assert Kernel("ou").family == "matern12"
         assert kernel_eval(Kernel("ou"), [0.0], [0.5]) == pytest.approx(
