@@ -2,8 +2,8 @@
 
 Subcommands: ``cover``, ``tree build``, ``optimize``, ``validate-upper``,
 ``validate-lower``, ``validate-lemmas``.  Exit codes: 0 success,
-1 a validation claim failed, 2 usage or config error or an unreadable
-file, 3 numeric error.
+1 a validation claim failed, 2 usage or config error, an unreadable file
+or too little memory, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -129,6 +129,9 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except (ParseError, ArgumentError, CapacityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except (NumericError, InternalError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@ Provides covariance kernels, the canonical process metric, prior draws
 through a lower-triangular factorization with escalating jitter, and the
 squared-Gaussian confidence intervals used by the squared-process
 optimizer, together with their exact tail probability as an erf-based
-oracle for tests.  The posterior over a point set lives in
-:mod:`chainopt.bandit`.
+oracle for tests.  A canonical space gives :mod:`chainopt.metric` only
+its distance formula and its band.  The posterior over a point set
+lives in :mod:`chainopt.bandit`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, NumericError
-from .metric import (_BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _cdist_blocks,
-                     _check_finite, _euclidean_diameter, _euclidean_pairs, _far_ends)
+from .metric import (_BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _check_finite,
+                     _euclidean_pairs)
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
@@ -237,12 +238,11 @@ class _CanonicalSpace(FiniteMetricSpace):
     a Euclidean distance whose computed d² is at most eps² less the slack
     bounds every shorter pair within eps, and one whose computed d² is at
     least eps² plus the slack bounds every longer pair out of it
-    (:meth:`_band`).  The cover balls, :meth:`min_positive` and the diameter
-    are decided on the Euclidean distances, as a coordinate space's are,
-    and the exact distance is computed only between those two bounds.  The
-    linear kernel, whose diagonal varies, and variances outside
-    ``_BAND_VARIANCE`` have no bounds: every pair is decided by its exact
-    distance.
+    (:meth:`_band`).  The base class decides on the Euclidean distances
+    through that band, as it does for a coordinate space, reading the exact
+    distance only between its bounds.  The linear kernel, whose diagonal
+    varies, and variances outside ``_BAND_VARIANCE`` have no bounds: every
+    pair is decided by its exact distance.
     """
 
     def __init__(self, kernel: Kernel, coords: np.ndarray):
@@ -268,17 +268,20 @@ class _CanonicalSpace(FiniteMetricSpace):
             k = _scaled_dist(kernel, _euclidean_pairs(x, i, j))
         return _canonical(k, self._kdiag[i], self._kdiag[j])
 
-    def _exact(self, rows: np.ndarray, cols: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The distances at the true entries of ``mask`` over rows × cols, in C order."""
-        if mask.all():
-            return self._rows(rows, cols).ravel()
-        i, j = np.nonzero(mask)
-        return self._pairs(rows[i], cols[j])
-
     def _d2(self, r: np.ndarray) -> np.ndarray:
         """The clipped d² that a read computes at Euclidean distances r (stationary kernels)."""
         v = self._kernel.variance
         return np.maximum((v + v) - 2.0 * _scaled_dist(self._kernel, r), 0.0)
+
+    def _set_up_band(self, rmax: float) -> None:
+        """The grid of Euclidean distances from 0 to ``rmax`` and its d², which
+        :meth:`_band` reads, and ``_d_sup = sqrt(v + v)``, the largest value g
+        takes.  A Euclidean diameter that is not finite leaves no band."""
+        self._banded = self._banded and rmax < math.inf
+        if self._banded:
+            self._d_sup = math.sqrt(2.0 * self._kernel.variance)
+            self._grid = np.linspace(0.0, rmax, _BAND_GRID + 1)
+            self._grid_d2 = self._d2(self._grid)
 
     def _band(self, eps: float) -> tuple[float, float]:
         if not self._banded:
@@ -303,51 +306,6 @@ class _CanonicalSpace(FiniteMetricSpace):
         fine = r[k] + (r[other] - r[k]) * _REFINE_STEPS
         hit = np.flatnonzero(ok(self._d2(fine)))
         return float(fine[hit[-1]] if hit.size else r[k])
-
-    def _fill_ball(self, ids: np.ndarray, eps: float, out: np.ndarray) -> None:
-        r_in, r_out = self._band(eps)
-        for lo, r in _cdist_blocks(self._coords, ids, ids):
-            ball = out[lo:lo + len(r)]
-            np.less_equal(r, r_in, out=ball)
-            band = (r <= r_out) & ~ball
-            if band.any():
-                ball[band] = self._exact(ids[lo:lo + len(r)], ids, band) <= eps
-
-    def _coordinate_diameter(self) -> float:
-        """The largest distance, which is also the check that every distance is finite.
-
-        The pair farthest apart in Euclidean distance gives a first value
-        ``top``, which is the diameter where it equals sqrt(v + v), the
-        largest value g takes.  Otherwise only pairs longer than
-        ``_band(top)``'s ``r_in`` can be longer than ``top``; the candidate
-        ends of such pairs come from the Euclidean diameter's central row.
-        A stationary kernel's distance is finite up to some Euclidean
-        distance and not beyond, so the farthest pair is finite only if
-        every pair is; without bounds every pair is read.  The grid of
-        Euclidean distances that :meth:`_band` reads is set up here, from 0
-        to the Euclidean diameter.
-        """
-        x = self._coords
-        rmax, (i, j), r = _euclidean_diameter(x)
-        self._banded = self._banded and rmax < math.inf
-        self._d_sup = math.sqrt(2.0 * self._kernel.variance) if self._banded else math.inf
-        if self._banded:
-            self._grid = np.linspace(0.0, rmax, _BAND_GRID + 1)
-            self._grid_d2 = self._d2(self._grid)
-        top = self._pairs(np.array([i]), np.array([j]))
-        _check_finite("distance", top)
-        best = float(top[0])
-        if best == self._d_sup:
-            return best
-        r_in = self._band(best)[0]
-        ends = _far_ends(r, r_in)
-        for lo, blk in _cdist_blocks(x, ends, ends):
-            far = blk > r_in
-            if far.any():
-                d = self._exact(ends[lo:lo + len(blk)], ends, far)
-                _check_finite("distance", d)
-                best = max(best, float(d.max()))
-        return best
 
 
 def chol_with_jitter(M: np.ndarray) -> np.ndarray:

@@ -3,15 +3,16 @@
 A space is a set of points 0..n-1 together with a pseudo-metric, given
 either as an explicit distance matrix or as coordinate vectors under the
 Euclidean metric; :mod:`chainopt.gp` adds the canonical (kernel) spaces,
-whose distances it computes from coordinates and a covariance kernel.  A
-coordinate space stores no distance matrix at any size: every read
-computes the requested rows and columns with ``cdist``, bit for bit the
-entries of ``cdist(coords, coords)``.  Its two whole-space summaries skip
-the n² scan and still give those bits.  The diameter is the maximum over
-the block of the points that the triangle inequality, through one exact
-row from a central point, leaves as possible ends of the farthest pair.
-The smallest positive distance is proposed by a k-d tree and decided by
-the exact formula on the few pairs within rounding slack of the proposal.
+whose distances it computes from coordinates and a covariance kernel.
+A space read from coordinates stores no distance matrix at any size.  It
+supplies its distance formula (a coordinate space's gives the bits of
+``cdist(coords, coords)``) and its band: the Euclidean distances within
+rounding of an eps-ball's edge, empty for a coordinate space.  One path
+decides the cover balls, the diameter and the smallest positive distance
+of every such space on Euclidean distances, and reads the formula only
+in the band.  The diameter's candidate ends come from the triangle
+inequality through one central row; the smallest positive distance is
+proposed by a k-d tree.
 
 Covers come in three flavours:
 
@@ -77,13 +78,15 @@ class FiniteMetricSpace:
     distances with ``scipy.spatial.distance.cdist`` (paired reads sum the
     squared differences one dimension at a time, then take the square
     root), so every read gives the bits of ``cdist(coords, coords)``
-    without holding the n×n matrix.  Its diameter and :meth:`min_positive`
-    are those of the n² scan, found without it: the diameter from a block
-    of candidate ends bounded by the triangle inequality, the smallest
-    positive distance from pairs that a k-d tree proposes and the exact
-    formula decides.  :meth:`from_distance_matrix` copies the matrix it is
-    given, so later writes by the caller do not reach the space.
-    Instances are immutable once built and safe for concurrent readers.
+    without holding the n×n matrix.  Its balls, diameter and
+    :meth:`min_positive` are those of the n² scan, decided on Euclidean
+    distances by the one path of every space read from coordinates: a
+    subclass supplies only its formula (:meth:`_rows`, :meth:`_pairs`) and
+    its :meth:`_band` (set up by :meth:`_set_up_band`).  A space with a
+    non-finite distance is refused when it is built.
+    :meth:`from_distance_matrix` copies the matrix it is given, so later
+    writes by the caller do not reach the space.  Instances are immutable
+    once built and safe for concurrent readers.
     """
 
     def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None):
@@ -185,11 +188,29 @@ class FiniteMetricSpace:
     def _fill_ball(self, ids: np.ndarray, eps: float, out: np.ndarray) -> None:
         """Write ``pairwise(ids) <= eps`` into the boolean m×m ``out``, a row block at a time.
 
-        A space whose distances cost more than a comparison decides most
-        entries from something cheaper; the result is the same booleans.
+        A stored matrix compares its rows; a space read from coordinates
+        compares Euclidean distances against its :meth:`_band` and reads
+        exact distances only inside it, never on a coordinate space.
         """
-        for lo, blk in self.row_blocks(ids, ids):
-            np.less_equal(blk, eps, out=out[lo:lo + len(blk)])
+        if self._dist is not None:
+            for lo, blk in self.row_blocks(ids, ids):
+                np.less_equal(blk, eps, out=out[lo:lo + len(blk)])
+            return
+        r_in, r_out = self._band(eps)
+        for lo, r in _cdist_blocks(self._coords, ids, ids):
+            ball = out[lo:lo + len(r)]
+            np.less_equal(r, r_in, out=ball)
+            if r_out > r_in:
+                band = (r <= r_out) & ~ball
+                if band.any():
+                    ball[band] = self._exact(ids[lo:lo + len(r)], ids, band) <= eps
+
+    def _exact(self, rows: np.ndarray, cols: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The distances at the true entries of ``mask`` over rows × cols, in C order."""
+        if mask.all():
+            return self._rows(rows, cols).ravel()
+        i, j = np.nonzero(mask)
+        return self._pairs(rows[i], cols[j])
 
     def _ball_lists(self, ids: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray] | None:
         """``pairwise(ids) <= eps`` as neighbour lists, or None where the dense ball is faster.
@@ -297,9 +318,50 @@ class FiniteMetricSpace:
         coordinate space's distance is the Euclidean one, so both are ``eps``."""
         return eps, eps
 
+    def _set_up_band(self, rmax: float) -> None:
+        """Set up what :meth:`_band` reads from the Euclidean diameter ``rmax``."""
+
     def _coordinate_diameter(self) -> float:
-        """The largest entry of ``cdist(coords, coords)``, from :func:`_euclidean_diameter`."""
-        return _euclidean_diameter(self._coords)[0]
+        """The largest distance, which is also the check that every distance is finite.
+
+        The Euclidean diameter ``rmax`` comes first, over the candidate ends
+        that :func:`_far_ends` keeps for ``lb``, a distance that some pair
+        attains, through the exact row ``r`` of the point c nearest the middle
+        of the bounding box.  The exact distance ``top`` of the pair that
+        attains ``rmax`` is the diameter unless some Euclidean distance exceeds
+        ``_band(top)``'s ``r_in``; those pairs are read exactly.  Where there is
+        a band the distance never decreases in the Euclidean one, so the
+        farthest pair is finite only if every pair is; without one every pair
+        is read.
+        """
+        x = self._coords
+        mid = x.min(axis=0) / 2 + x.max(axis=0) / 2
+        c = int(np.argmin(cdist(mid[None, :], x)[0]))
+        r = cdist(x[c:c + 1], x)[0]
+        lb = float(cdist(x[[np.argmax(r)]], x).max())
+        ends = _far_ends(r, lb)
+        rmax, pair = -math.inf, None
+        for lo, blk in _cdist_blocks(x, ends, ends):
+            k = int(np.argmax(blk))
+            if blk.flat[k] > rmax:
+                rmax = float(blk.flat[k])
+                pair = ends[[lo + k // len(ends), k % len(ends)]]
+        self._set_up_band(rmax)
+        with np.errstate(over="ignore"):     # an overflow is refused just below
+            top = self._pairs(pair[:1], pair[1:])
+        _check_finite("distance", top)
+        best = float(top[0])
+        r_in = self._band(best)[0]
+        if r_in >= rmax:
+            return best
+        ends = _far_ends(r, r_in)
+        for lo, blk in _cdist_blocks(x, ends, ends):
+            far = blk > r_in
+            if far.any():
+                d = self._exact(ends[lo:lo + len(blk)], ends, far)
+                _check_finite("distance", d)
+                best = max(best, float(d.max()))
+        return best
 
     def distances(self, i: Sequence[int] | np.ndarray,
                   j: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -352,30 +414,6 @@ def _euclidean_pairs(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     for k in range(diff.shape[-1]):
         sq += diff[..., k] * diff[..., k]
     return np.sqrt(sq)
-
-
-def _euclidean_diameter(x: np.ndarray) -> tuple[float, tuple[int, int], np.ndarray]:
-    """The largest entry of ``cdist(x, x)``, a pair that attains it, and the row ``r``
-    of the central point that bounds the candidate ends (see :func:`_far_ends`).
-
-    ``r`` is the exact row of the point c nearest the middle of the bounding
-    box, and ``lb`` the largest distance from the point farthest from c.
-    The maximum is taken over the block of the points that
-    :func:`_far_ends` keeps for ``lb``: a pair longer than ``lb`` has both
-    ends among them, and so does the pair that gives ``lb``.
-    """
-    mid = x.min(axis=0) / 2 + x.max(axis=0) / 2
-    c = int(np.argmin(cdist(mid[None, :], x)[0]))
-    r = cdist(x[c:c + 1], x)[0]
-    lb = float(cdist(x[[np.argmax(r)]], x).max())
-    ends = _far_ends(r, lb)
-    best, pair = -math.inf, (0, 0)
-    for lo, blk in _cdist_blocks(x, ends, ends):
-        k = int(np.argmax(blk))
-        if blk.flat[k] > best:
-            best = float(blk.flat[k])
-            pair = (int(ends[lo + k // len(ends)]), int(ends[k % len(ends)]))
-    return best, pair, r
 
 
 def _far_ends(r: np.ndarray, bound: float) -> np.ndarray:

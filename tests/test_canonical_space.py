@@ -161,8 +161,9 @@ class TestAgainstTheStoredMatrix:
     @pytest.mark.parametrize("kernel", [Kernel("matern52", 0.1, 1e305),
                                         Kernel("se", 0.1, 1e-310), Kernel("se", 0.1, 5e-324)])
     def test_extreme_variances_read_every_pair(self, kernel):
-        # at variance 1e305 the closed form overflows to k = inf, so d = 0, for pairs
-        # about 3.3 apart: far from monotone in r, which an r decision would miss
+        # these variances fall outside _BAND_VARIANCE, where the closed forms may
+        # overflow or lose bits to underflow: the space has no band, so every pair is
+        # decided by its exact distance
         X = np.linspace(0.0, 8.0, 60)
         with np.errstate(over="ignore", invalid="ignore"):
             D, _ = _oracle(kernel, X[:, None])

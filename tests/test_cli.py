@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chainopt import metric
 from chainopt.cli import main
 
 
@@ -224,3 +225,28 @@ class TestValidateCommands:
         assert main(["validate-lower", "--config", str(cfg)]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+
+
+class TestRefusals:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["cover", "--epsilon", "0.5"], ["tree", "build"],
+                                         ["optimize", "--t", "5"]])
+    def test_overflowing_cloud_exits_2(self, tmp_path, capsys, command):
+        # finite coordinates whose distance 2e308 overflows to inf
+        path = tmp_path / "cloud.txt"
+        path.write_text("# dim=1\n1e308\n-1e308\n0\n")
+        assert main([*command, "--space", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "every distance must be finite, found inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message,line", [
+        ("", "error: out of memory"),
+        ("Unable to allocate 8.00 GiB", "error: out of memory: Unable to allocate 8.00 GiB")])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, cloud_file, message,
+                                  line):
+        def no_memory(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(metric, "load_space", no_memory)
+        assert main(["cover", "--space", cloud_file, "--epsilon", "0.5",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == line + "\n"

@@ -68,8 +68,8 @@ class TestFiniteMetricSpace:
             line5.distance(-1, 0)
 
     def test_distance_without_a_stored_matrix_matches_rows(self):
-        # past DENSE_LIMIT nothing is stored: distance, distances, row and
-        # rows compute one formula, bit for bit
+        # a coordinate space stores no matrix at any size: distance, distances,
+        # row and rows compute one formula, bit for bit
         rng = np.random.default_rng(5)
         sp = FiniteMetricSpace.from_coordinates(rng.standard_normal((8193, 3)))
         i, j = rng.integers(0, 8193, size=(2, 500)).tolist()
@@ -152,6 +152,14 @@ class TestFiniteMetricSpace:
         D[0, 2] = D[2, 0] = bad
         with pytest.raises(ArgumentError, match=f"distance must be finite, found {bad}"):
             FiniteMetricSpace.from_distance_matrix(D)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coords", [[1e308, -1e308, 0.0], [[0.0, 0.0], [1e200, 1e200]]],
+                             ids=["difference", "square"])
+    def test_overflowing_distance_rejected(self, coords):
+        # every coordinate is finite, but the farthest pair's distance overflows
+        with pytest.raises(ArgumentError, match="every distance must be finite, found inf"):
+            FiniteMetricSpace.from_coordinates(coords)
 
     def test_pseudo_metric_duplicates_allowed(self):
         # distance zero between distinct points is legal

@@ -130,6 +130,32 @@ class TestSparseBallEqualsDenseBall:
         assert space._ball_lists(np.arange(metric._SPARSE_MIN - 1), 1.5) is None
 
 
+class TestExactReadsInTheBand:
+    @given(coords=_lattice_clouds(), data=st.data())
+    def test_a_wider_band_on_a_coordinate_space(self, coords, data):
+        # a coordinate space's band is empty, so it never reads an exact distance; under
+        # a wider band that is still valid, the pairs inside it (those at exactly eps
+        # among them) are decided by their exact distance, to the same results
+        plain = FiniteMetricSpace.from_coordinates(coords)
+        every = np.arange(plain.n)
+        D = plain.pairwise(every)
+        eps = data.draw(st.sampled_from(sorted(set(D[D > 0].tolist())) or [1.0]))
+        subset = _subset(data.draw, plain.n)
+        want = greedy_cover(plain, eps, subset)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FiniteMetricSpace, "_band",
+                          lambda self, e: (e * (1 - 1e-3), e * (1 + 1e-3)))
+            patch.setattr(metric, "_BLOCK_BYTES", 8 * plain.n * data.draw(st.integers(1, 3)))
+            wide = FiniteMetricSpace.from_coordinates(coords)
+            assert wide.diameter == plain.diameter
+            for rows in (every, every[::2]):
+                assert wide.min_positive(rows) == plain.min_positive(rows)
+            for path in ("dense", "sparse"):
+                _forced(patch, path)
+                got = greedy_cover(wide, eps, subset)
+                assert got.centers == want.centers and got.covered_map == want.covered_map
+
+
 class TestBudget:
     def test_budget_holds_every_generated_space(self):
         assert DENSE_LIMIT ** 2 <= metric._BUDGET_BYTES
