@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .chaining import ChainingTree, build_tree, omega_table
+from .chaining import _SCHEDULES, ChainingTree, build_tree, omega_table
 from .errors import ArgumentError, CapacityError, NumericError, is_int
-from .gp import Kernel, _as_points, _kernel_diag, _kernel_rows, c_eta, information_gain
-from .metric import FiniteMetricSpace, _point_ids
+from .gp import Kernel, _kernel_diag, _kernel_rows, c_eta, information_gain, squared_gp_bounds
+from .metric import FiniteMetricSpace, _as_points, _point_ids
 from .smoothness import SmoothnessModel, confidence_level_u_i
 
 _DEPTH_RULES = ("halflog2", "omega")
@@ -55,9 +55,10 @@ class OptimizerConfig:
         if not is_int(self.t_max) or self.t_max < 0:
             raise ArgumentError("t_max must be a nonnegative integer")
         if self.depth_rule not in _DEPTH_RULES:
-            raise ArgumentError(f"depth_rule must be one of {_DEPTH_RULES}")
-        if self.schedule not in ("geometric", "entropy"):
-            raise ArgumentError("schedule must be 'geometric' or 'entropy'")
+            raise ArgumentError(f"depth_rule must be one of {_DEPTH_RULES}, "
+                                f"got {self.depth_rule!r}")
+        if self.schedule not in _SCHEDULES:
+            raise ArgumentError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
         if not is_int(self.shift) or self.shift not in (0, 1):
             raise ArgumentError("shift must be 0 or 1")
 
@@ -318,9 +319,7 @@ def _squared_ucb(cand: np.ndarray, mu: np.ndarray, sig: np.ndarray, u_i: float,
     says whether every latent squared channel lies inside its interval.
     ``truth`` has shape (R, channels, points); every output has shape (R, |cand|).
     """
-    spread = math.sqrt(2.0 * (u_i + math.log(truth.shape[1]))) * sig[:, cand, None]
-    hi = (np.abs(mu[:, cand]) + spread) ** 2
-    lo = np.clip(np.abs(mu[:, cand]) - spread, 0.0, None) ** 2
+    lo, hi = squared_gp_bounds(mu[:, cand], sig[:, cand, None], u_i, truth.shape[1])
     ucb = -lo.sum(axis=2)
     g_sq = truth[:, :, cand].transpose(0, 2, 1) ** 2
     covered = np.all((g_sq >= lo - 1e-12) & (g_sq <= hi + 1e-12), axis=2)

@@ -38,6 +38,7 @@ from .errors import ArgumentError, InternalError, is_int
 from .metric import FiniteMetricSpace, greedy_cover
 from .smoothness import SmoothnessModel, confidence_level_u_i, psi_star_inv
 
+_SCHEDULES = ("geometric", "entropy")   # the budget sequences n_h a tree can follow
 _EXP_OVERFLOW = 700.0   # exponents beyond this give an effectively infinite capacity
 _REL_TOL = 1e-9
 
@@ -177,6 +178,10 @@ class ChainingTree:
             self._entropy_caps[h] = 2.0 * math.log(size)
         return self._entropy_caps[h]
 
+    def _u_h(self, h: int) -> float:
+        """Pruning level ``u + n_h + h log 2`` of depth h, for the level u it was pruned at."""
+        return self.u + self.capacity(h) + h * math.log(2.0)
+
     def child_capacity(self, parent_depth: int) -> float:
         """Maximum non-pruned children of a node at ``parent_depth``."""
         expo = self.capacity(parent_depth + 1) - self.capacity(parent_depth)
@@ -280,8 +285,8 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
     the new points' distances to the points still to place, not to every
     point: only those are read again.
     """
-    if schedule not in ("geometric", "entropy"):
-        raise ArgumentError(f"schedule must be 'geometric' or 'entropy', got {schedule!r}")
+    if schedule not in _SCHEDULES:
+        raise ArgumentError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
     if not is_int(shift) or shift not in (0, 1):
         raise ArgumentError("shift must be 0 or 1")
     n = space.n
@@ -359,10 +364,9 @@ def _phi_term(tree: ChainingTree, nid: int) -> float:
     d, r = int(tree.depth[nid]), float(tree.radius[nid])
     cap = tree.child_capacity(d - 1)
     m = tree.space.n if math.isinf(cap) else int(math.floor(cap))
-    u_h = tree.u + tree.capacity(d) + d * math.log(2.0)
     if r <= 0:
         return 0.0
-    return phi(0.5 * r, r, max(m, 1), u_h)
+    return phi(0.5 * r, r, max(m, 1), tree._u_h(d))
 
 
 def prune_backward(tree: ChainingTree, u: float) -> ChainingTree:

@@ -25,15 +25,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="compute a greedy or exact epsilon-cover")
     p.add_argument("--space", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--mode", choices=("greedy", "exact"), default="greedy")
+    p.add_argument("--mode", default="greedy")
     p.add_argument("--out", required=True)
 
     tree_p = sub.add_parser("tree", help="discretization tree commands")
     tree_sub = tree_p.add_subparsers(dest="tree_command", required=True)
     p = tree_sub.add_parser("build", help="build (and prune) a tree")
     p.add_argument("--space", required=True)
-    p.add_argument("--schedule", choices=("geometric", "entropy"),
-                   default=OptimizerConfig.schedule)
+    p.add_argument("--schedule", default=OptimizerConfig.schedule)
     p.add_argument("--u", type=float, default=OptimizerConfig.u)
     p.add_argument("--shift", type=int, default=OptimizerConfig.shift)
     p.add_argument("--out", required=True)
@@ -45,10 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=OptimizerConfig.a)
     p.add_argument("--eta2", type=float, default=OptimizerConfig.eta2)
     p.add_argument("--t", type=int, default=OptimizerConfig.t_max)
-    p.add_argument("--depth-rule", choices=("halflog2", "omega"),
-                   default=OptimizerConfig.depth_rule)
-    p.add_argument("--schedule", choices=("geometric", "entropy"),
-                   default=OptimizerConfig.schedule)
+    p.add_argument("--depth-rule", default=OptimizerConfig.depth_rule)
+    p.add_argument("--schedule", default=OptimizerConfig.schedule)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -60,22 +57,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_cover(args) -> int:
+    covers = {"greedy": metric.greedy_cover, "exact": metric.brute_force_min_cover}
+    if args.mode not in covers:
+        raise ArgumentError(f"mode must be one of {tuple(covers)}, got {args.mode!r}")
     space = metric.load_space(args.space)
-    if args.mode == "greedy":
-        cover = metric.greedy_cover(space, args.epsilon)
-    else:
-        cover = metric.brute_force_min_cover(space, args.epsilon)
+    cover = covers[args.mode](space, args.epsilon)
     metric.write_cover_csv(cover, args.out)
     print(f"{len(cover)} centers at radius {args.epsilon:g} -> {args.out}")
     return 0
 
 
 def _cmd_tree_build(args) -> int:
-    space = metric.load_space(args.space)
-    tree = chaining.build_tree(space, args.schedule, args.shift, args.u)
-    check = chaining.validate_tree(tree)
-    if not check.ok:
-        raise InternalError("tree validation failed: " + "; ".join(check.errors))
+    config = OptimizerConfig(u=args.u, schedule=args.schedule, shift=args.shift)
+    tree = harness._checked_tree(metric.load_space(args.space), config)
     chaining.write_tree(tree, args.out)
     print(f"tree with {int(tree.alive.sum())} nodes, depth {tree.max_depth}, "
           f"restarts {tree.restart_count} -> {args.out}")

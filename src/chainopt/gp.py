@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, NumericError
-from .metric import (_BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _check_finite,
+from .metric import (_BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _as_points,
                      _euclidean_pairs)
 
 _JITTER_START = 1e-10
@@ -101,17 +101,6 @@ def parse_kernel(spec: str) -> Kernel:
     """Parse a kernel spec string such as ``se:ls=1.0`` or ``linear``."""
     family, opts = _parse_spec(spec, _KERNEL_SPECS)
     return Kernel(family, lengthscale=opts.get("ls", 1.0), variance=opts["var"])
-
-
-def _as_points(X) -> np.ndarray:
-    """Coerce to a finite (n, D) coordinate array; 1-D input means n scalar points."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    elif X.ndim != 2:
-        raise ArgumentError(f"coordinates must be 1-D or 2-D, got shape {X.shape}")
-    _check_finite("coordinate", X)
-    return X
 
 
 def _scaled_dist(kernel: Kernel, r):
@@ -430,18 +419,21 @@ def squared_gaussian_outside_prob(mu: float, sigma: float, l: float, u: float) -
                   - math.erf((mu - l) / root2s))
 
 
-def squared_gp_bounds(mu: float, sigma: float, u: float, n_processes: int
-                      ) -> tuple[float, float]:
+def squared_gp_bounds(mu, sigma, u: float, n_processes: int):
     """Squared confidence interval (L, U) for one channel at joint level u.
 
     Folds the union bound over the ``n_processes`` channels into the level,
     so the joint event over all channels fails with probability below
-    ``exp(-u)``.
+    ``exp(-u)``: the interval of :func:`squared_gaussian_interval` at
+    ``s = sqrt(u + log n_processes)``, squared.  ``mu`` and ``sigma`` may be
+    arrays that broadcast together; L and U then have their shape.
     """
     if not u > 0:
         raise ArgumentError("u must be positive")
     if n_processes < 1:
         raise ArgumentError("n_processes must be at least 1")
-    s = math.sqrt(u + math.log(n_processes))
-    l, up = squared_gaussian_interval(mu, sigma, s)
-    return l * l, up * up
+    if not np.all(np.greater_equal(sigma, 0.0)):
+        raise ArgumentError("sigma must be nonnegative")
+    spread = math.sqrt(2.0 * (u + math.log(n_processes))) * sigma
+    mu = np.abs(mu)
+    return np.clip(mu - spread, 0.0, None) ** 2, (mu + spread) ** 2

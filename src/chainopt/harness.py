@@ -19,8 +19,8 @@ import numpy as np
 
 from .bandit import (OptimizerConfig, regret_bound_rhs, run_gp_ucb,
                      run_squared_gp_ucb)
-from .chaining import (_cell_excess, build_tree, lower_bound_functional, omega_table,
-                       phi, validate_tree)
+from .chaining import (ChainingTree, _cell_excess, build_tree, lower_bound_functional,
+                       omega_table, phi, validate_tree)
 from .errors import ArgumentError, CapacityError, InternalError, ParseError, is_int
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
@@ -292,7 +292,7 @@ def validate_lower(config: ExperimentConfig) -> ValidationReport:
     report = ValidationReport()
     pruned_depths = np.unique(tree.depth[tree.alive & tree.is_pruned]).tolist()
     for h in pruned_depths:
-        u_h = config.u + tree.capacity(h) + h * math.log(2.0)
+        u_h = tree._u_h(h)
         certified = np.flatnonzero(tree.is_pruned & (tree.depth == h) & (tree.value > 0) & tree.alive)
         viol = (_cell_excess(tree, paths, certified) < tree.value[certified] - 1e-9).any(axis=1)
         note = "" if certified.size else "vacuous: all values zero"
@@ -403,16 +403,22 @@ def run_experiment(config: ExperimentConfig) -> dict[str, str]:
         raise
 
 
+def _checked_tree(space: FiniteMetricSpace, config: OptimizerConfig) -> ChainingTree:
+    """Build the configured tree over ``space``; one failing :func:`validate_tree` raises."""
+    tree = build_tree(space, config.schedule, config.shift, config.u)
+    check = validate_tree(tree)
+    if not check.ok:
+        raise InternalError("tree validation failed: " + "; ".join(check.errors))
+    return tree
+
+
 def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
                           written: list[Path]) -> dict[str, str]:
     kernel = config.build_kernel()
     model = config.build_model()
     squared = model.variant == "squaredgp"
     space = config.build_space(canonical=not squared)
-    tree = build_tree(space, config.schedule, config.shift, config.u)
-    check = validate_tree(tree)
-    if not check.ok:
-        raise InternalError("tree validation failed: " + "; ".join(check.errors))
+    tree = _checked_tree(space, config)
 
     bounds: list[np.ndarray] = []
     bound_ok: list[bool] = []

@@ -92,13 +92,7 @@ class FiniteMetricSpace:
     def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None):
         if coords is None and matrix is None:
             raise ArgumentError("need coordinates or a distance matrix")
-        self._coords = None if coords is None else np.asarray(coords, dtype=float)
-        if self._coords is not None:
-            if self._coords.ndim == 1:
-                self._coords = self._coords[:, None]
-            elif self._coords.ndim != 2:
-                raise ArgumentError(f"coordinates must be a 1-D or 2-D array, "
-                                    f"got {self._coords.ndim} dimensions")
+        self._coords = None if coords is None else _as_points(coords)
         n = matrix.shape[0] if matrix is not None else self._coords.shape[0]
         if n < 1:
             raise ArgumentError("space must contain at least one point")
@@ -110,8 +104,6 @@ class FiniteMetricSpace:
             if self._coords is not None and self._coords.shape[0] != n:
                 raise ArgumentError(f"{self._coords.shape[0]} coordinate rows for a "
                                     f"{n}-point distance matrix")
-        if self._coords is not None:
-            _check_finite("coordinate", self._coords)
         if matrix is not None:
             self._dist = _checked_metric(matrix)
             self._diameter = float(self._dist.max())
@@ -124,7 +116,7 @@ class FiniteMetricSpace:
     @classmethod
     def from_coordinates(cls, coords) -> "FiniteMetricSpace":
         """Build a space from coordinate vectors with the Euclidean metric."""
-        return cls(coords=np.asarray(coords, dtype=float), matrix=None)
+        return cls(coords=coords, matrix=None)
 
     @classmethod
     def from_distance_matrix(cls, matrix, coords=None) -> "FiniteMetricSpace":
@@ -469,6 +461,17 @@ def _distinct(coords: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return ids[order[first]]
 
 
+def _as_points(X) -> np.ndarray:
+    """Coerce to a finite (n, D) coordinate array; 1-D input means n scalar points."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    elif X.ndim != 2:
+        raise ArgumentError(f"coordinates must be 1-D or 2-D, got shape {X.shape}")
+    _check_finite("coordinate", X)
+    return X
+
+
 def _check_finite(what: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         bad = arr[~np.isfinite(arr)][0]
@@ -669,9 +672,7 @@ def sample_cover_compact(sampler: Callable[[int], np.ndarray], epsilon: float,
     if not 0 < u < math.inf:
         raise ArgumentError("u must be positive and finite")
     n_draw = math.ceil(m_estimate * (math.log(m_estimate) + u))
-    pts = np.asarray(sampler(n_draw), dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(sampler(n_draw))
     if pts.shape[0] != n_draw:
         raise ArgumentError(f"sampler returned {pts.shape[0]} points, expected {n_draw}")
     cloud = FiniteMetricSpace.from_coordinates(pts)

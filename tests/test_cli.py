@@ -108,6 +108,16 @@ class TestTreeBuild:
                      "--out", str(tmp_path / "tree.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize("u", ["nan", "inf", "-1"])
+    def test_entropy_schedule_checks_u(self, tmp_path, cloud_file, capsys, u):
+        # the entropy schedule never prunes, so only the config reads u
+        out = tmp_path / "tree.txt"
+        code = main(["tree", "build", "--space", cloud_file, "--schedule", "entropy",
+                     "--u", u, "--out", str(out)])
+        assert code == 2
+        assert "u must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_entropy_build_from_matrix(self, tmp_path, matrix_file):
         out = tmp_path / "tree.txt"
         code = main(["tree", "build", "--space", matrix_file,
@@ -237,6 +247,17 @@ class TestRefusals:
         path.write_text("# dim=1\n1e308\n-1e308\n0\n")
         assert main([*command, "--space", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert "every distance must be finite, found inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["tree", "build", "--schedule", "bogus"], ["optimize", "--t", "3", "--schedule", "bogus"],
+        ["optimize", "--t", "3", "--depth-rule", "bogus"],
+        ["cover", "--epsilon", "0.5", "--mode", "bogus"]],
+        ids=["tree-schedule", "optimize-schedule", "optimize-depth-rule", "cover-mode"])
+    def test_unknown_name_is_returned_as_2(self, tmp_path, capsys, cloud_file, command):
+        # refused by the config check, not by argparse raising SystemExit
+        assert main([*command, "--space", cloud_file, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'bogus'" in err
 
     @pytest.mark.parametrize("message,line", [
         ("", "error: out of memory"),

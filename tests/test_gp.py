@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import erf, erfinv
 
 from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
@@ -13,7 +15,7 @@ from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
                       information_gain, kernel_eval, make_grid, parse_kernel,
                       sample_paths, sample_prior, squared_gaussian_interval,
                       squared_gaussian_outside_prob, squared_gp_bounds)
-from chainopt import gp
+from chainopt import bandit, gp
 from chainopt.gp import _kernel_rows, chol_with_jitter
 
 ALL_FAMILIES = ("se", "matern12", "matern32", "matern52", "linear")
@@ -41,6 +43,24 @@ def _predict_at(kernel, eta2, X, Y, Xq):
         post.add(j, y)
     mu, sig = post.predict()
     return mu[len(Y):, 0], sig[len(Y):]
+
+
+@st.composite
+def _posterior_designs(draw):
+    """A kernel, a noise level and 1-15 observations per replicate on a quarter-step
+    lattice in 1-3 dimensions, so points repeat; 1-3 replicates."""
+    kernel = Kernel(draw(st.sampled_from(ALL_FAMILIES)),
+                    lengthscale=draw(st.sampled_from([0.25, 1.0, 4.0])))
+    eta2 = 10.0 ** draw(st.floats(-6.0, 0.0))
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(2, 11))
+    coords = np.array(draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
+                                    min_size=n, max_size=n))) / 4.0
+    reps, adds = draw(st.integers(1, 3)), draw(st.integers(1, 15))
+    picks = np.array(draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * reps),
+                                   min_size=adds, max_size=adds)))
+    ys = np.array(draw(st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * reps),
+                                min_size=adds, max_size=adds)))
+    return kernel, eta2, coords, picks, ys, draw(st.integers(2, 7))
 
 
 class TestKernels:
@@ -412,6 +432,26 @@ class TestPosterior:
         _, sig = _predict_at(Kernel("se", 0.5), 0.1, X, rng.normal(size=8),
                              rng.normal(size=(20, 1)))
         assert np.all(sig * sig <= 1.0 + 1e-9)
+
+    @given(design=_posterior_designs())
+    def test_every_update_matches_a_dense_solve(self, design):
+        # updates, and refactorizations every 2-7 of them, against np.linalg.solve
+        kernel, eta2, coords, picks, ys, every = design
+        K = gram(kernel, coords)
+        tol = 1e-8 * max(1.0, float(np.abs(K).max()))
+        post = GPPosterior(kernel, eta2, coords, len(picks), replicates=picks.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bandit, "_REBUILD_EVERY", every)
+            for t in range(1, len(picks) + 1):
+                post.add(picks[t - 1], ys[t - 1])
+                for r in range(picks.shape[1]):
+                    obs = picks[:t, r]
+                    C = K[np.ix_(obs, obs)] + eta2 * np.eye(t)
+                    A = np.linalg.solve(C, K[obs])
+                    var = np.clip(np.diag(K) - np.einsum("ij,ij->j", K[obs], A), 0.0, None)
+                    np.testing.assert_allclose(post.mean[r, :, 0], ys[:t, r] @ A,
+                                               rtol=0, atol=tol)
+                    np.testing.assert_allclose(post.variance()[r], var, rtol=0, atol=tol)
 
 
 _COORDINATE_ENTRY_POINTS = {
