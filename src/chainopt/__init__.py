@@ -20,7 +20,7 @@ from .gp import (Kernel, c_eta, canonical_metric_space, gram,
                  squared_gaussian_outside_prob, squared_gp_bounds)
 from .harness import (ExperimentConfig, ValidationClaim, ValidationReport,
                       make_ellipsoid, make_grid, make_line, make_star,
-                      parse_config, run_experiment, space_from_spec,
+                      parse_config, run_experiment, run_replicates, space_from_spec,
                       validate_lemmas, validate_lower, validate_upper)
 from .metric import (CoverResult, FiniteMetricSpace, brute_force_min_cover,
                      greedy_cover, is_cover, load_distance_matrix,

@@ -253,8 +253,6 @@ def _select_depth(tree: ChainingTree, config: OptimizerConfig, model: Smoothness
 class RegretRecord:
     """Per-iteration trace of one optimization run."""
 
-    config: OptimizerConfig
-    space_n: int
     sup_f: float | None
     tree_signature: tuple
     iters: np.ndarray
@@ -447,7 +445,7 @@ def _run_batch(space, kernel, config, seeds, tree, model, omega_vals, acquire,
         cum = np.cumsum(inst, axis=1)
         simple = top - np.maximum.accumulate(fx, axis=1)
         sup_f = top[:, 0].tolist()
-    return [RegretRecord(config, space.n, sup_f[r], _tree_signature(tree),
+    return [RegretRecord(sup_f[r], _tree_signature(tree),
                          np.arange(1, t_max + 1), depths.copy(), u_is.copy(), points[r],
                          ucbs[r], ys[r], inst[r], cum[r], simple[r], np.sqrt(var_q[r]),
                          widths[r], info[r], ssq[r], y_channels=y_channels[r],
@@ -530,7 +528,7 @@ def regret_bound_rhs(record: RegretRecord | list[RegretRecord], tree: ChainingTr
     records = record if isinstance(record, list) else [record]
     signature = _tree_signature(tree)
     for rec in records:
-        if rec.space_n != tree.space.n or rec.tree_signature != signature:
+        if rec.tree_signature != signature:
             raise ArgumentError("record was produced with a different tree")
     omega_vals = omega_table(tree, config.u, config.a, model)
     ceta = c_eta(config.eta2)

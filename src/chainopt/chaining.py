@@ -43,6 +43,11 @@ _EXP_OVERFLOW = 700.0   # exponents beyond this give an effectively infinite cap
 _REL_TOL = 1e-9
 
 
+def _cover_radius(diameter: float, h: int, shift: int) -> float:
+    """The eps schedule: the diameter at depth 0, ``diameter * 2^(-h - shift)`` below."""
+    return diameter if h == 0 else diameter * 2.0 ** (-h - shift)
+
+
 @dataclass(frozen=True)
 class TreeNode:
     """One node of a :class:`ChainingTree`, read from its columns."""
@@ -159,9 +164,7 @@ class ChainingTree:
         """Cover radius at depth h; depth 0 uses the diameter."""
         if h < 0:
             raise ArgumentError("depth must be nonnegative")
-        if h == 0:
-            return self.space.diameter
-        return self.space.diameter * 2.0 ** (-h - self.shift)
+        return _cover_radius(self.space.diameter, h, self.shift)
 
     def capacity(self, h: int) -> float:
         """Budget exponent n_h: geometric 2^h, or twice the greedy metric entropy."""
@@ -308,7 +311,7 @@ def build_forward(space: FiniteMetricSpace, schedule: str = "geometric",
         h += 1
         if h > h_limit:
             raise InternalError("forward pass failed to terminate")
-        eps_h = diam * 2.0 ** (-h - shift)
+        eps_h = _cover_radius(diam, h, shift)
         remaining = np.flatnonzero(latest < 0)
         uncovered = remaining[best_d[remaining] > eps_h]
         if uncovered.size:
@@ -401,9 +404,14 @@ def build_tree(space: FiniteMetricSpace, schedule: str = "geometric", shift: int
     """Build the forward tree and, under the geometric schedule, prune it at level ``u``.
 
     The entropy schedule has no pruning values, so its forward tree is final.
+    The tree is checked by :func:`validate_tree`; one that fails is an InternalError.
     """
     tree = build_forward(space, schedule=schedule, shift=shift)
-    return prune_backward(tree, u) if schedule == "geometric" else tree
+    tree = prune_backward(tree, u) if schedule == "geometric" else tree
+    check = validate_tree(tree)
+    if not check.ok:
+        raise InternalError("tree validation failed: " + "; ".join(check.errors))
+    return tree
 
 
 def _prune_pass(tree: ChainingTree, src: ChainingTree) -> bool:

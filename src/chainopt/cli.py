@@ -12,10 +12,21 @@ import argparse
 import sys
 
 from . import chaining, harness, metric
-from .bandit import OptimizerConfig, run_gp_ucb
 from .errors import (ArgumentError, CapacityError, InternalError, NumericError,
                      ParseError)
-from .gp import parse_kernel, sample_prior
+from .harness import ExperimentConfig
+
+
+# flag -> the ExperimentConfig field it sets; the field's default gives its type and default
+_TREE_FLAGS = {"--schedule": "schedule", "--u": "u", "--shift": "shift"}
+_OPTIMIZE_FLAGS = {"--kernel": "kernel", "--u": "u", "--a": "a", "--eta2": "eta2",
+                   "--t": "t_max", "--depth-rule": "depth_rule", "--schedule": "schedule",
+                   "--seed": "seed_base"}
+
+
+def _config(args, flags: dict[str, str], **fixed) -> ExperimentConfig:
+    """The config the parsed ``flags`` and the ``fixed`` fields describe."""
+    return ExperimentConfig(**fixed, **{name: getattr(args, name) for name in flags.values()})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,24 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tree_p = sub.add_parser("tree", help="discretization tree commands")
     tree_sub = tree_p.add_subparsers(dest="tree_command", required=True)
-    p = tree_sub.add_parser("build", help="build (and prune) a tree")
-    p.add_argument("--space", required=True)
-    p.add_argument("--schedule", default=OptimizerConfig.schedule)
-    p.add_argument("--u", type=float, default=OptimizerConfig.u)
-    p.add_argument("--shift", type=int, default=OptimizerConfig.shift)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("optimize", help="run one optimization on a sampled objective")
-    p.add_argument("--space", required=True)
-    p.add_argument("--kernel", default="se:ls=1.0")
-    p.add_argument("--u", type=float, default=OptimizerConfig.u)
-    p.add_argument("--a", type=float, default=OptimizerConfig.a)
-    p.add_argument("--eta2", type=float, default=OptimizerConfig.eta2)
-    p.add_argument("--t", type=int, default=OptimizerConfig.t_max)
-    p.add_argument("--depth-rule", default=OptimizerConfig.depth_rule)
-    p.add_argument("--schedule", default=OptimizerConfig.schedule)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    tree_build = tree_sub.add_parser("build", help="build (and prune) a tree")
+    optimize = sub.add_parser("optimize", help="run one optimization on a sampled objective")
+    for p, flags in ((tree_build, _TREE_FLAGS), (optimize, _OPTIMIZE_FLAGS)):
+        p.add_argument("--space", required=True)
+        for flag, name in flags.items():
+            default = getattr(ExperimentConfig, name)
+            p.add_argument(flag, dest=name, type=type(default), default=default)
+        p.add_argument("--out", required=True)
 
     for name in ("validate-upper", "validate-lower", "validate-lemmas"):
         p = sub.add_parser(name, help=f"run the {name.split('-')[1]} validation suite")
@@ -68,8 +69,9 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_tree_build(args) -> int:
-    config = OptimizerConfig(u=args.u, schedule=args.schedule, shift=args.shift)
-    tree = harness._checked_tree(metric.load_space(args.space), config)
+    config = _config(args, _TREE_FLAGS)
+    tree = chaining.build_tree(metric.load_space(args.space), config.schedule, config.shift,
+                               config.u)
     chaining.write_tree(tree, args.out)
     print(f"tree with {int(tree.alive.sum())} nodes, depth {tree.max_depth}, "
           f"restarts {tree.restart_count} -> {args.out}")
@@ -77,16 +79,8 @@ def _cmd_tree_build(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    space = metric.load_space(args.space)
-    if space.coords is None:
-        raise ArgumentError("optimize needs a coordinate-backed space file")
-    if args.seed < 0:
-        raise ArgumentError("seed must be nonnegative")
-    kernel = parse_kernel(args.kernel)
-    config = OptimizerConfig(u=args.u, a=args.a, eta2=args.eta2, t_max=args.t,
-                             depth_rule=args.depth_rule, schedule=args.schedule)
-    truth = sample_prior(kernel, space.coords, [args.seed, 0])
-    record = run_gp_ucb(space, kernel, config, truth, seed=[args.seed, 1])
+    config = _config(args, _OPTIMIZE_FLAGS, space=f"file:{args.space}", replicates=1)
+    record = harness.run_replicates(config)[0][0]
     record.to_csv(args.out)
     last = record.cum_regret[-1] if len(record) else 0.0
     print(f"{len(record)} iterations, final cumulative regret {last:.6g} -> {args.out}")
@@ -109,18 +103,11 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run = {"cover": _cmd_cover, "tree": _cmd_tree_build,
+           "optimize": _cmd_optimize}.get(args.command, _cmd_validate)
     try:
-        if args.command == "cover":
-            return _cmd_cover(args)
-        if args.command == "tree":
-            return _cmd_tree_build(args)
-        if args.command == "optimize":
-            return _cmd_optimize(args)
-        if args.command.startswith("validate-"):
-            return _cmd_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return run(args)
     except (ParseError, ArgumentError, CapacityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -130,7 +117,6 @@ def main(argv=None) -> int:
     except (NumericError, InternalError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

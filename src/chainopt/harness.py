@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import (OptimizerConfig, regret_bound_rhs, run_gp_ucb,
+from .bandit import (OptimizerConfig, RegretRecord, regret_bound_rhs, run_gp_ucb,
                      run_squared_gp_ucb)
 from .chaining import (ChainingTree, _cell_excess, build_tree, lower_bound_functional,
-                       omega_table, phi, validate_tree)
-from .errors import ArgumentError, CapacityError, InternalError, ParseError, is_int
+                       omega_table, phi)
+from .errors import ArgumentError, CapacityError, ParseError, is_int
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
 from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, load_space
@@ -86,6 +86,15 @@ _SPACE_SPECS = {"grid": {"dim": 1, "per_dim": 16, "extent": 1.0},
                 "line": {"n": 16},
                 "star": {"n": 16},
                 "ellipsoid": {"axes": (1.0,)}}
+# each generator takes its spec's options by name
+_GENERATORS = {"grid": make_grid, "line": make_line, "star": make_star,
+               "ellipsoid": make_ellipsoid}
+
+
+def _file_ref(spec: str) -> str | None:
+    """The stripped path of a ``file:<path>`` spec; None for any other head."""
+    kind, _, rest = spec.partition(":")
+    return rest.strip() if kind.strip() == "file" else None
 
 
 def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpace:
@@ -94,26 +103,28 @@ def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpac
     Forms: ``grid:dim=1,per_dim=100,extent=1.0``, ``line:n=5``,
     ``star:n=64``, ``ellipsoid:axes=1.0:0.5:0.25``, ``file:<path>``.
     Options left out take the defaults in ``_SPACE_SPECS``; an unknown one
-    is an error.  When a kernel is supplied, coordinate spaces use its
-    canonical process metric; otherwise the Euclidean one.
+    is an error, and blanks around a file path are dropped.  Every source
+    of coordinates (the grid, line and ellipsoid generators and a point
+    cloud file) takes one metric: the kernel's canonical process metric
+    when a kernel is supplied, the Euclidean one otherwise.  A star and a
+    distance-matrix file keep their matrix.
     """
-    kind, _, rest = spec.partition(":")
-    if kind.strip() == "file":
-        if not rest:
-            raise ArgumentError("file spec needs a path")
-        return load_space(rest)
-    kind, opts = _parse_spec(spec, _SPACE_SPECS)
-    if kind == "star":
-        return make_star(opts["n"])
-    if kind == "grid":
-        coords = make_grid(opts["dim"], opts["per_dim"], opts["extent"])
-    elif kind == "line":
-        coords = make_line(opts["n"])
+    path = _file_ref(spec)
+    if path == "":
+        raise ArgumentError("file spec needs a path")
+    if path is None:
+        head, opts = _parse_spec(spec, _SPACE_SPECS)
+        made = _GENERATORS[head](**opts)
     else:
-        coords = make_ellipsoid(opts["axes"])
+        made = load_space(path)
+    # a star or a file is a space; one without coordinates keeps its matrix
+    if isinstance(made, FiniteMetricSpace):
+        if made.coords is None:
+            return made
+        made = made.coords
     if kernel is not None:
-        return canonical_metric_space(kernel, coords)
-    return FiniteMetricSpace.from_coordinates(coords)
+        return canonical_metric_space(kernel, made)
+    return FiniteMetricSpace.from_coordinates(made)
 
 
 # -- configuration ------------------------------------------------------------
@@ -183,10 +194,9 @@ def parse_config(path: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ParseError(f"bad value for {key!r}: {val!r}", line=num) from exc
     cfg = ExperimentConfig(**values)
-    if cfg.space.startswith("file:"):
-        ref = cfg.space.partition(":")[2]
-        if not os.path.exists(ref):
-            raise ArgumentError(f"referenced space file does not exist: {ref}")
+    ref = _file_ref(cfg.space)
+    if ref is not None and not os.path.exists(ref):
+        raise ArgumentError(f"referenced space file does not exist: {ref}")
     return cfg
 
 
@@ -403,50 +413,49 @@ def run_experiment(config: ExperimentConfig) -> dict[str, str]:
         raise
 
 
-def _checked_tree(space: FiniteMetricSpace, config: OptimizerConfig) -> ChainingTree:
-    """Build the configured tree over ``space``; one failing :func:`validate_tree` raises."""
-    tree = build_tree(space, config.schedule, config.shift, config.u)
-    check = validate_tree(tree)
-    if not check.ok:
-        raise InternalError("tree validation failed: " + "; ".join(check.errors))
-    return tree
+def run_replicates(config: ExperimentConfig
+                   ) -> tuple[list[RegretRecord], ChainingTree, SmoothnessModel]:
+    """Run every replicate of the configured bandit; the records, the tree and the model.
 
-
-def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
-                          written: list[Path]) -> dict[str, str]:
+    The space is the kernel's canonical one (the Euclidean one under the
+    squared model), and one without coordinates is refused before any draw.
+    Replicate r's objective is drawn from the seed ``(seed_base, r, 0)`` and
+    its noise from ``(seed_base, r, 1)``; all run through one stacked loop.
+    """
     kernel = config.build_kernel()
     model = config.build_model()
     squared = model.variant == "squaredgp"
     space = config.build_space(canonical=not squared)
-    tree = _checked_tree(space, config)
+    if space.coords is None:
+        raise ArgumentError("optimization needs a coordinate-backed space")
+    tree = build_tree(space, config.schedule, config.shift, config.u)
 
-    bounds: list[np.ndarray] = []
-    bound_ok: list[bool] = []
-    var_info_ok: list[bool] = []
-    ceta = c_eta(config.eta2)
-    files: dict[str, str] = {}
     n_paths = model.n_processes if squared else 1
     truth = np.stack([sample_paths(space, kernel, n_paths, [config.seed_base, r, 0])
                       for r in range(config.replicates)])
     seeds = [[config.seed_base, r, 1] for r in range(config.replicates)]
     if squared:
-        records = run_squared_gp_ucb(space, kernel, n_paths, config, truth,
-                                     seed=seeds, tree=tree)
-    else:
-        records = run_gp_ucb(space, kernel, config, truth[:, 0], seed=seeds, tree=tree)
-    series_list = regret_bound_rhs(records, tree, model, config)
-    for r, (record, series) in enumerate(zip(records, series_list)):
-        bounds.append(series.per_step)
-        # both hold on an empty record: np.all of no comparisons is True
-        bound_ok.append(bool(np.all(record.cum_regret <= series.per_step + 1e-9)))
-        var_info_ok.append(bool(np.all(record.sigma_sq_cum <= ceta * record.info_gain + 1e-9)))
-        path = out_dir / f"replicate_{r:04d}.csv"
-        record.to_csv(str(path))
-        written.append(path)
-        files[f"replicate_{r}"] = str(path)
+        return run_squared_gp_ucb(space, kernel, n_paths, config, truth, seed=seeds,
+                                  tree=tree), tree, model
+    return run_gp_ucb(space, kernel, config, truth[:, 0], seed=seeds, tree=tree), tree, model
 
-    agg_path = out_dir / "aggregate.csv"
-    with open(agg_path, "w", encoding="utf-8") as fh:
+
+def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
+                          written: list[Path]) -> dict[str, str]:
+    records, tree, model = run_replicates(config)
+    bounds = [series.per_step for series in regret_bound_rhs(records, tree, model, config)]
+    files: dict[str, str] = {}
+
+    def target(name: str, file_name: str) -> str:
+        """The path of one output file, listed for removal before it is written."""
+        path = out_dir / file_name
+        written.append(path)
+        files[name] = str(path)
+        return str(path)
+
+    for r, record in enumerate(records):
+        record.to_csv(target(f"replicate_{r}", f"replicate_{r:04d}.csv"))
+    with open(target("aggregate", "aggregate.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,R_med,R_q25,R_q75,S_med,S_q25,S_q75,B_med,B_q25,B_q75\n")
         if records and len(records[0]):
             R = np.stack([rec.cum_regret for rec in records])
@@ -457,20 +466,18 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: Path,
             for k in range(R.shape[1]):
                 fh.write(",".join([f"{k + 1}"] + [f"{v:.12g}" for v in quarts[:, k]])
                          + "\n")
-    written.append(agg_path)
-    files["aggregate"] = str(agg_path)
 
+    # both inequalities hold on an empty record: np.all of no comparisons is True
+    ceta = c_eta(config.eta2)
     report = ValidationReport()
-    n_rep = config.replicates
-    report.claims.append(tail_claim("regret-bound-freq", n_rep,
-                                    sum(not ok for ok in bound_ok),
-                                    2.0 * math.exp(-config.u)))
-    report.claims.append(tail_claim("variance-info-gain", n_rep,
-                                    sum(not ok for ok in var_info_ok), 0.0,
-                                    note="deterministic inequality"))
-    val_path = out_dir / "validation.csv"
-    report.write_csv(str(val_path))
-    written.append(val_path)
-    files["validation"] = str(val_path)
+    report.claims.append(tail_claim(
+        "regret-bound-freq", config.replicates,
+        sum(not np.all(rec.cum_regret <= b + 1e-9) for rec, b in zip(records, bounds)),
+        2.0 * math.exp(-config.u)))
+    report.claims.append(tail_claim(
+        "variance-info-gain", config.replicates,
+        sum(not np.all(rec.sigma_sq_cum <= ceta * rec.info_gain + 1e-9) for rec in records),
+        0.0, note="deterministic inequality"))
+    report.write_csv(target("validation", "validation.csv"))
     files["all_pass"] = "1" if report.all_pass else "0"
     return files

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, Kernel,
+from chainopt import (ArgumentError, ChainingTree, FiniteMetricSpace, InternalError, Kernel,
                       build_forward, build_tree, canonical_metric_space, greedy_cover,
                       is_cover, lower_bound_functional, lower_value, make_star, omega,
                       omega_table, phi, prune_backward,
@@ -707,6 +707,25 @@ def _validate_tree_by_loops(tree):
             prev = nd.radius
 
     return TreeValidation(not errors, errors, warnings, capacity_flags)
+
+
+class TestBuildTreeChecks:
+    """``build_tree`` hands out only trees that ``validate_tree`` passes."""
+
+    @pytest.mark.parametrize("schedule", ["geometric", "entropy"])
+    def test_failing_validation_is_an_internal_error(self, monkeypatch, schedule):
+        monkeypatch.setattr(chaining, "validate_tree",
+                            lambda tree: TreeValidation(False, ["node 3: broken"], [], []))
+        space = FiniteMetricSpace.from_coordinates(np.arange(8.0))
+        with pytest.raises(InternalError, match="tree validation failed: node 3: broken"):
+            build_tree(space, schedule)
+
+    def test_every_built_tree_is_validated(self, monkeypatch):
+        seen = []
+        real = chaining.validate_tree
+        monkeypatch.setattr(chaining, "validate_tree", lambda tree: seen.append(tree) or real(tree))
+        tree = build_tree(make_star(20), "geometric", 1, 1.0)
+        assert seen == [tree]
 
 
 class TestValidateCorruptedTrees:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from chainopt import metric
+from chainopt import chaining, harness, metric
+from chainopt.chaining import TreeValidation
 from chainopt.cli import main
+from chainopt.harness import ExperimentConfig, run_experiment
 
 
 @pytest.fixture
@@ -118,6 +120,14 @@ class TestTreeBuild:
         assert "u must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failing_validation_exits_3(self, tmp_path, cloud_file, monkeypatch, capsys):
+        monkeypatch.setattr(chaining, "validate_tree",
+                            lambda tree: TreeValidation(False, ["node 3: broken"], [], []))
+        out = tmp_path / "tree.txt"
+        assert main(["tree", "build", "--space", cloud_file, "--out", str(out)]) == 3
+        assert "tree validation failed: node 3: broken" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_entropy_build_from_matrix(self, tmp_path, matrix_file):
         out = tmp_path / "tree.txt"
         code = main(["tree", "build", "--space", matrix_file,
@@ -157,12 +167,33 @@ class TestOptimize:
         code = main(["optimize", "--space", cloud_file, "--t", "3", "--seed", "-1",
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert "seed_base must be an integer of at least 0" in capsys.readouterr().err
 
-    def test_matrix_space_rejected(self, tmp_path, matrix_file):
+    def test_matrix_space_rejected(self, tmp_path, matrix_file, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(harness, "sample_paths", unreachable)
         code = main(["optimize", "--space", matrix_file, "--t", "3",
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
+        assert "coordinate-backed space" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options,settings", [
+        ([], {}),
+        (["--kernel", "matern32:ls=0.4", "--u", "1.5", "--a", "3", "--eta2", "0.1",
+          "--depth-rule", "omega", "--schedule", "entropy"],
+         {"kernel": "matern32:ls=0.4", "u": 1.5, "a": 3.0, "eta2": 0.1,
+          "depth_rule": "omega", "schedule": "entropy"})], ids=["defaults", "set"])
+    def test_output_is_replicate_0_of_the_driver(self, tmp_path, cloud_file, options,
+                                                 settings):
+        out = tmp_path / "run.csv"
+        assert main(["optimize", "--space", cloud_file, "--t", "20", "--seed", "7",
+                     "--out", str(out), *options]) == 0
+        cfg = ExperimentConfig(space=f"file:{cloud_file}", t_max=20, replicates=1,
+                               seed_base=7, out_dir=str(tmp_path / "exp"), **settings)
+        files = run_experiment(cfg)
+        assert out.read_bytes() == open(files["replicate_0"], "rb").read()
 
 
 class TestValidateCommands:
@@ -180,6 +211,21 @@ class TestValidateCommands:
         cfg.write_text("space = star:n=32\nu = 1.0\ntrials = 200\n")
         assert main(["validate-lower", "--config", str(cfg)]) == 0
         assert "ratio_q05" in capsys.readouterr().out
+
+    def test_upper_on_the_file_twin_of_a_grid(self, tmp_path):
+        # the 100 points of grid:dim=1,per_dim=100, written so that they read back exactly
+        cloud = tmp_path / "cloud.txt"
+        cloud.write_text("# dim=1\n" + "".join(f"{x!r}\n" for x in
+                                                np.linspace(0.0, 1.0, 100).tolist()))
+        reports = []
+        for name, spec in (("grid", "grid:dim=1,per_dim=100"), ("twin", f"file:{cloud}")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"space = {spec}\nkernel = se:ls=0.2\nschedule = entropy\n"
+                           "trials = 2000\nseed_base = 1\n")
+            report = tmp_path / f"{name}.csv"
+            assert main(["validate-upper", "--config", str(cfg), "--out", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_upper_quick(self, tmp_path):
         cfg = tmp_path / "v.cfg"

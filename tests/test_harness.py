@@ -16,7 +16,7 @@ from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetr
                       make_star, parse_config, run_experiment, sample_paths,
                       space_from_spec, validate_lemmas, validate_lower,
                       validate_upper)
-from chainopt import gp, harness
+from chainopt import chaining, gp, harness
 from chainopt.chaining import TreeValidation
 from conftest import tied_spaces, ultrametric_spaces
 
@@ -160,6 +160,54 @@ class TestGenerators:
         sp = space_from_spec("line:n=3", kernel=Kernel("se", 1.0))
         expect = math.sqrt(2 - 2 * math.exp(-0.5))
         assert sp.distance(0, 1) == pytest.approx(expect)
+
+
+def _cloud_twin(tmp_path, coords, name="twin.txt"):
+    """A point cloud file holding ``coords`` exactly: repr round-trips every float."""
+    path = tmp_path / name
+    path.write_text(f"# dim={coords.shape[1]}\n" + "".join(
+        " ".join(map(repr, row)) + "\n" for row in coords.tolist()))
+    return str(path)
+
+
+class TestFileSpaces:
+    """A ``file:`` point cloud takes the metric its coordinates would take from a generator."""
+
+    def test_cloud_takes_the_kernel_metric(self, tmp_path):
+        kernel = Kernel("se", 0.2)
+        twin = space_from_spec(f"file:{_cloud_twin(tmp_path, make_grid(1, 9))}", kernel)
+        grid = space_from_spec("grid:dim=1,per_dim=9", kernel)
+        assert np.array_equal(twin.coords, grid.coords)
+        assert np.array_equal(twin.pairwise(range(9)), grid.pairwise(range(9)))
+        # the process distance over Euclidean distance 1, not 1 itself
+        assert twin.distance(0, 8) == pytest.approx(math.sqrt(2 - 2 * math.exp(-12.5)))
+
+    def test_cloud_without_a_kernel_is_euclidean(self, tmp_path):
+        sp = space_from_spec(f"file:{_cloud_twin(tmp_path, make_grid(1, 9))}")
+        assert sp.distance(0, 8) == 1.0
+
+    def test_matrix_file_keeps_its_matrix(self, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_text("3\n0 1 2\n1 0 1\n2 1 0\n")
+        sp = space_from_spec(f"file:{path}", Kernel("se", 0.2))
+        assert sp.coords is None and sp.distance(0, 2) == 2.0
+
+    @pytest.mark.parametrize("spec", ["file: {path}", "file:  {path} ", " file :{path}",
+                                      "grid: dim=1, per_dim=8"])
+    def test_blanks_around_a_spec_are_dropped(self, tmp_path, spec):
+        path = _cloud_twin(tmp_path, make_grid(1, 8))
+        cfg = parse_config(_write_config(tmp_path, f"space = {spec.format(path=path)}\n"))
+        assert cfg.build_space().n == 8
+
+    def test_experiment_file_set_is_the_grid_file_set(self, tmp_path):
+        twin = _cloud_twin(tmp_path, make_grid(1, 100))
+        outs = []
+        for name, spec in (("grid", "grid:dim=1,per_dim=100"), ("twin", f"file:{twin}")):
+            out = tmp_path / name
+            run_experiment(ExperimentConfig(space=spec, kernel="se:ls=0.2", t_max=40,
+                                            replicates=2, seed_base=1, out_dir=str(out)))
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outs[0] == outs[1]
 
 
 class TestIntegerSettings:
@@ -439,14 +487,32 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not any(p.name.startswith("replicate") for p in out.iterdir())
 
+    def test_a_file_that_fails_while_written_is_removed(self, tmp_path, monkeypatch):
+        def half_written(record, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("iter,")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(RegretRecord, "to_csv", half_written)
+        out = tmp_path / "fail"
+        with pytest.raises(OSError):
+            run_experiment(ExperimentConfig(space="line:n=6", t_max=3, out_dir=str(out)))
+        assert not list(out.iterdir())
+
     def test_a_built_tree_failing_validation_is_an_internal_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "validate_tree",
+        monkeypatch.setattr(chaining, "validate_tree",
                             lambda tree: TreeValidation(False, ["node 3: broken"], [], []))
         out = tmp_path / "out"
         cfg = ExperimentConfig(space="line:n=6", t_max=3, replicates=2, out_dir=str(out))
         with pytest.raises(InternalError, match="tree validation failed: node 3: broken"):
             run_experiment(cfg)
         assert not list(out.iterdir())
+
+    def test_space_without_coordinates_refused_before_any_draw(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "sample_paths", _unreachable)
+        cfg = ExperimentConfig(space="star:n=16", t_max=3, out_dir=str(tmp_path / "out"))
+        with pytest.raises(ArgumentError, match="coordinate-backed space"):
+            run_experiment(cfg)
 
     def test_validation_csv_reproducible(self, tmp_path):
         cfg = ExperimentConfig(space="grid:dim=1,per_dim=10", t_max=8,
