@@ -23,12 +23,11 @@ from scipy.linalg import solve_triangular
 from .chaining import _SCHEDULES, ChainingTree, build_tree, omega_table
 from .errors import ArgumentError, CapacityError, NumericError, is_int
 from .gp import Kernel, _kernel_diag, _kernel_rows, c_eta, information_gain, squared_gp_bounds
-from .metric import FiniteMetricSpace, _as_points, _point_ids
+from .metric import _BLOCK_BYTES, FiniteMetricSpace, _as_points, _check_budget, _point_ids
 from .smoothness import SmoothnessModel, confidence_level_u_i
 
 _DEPTH_RULES = ("halflog2", "omega")
 _REBUILD_EVERY = 64       # full refactorization cadence for incremental updates
-_REFACTOR_BYTES = 1 << 20  # t x t stack factored per call in a refactorization
 _BATCH_BYTES = 1 << 25     # V of the replicates one run loop batch carries
 _VAR_CLAMP_TOL = 1e-10
 
@@ -103,7 +102,8 @@ class GPPosterior:
 
     No Gram matrix is kept: each update computes the kernel rows of the R
     points just queried, in one call, and a rebuild recomputes the rows of
-    every query, so memory is O(R t n) rather than O(n^2).
+    every query, so memory is O(R t n) rather than O(n^2).  A ``V`` over the
+    byte budget (``8 R capacity n`` bytes) is refused before anything is allocated.
     """
 
     def __init__(self, kernel: Kernel, eta2: float, coords, capacity: int,
@@ -114,11 +114,13 @@ class GPPosterior:
             raise ArgumentError("replicates must be an integer of at least 1")
         if not is_int(capacity) or capacity < 0:
             raise ArgumentError(f"capacity must be nonnegative and integral, got {capacity!r}")
-        self.kernel = kernel
         self.X = _as_points(coords)
+        n = self.X.shape[0]
+        _check_budget(8 * int(replicates) * int(capacity) * n,
+                      f"a posterior of {replicates} x {capacity} queries over {n} points")
+        self.kernel = kernel
         self.diag = _kernel_diag(kernel, self.X)
         self.eta2 = float(eta2)
-        n = self.X.shape[0]
         self.V = np.zeros((replicates, capacity, n))
         self.B = np.zeros((replicates, capacity, n_outputs))
         self.Yraw = np.zeros((replicates, capacity, n_outputs))
@@ -186,7 +188,7 @@ class GPPosterior:
 
     def _rebuild(self) -> None:
         t = self.t
-        step = max(1, _REFACTOR_BYTES // (8 * t * t))    # replicates per factorization call
+        step = max(1, _BLOCK_BYTES // (8 * t * t))    # replicates per factorization call
         for lo in range(0, self.q.shape[0], step):
             sel = self.q[lo:lo + step, :t]
             rows = _kernel_rows(self.kernel, self.X[sel.reshape(-1)], self.X)

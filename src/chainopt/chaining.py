@@ -176,6 +176,8 @@ class ChainingTree:
             eps = self.epsilon(h)
             if eps <= 0:
                 size = self.space.n
+            elif h == 0:
+                size = 1        # the ball of radius diameter about any point is the space
             else:
                 size = len(greedy_cover(self.space, eps))
             self._entropy_caps[h] = 2.0 * math.log(size)

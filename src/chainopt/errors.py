@@ -16,7 +16,7 @@ class ArgumentError(ChainoptError, ValueError):
 
 
 class CapacityError(ChainoptError):
-    """An exact/exhaustive routine was asked to exceed its size cap."""
+    """A call was refused before allocating: over the byte budget, or past a size cap."""
 
 
 class ParseError(ChainoptError, ValueError):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ArgumentError, CapacityError, NumericError
-from .metric import (_BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, _as_points,
+from .errors import ArgumentError, NumericError
+from .metric import (_BLOCK_BYTES, FiniteMetricSpace, _as_points, _check_budget,
                      _euclidean_pairs)
 
 _JITTER_START = 1e-10
@@ -331,6 +331,11 @@ def chol_with_jitter(M: np.ndarray) -> np.ndarray:
     raise NumericError(f"factorization failed even with jitter {_JITTER_LIMIT:g}")
 
 
+def _check_draw(n: int, n_paths: int) -> None:
+    """Refuse a draw of ``n_paths`` paths over n points over the budget (see sample_paths)."""
+    _check_budget(8 * (3 * n * n + 2 * n * int(n_paths)), f"{n_paths} paths over {n} points")
+
+
 def _draw(K: np.ndarray, n_paths: int, seed) -> np.ndarray:
     """``n_paths`` centered Gaussian draws with covariance K, shape (n_paths, n)."""
     L = chol_with_jitter(K)
@@ -340,7 +345,9 @@ def _draw(K: np.ndarray, n_paths: int, seed) -> np.ndarray:
 
 def sample_prior(kernel: Kernel, coords, seed) -> np.ndarray:
     """One centered prior draw over the coordinate set; deterministic per seed."""
-    return _draw(gram(kernel, coords), 1, seed)[0]
+    X = _as_points(coords)
+    _check_draw(X.shape[0], 1)
+    return _draw(gram(kernel, X), 1, seed)[0]
 
 
 def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
@@ -351,12 +358,12 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
     the metric through the centered Gram transform ``(d(0,i)^2 + d(0,j)^2 -
     d(i,j)^2) / 2``, built in one n×n buffer, which reproduces the distances
     exactly whenever the metric is of negative type.  Returns an array of
-    shape (n_paths, n); more than ``DENSE_LIMIT ** 2`` values (512 MiB) is a
-    CapacityError, raised before anything is built.
+    shape (n_paths, n).  A draw whose ``8 (3 n^2 + 2 n n_paths)`` bytes (the
+    matrix, numpy's Cholesky work copy, the factor, the normals and their
+    product) are over the byte budget is a CapacityError, raised before
+    anything is built.
     """
-    if n_paths * space.n > DENSE_LIMIT ** 2:
-        raise CapacityError(f"{n_paths} paths over {space.n} points exceed the "
-                            f"{DENSE_LIMIT ** 2}-value limit of a path draw")
+    _check_draw(space.n, n_paths)
     if kernel is not None and space.coords is not None:
         return _draw(gram(kernel, space.coords), n_paths, seed)
     sq = space.row(0) ** 2

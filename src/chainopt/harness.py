@@ -21,10 +21,10 @@ from .bandit import (OptimizerConfig, RegretRecord, regret_bound_rhs, run_gp_ucb
                      run_squared_gp_ucb)
 from .chaining import (ChainingTree, _cell_excess, build_tree, lower_bound_functional,
                        omega_table, phi)
-from .errors import ArgumentError, CapacityError, ParseError, is_int
+from .errors import ArgumentError, ParseError, is_int
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
-from .metric import _BLOCK_BYTES, DENSE_LIMIT, FiniteMetricSpace, load_space
+from .metric import _BLOCK_BYTES, FiniteMetricSpace, _check_budget, load_space
 from .smoothness import SmoothnessModel
 
 _TOL = 1e-12
@@ -32,21 +32,17 @@ _TOL = 1e-12
 
 # -- spaces -------------------------------------------------------------------
 
-def _check_size(spec: str, n: int) -> None:
-    """Refuse a generated space of more than ``DENSE_LIMIT`` points before building it."""
-    if n > DENSE_LIMIT:
-        raise CapacityError(f"{spec} exceeds the {DENSE_LIMIT}-point limit of a space")
-
-
 def make_grid(dim: int, per_dim: int, extent: float = 1.0) -> np.ndarray:
-    """Regular grid coordinates in lexicographic order, shape (per_dim^dim, dim)."""
+    """Regular grid coordinates in lexicographic order, shape (per_dim^dim, dim).
+
+    Counted bytes: the coordinates twice, plus 96 a point and 96 an axis value for the
+    tuples of ``itertools.product``; in Python ints, the exponent capped at 64."""
     if not (is_int(dim) and is_int(per_dim)) or dim < 1 or per_dim < 1:
         raise ArgumentError("grid needs integers dim >= 1 and per_dim >= 1")
-    # per_dim^dim points, with the exponent capped where 2^cap already exceeds the limit
-    _check_size(f"grid:dim={dim},per_dim={per_dim}",
-                per_dim ** min(dim, DENSE_LIMIT.bit_length()))
-    if dim > DENSE_LIMIT:
-        raise CapacityError(f"grid dimension {dim} exceeds {DENSE_LIMIT}")
+    dim, per_dim = int(dim), int(per_dim)
+    points = per_dim ** min(dim, 64)
+    _check_budget(16 * dim * points + 96 * points + 96 * dim * per_dim,
+                  f"grid:dim={dim},per_dim={per_dim}")
     axis = np.linspace(0.0, extent, per_dim)
     return np.array(list(itertools.product(*([axis] * dim))))
 
@@ -55,15 +51,15 @@ def make_line(n: int) -> np.ndarray:
     """Integer-spaced points on the line, shape (n, 1)."""
     if not is_int(n) or n < 1:
         raise ArgumentError("line needs an integer n >= 1")
-    _check_size(f"line:n={n}", n)
+    _check_budget(8 * int(n), f"line:n={n}")
     return np.arange(n, dtype=float)[:, None]
 
 
 def make_star(n: int) -> FiniteMetricSpace:
-    """n points at unit distance from each other (forces heavy pruning)."""
+    """n points at unit distance from each other (forces heavy pruning); three n×n arrays."""
     if not is_int(n) or n < 1:
         raise ArgumentError("star needs an integer n >= 1")
-    _check_size(f"star:n={n}", n)
+    _check_budget(24 * int(n) ** 2, f"star:n={n}")
     D = np.ones((n, n)) - np.eye(n)
     return FiniteMetricSpace.from_distance_matrix(D)
 
@@ -73,13 +69,12 @@ def make_ellipsoid(axes: list[float]) -> np.ndarray:
     if not axes or any(a <= 0 for a in axes):
         raise ArgumentError("ellipsoid needs positive semi-axes")
     dim = len(axes)
-    pts = [np.zeros(dim)]
-    for i, a in enumerate(axes):
-        for sign in (1.0, -1.0):
-            p = np.zeros(dim)
-            p[i] = sign * a
-            pts.append(p)
-    return np.array(pts)
+    _check_budget(8 * (2 * dim + 1) * dim, f"an ellipsoid with {dim} axes")
+    pts = np.zeros((2 * dim + 1, dim))
+    i = np.arange(dim)
+    pts[2 * i + 1, i] = axes
+    pts[2 * i + 2, i] = np.negative(axes)
+    return pts
 
 
 _SPACE_SPECS = {"grid": {"dim": 1, "per_dim": 16, "extent": 1.0},
@@ -311,9 +306,8 @@ def validate_lower(config: ExperimentConfig) -> ValidationReport:
 
     root = tree.root_id
     denom = lower_bound_functional(tree, root)
-    sup = _cell_excess(tree, paths, [root])[:, 0]
-    ratios = sup / denom if denom > 0 else np.full(config.trials, math.nan)
     if denom > 0:
+        ratios = _cell_excess(tree, paths, [root])[:, 0] / denom
         report.extras["ratio_q05"] = float(np.quantile(ratios, 0.05))
         report.extras["ratio_median"] = float(np.quantile(ratios, 0.5))
         if pruned_depths:
@@ -360,30 +354,20 @@ def validate_lemmas(config: ExperimentConfig) -> ValidationReport:
         report.claims.append(match_claim(name + "-oracle", trials,
                                          outside / trials, exact))
 
-    n3 = max(trials // 10, 1)
+    rows = max(trials // 10, 1)
     for m, u in _MAX_NORMAL_CELLS:
         thr = math.sqrt(math.log(m / (2.6 * u)))
-        maxima = _row_maxima(rng, n3, m)
-        below = int(np.sum(maxima < thr))
-        report.claims.append(tail_claim(f"max-normal-m{m}-u{u:g}", n3, below,
-                                        math.exp(-u)))
+        below = int(np.sum(_row_maxima(rng, rows, m) < thr))
+        report.claims.append(tail_claim(f"max-normal-m{m}-u{u:g}", rows, below, math.exp(-u)))
 
-    # packed construction: base value 0, m-1 unit normals at mutual spread sqrt(2)
+    # packed construction: base value 0, m-1 unit normals at mutual spread sqrt(2);
+    # the base point itself is in the set, so each maximum is at least 0
     m, u = 200, 1.0
     alpha, delta = math.sqrt(2.0), 1.0
-    threshold = phi(alpha, delta, m, u)
-    n5 = max(trials // 10, 1)
-    maxima = _row_maxima(rng, n5, m - 1)
-    maxima = np.maximum(maxima, 0.0)       # the base point itself is in the set
-    below = int(np.sum(maxima < threshold))
-    report.claims.append(tail_claim(f"packed-max-m{m}-u{u:g}", n5, below,
-                                    math.exp(-u)))
-    vac = phi(alpha, delta, 3, 1.0)
-    report.claims.append(tail_claim("packed-max-vacuous-m3-u1", n5,
-                                    int(np.sum(np.maximum(
-                                        _row_maxima(rng, n5, 2),
-                                        0.0) < vac)),
-                                    math.exp(-1.0),
+    below = int(np.sum(np.maximum(_row_maxima(rng, rows, m - 1), 0.0) < phi(alpha, delta, m, u)))
+    report.claims.append(tail_claim(f"packed-max-m{m}-u{u:g}", rows, below, math.exp(-u)))
+    below = int(np.sum(np.maximum(_row_maxima(rng, rows, 2), 0.0) < phi(alpha, delta, 3, 1.0)))
+    report.claims.append(tail_claim("packed-max-vacuous-m3-u1", rows, below, math.exp(-1.0),
                                     note="vacuous: threshold clamps to zero"))
     return report
 

@@ -19,12 +19,14 @@ Covers come in three flavours:
 * ``greedy_cover`` - the heuristic that repeatedly grabs the point whose
   epsilon-ball covers the most remaining points.  Its ball is neighbour
   lists from a k-d tree where a sampled density says the ball is sparse,
-  and an m×m boolean array otherwise; both give the same cover.  A ball
-  over the byte budget is refused before it is allocated;
+  and an m×m boolean array otherwise; both give the same cover;
 * ``brute_force_min_cover`` - an exhaustive minimum-cardinality oracle,
   capped at 20 points, intended for tests;
 * ``sample_cover_compact`` - reduction from a compact domain to the
   finite case by i.i.d. uniform sampling.
+
+One size rule serves every call that allocates something quadratic in its
+inputs: it counts its bytes from shapes and passes them to :func:`_check_budget` first.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,7 +43,6 @@ from scipy.spatial.distance import cdist
 
 from .errors import ArgumentError, CapacityError, ParseError, is_int
 
-DENSE_LIMIT = 8192           # size cap of a generated space and of a path draw's side
 _TRIANGLE_FULL_LIMIT = 64    # exhaustive triangle check below, sampled above
 _TRIANGLE_SAMPLES = 10_000
 _SYMMETRY_RTOL = 1e-12
@@ -49,8 +51,7 @@ _TRIANGLE_SLACK = 1e-9       # relative slack for floating-point distances
 # relative slack covers; the coordinate-space bounds then scan every pair.
 _UNDERFLOW_SAFE = 1e-100
 _BLOCK_BYTES = 1 << 20       # bytes per block where a large array is worked through in pieces
-# The largest quadratic allocation a call may make: a cover whose ball would
-# take more is refused with a CapacityError before anything is allocated.
+# The most bytes one call may hold at once in arrays that grow with its inputs
 _BUDGET_BYTES = 1 << 30
 # A cover's ball is built as neighbour lists from a k-d tree when it has at
 # least _SPARSE_MIN points and, on _DENSITY_ROWS evenly spaced rows, fewer
@@ -378,10 +379,10 @@ def _spans(count: int, width: int):
 
 
 def _check_budget(nbytes: float, what: str) -> None:
-    """A CapacityError naming ``what`` when ``nbytes`` is over the byte budget."""
+    """A CapacityError naming ``what`` when ``nbytes``, a call's total, is over the budget."""
     if nbytes > _BUDGET_BYTES:
-        raise CapacityError(f"{what} needs about {nbytes:.3g} bytes, over the "
-                            f"{_BUDGET_BYTES}-byte limit of one allocation")
+        raise CapacityError(f"{what} needs about {Decimal(nbytes):.3g} bytes, over the "
+                            f"{_BUDGET_BYTES}-byte limit of one call")
 
 
 def _gathered(start: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -375,7 +375,7 @@ class TestReplicateAxis:
         whole = run(truth, seeds)
         # two replicates per loop batch, one per refactor factorization call
         monkeypatch.setattr(bandit, "_BATCH_BYTES", 8 * 150 * 40 * 2)
-        monkeypatch.setattr(bandit, "_REFACTOR_BYTES", 1)
+        monkeypatch.setattr(bandit, "_BLOCK_BYTES", 1)
         split = run(truth, seeds)
         assert len(split) == len(whole)
         for got, want in zip(split, whole):

@@ -1,0 +1,143 @@
+"""One size rule: every call that allocates something quadratic in its inputs
+counts its bytes from shapes and passes them to ``metric._check_budget`` first.
+
+Most tests here lower the budget to 4096 bytes, so nothing large is allocated.
+"""
+
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from chainopt import (CapacityError, FiniteMetricSpace, GPPosterior, Kernel, bandit,
+                      canonical_metric_space, gp, greedy_cover, harness, make_ellipsoid,
+                      make_grid, make_line, make_star, metric, sample_paths, sample_prior)
+
+SE = Kernel("se", 0.5)
+
+
+def _line(n):
+    return FiniteMetricSpace.from_coordinates(np.arange(float(n)))
+
+
+# site -> (its largest call under a 4096-byte budget, and one size more), by its count
+BOUNDARIES = {
+    # 16 dim points + 96 points + 96 dim per_dim
+    "grid-side": (lambda: make_grid(2, 4), lambda: make_grid(2, 5)),
+    "grid-dim": (lambda: make_grid(35, 1), lambda: make_grid(36, 1)),
+    "line": (lambda: make_line(512), lambda: make_line(513)),                 # 8 n
+    "star": (lambda: make_star(13), lambda: make_star(14)),                   # 24 n^2
+    "ellipsoid": (lambda: make_ellipsoid([1.0] * 15),                         # 8 (2D+1) D
+                  lambda: make_ellipsoid([1.0] * 16)),
+    # 8 (3 n^2 + 2 n paths); test_harness's test_path_limit_is_inclusive is sample_paths' own
+    "prior": (lambda: sample_prior(SE, np.arange(12.0), 0),
+              lambda: sample_prior(SE, np.arange(13.0), 0)),
+    # 8 R capacity n
+    "posterior": (lambda: GPPosterior(SE, 0.1, np.arange(16.0), 16, replicates=2),
+                  lambda: GPPosterior(SE, 0.1, np.arange(16.0), 17, replicates=2)),
+    # m^2 booleans
+    "cover": (lambda: greedy_cover(_line(64), 63.0), lambda: greedy_cover(_line(65), 64.0)),
+}
+
+
+@pytest.mark.parametrize("site", BOUNDARIES)
+def test_the_largest_call_passes_and_one_more_is_refused(monkeypatch, site):
+    allowed, refused = BOUNDARIES[site]
+    monkeypatch.setattr(metric, "_BUDGET_BYTES", 4096)
+    allowed()
+    with pytest.raises(CapacityError, match="4096-byte limit of one call"):
+        refused()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("allocated before the byte budget check")
+
+
+class TestRefusedBeforeAllocating:
+    def test_an_ellipsoid_with_many_axes(self, harness_cannot_allocate):
+        # 10 000 axes: 20 001 points of 10 000 coordinates, 1.6 GB
+        with pytest.raises(CapacityError, match="ellipsoid with 10000 axes"):
+            make_ellipsoid([1.0] * 10_000)
+
+    def test_a_posterior_with_a_large_capacity(self, monkeypatch):
+        monkeypatch.setattr(np, "zeros", _unreachable)
+        with pytest.raises(CapacityError, match="posterior of 1 x 1000000000000 queries"):
+            GPPosterior(SE, 0.1, np.arange(16.0), 10 ** 12)
+
+    def test_a_prior_draw_over_6688_points(self, monkeypatch):
+        # 8 (3 n^2 + 2 n) bytes: 6688 points fit the budget and 6689 do not, even for one path
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(gp, "gram", reached)
+        with pytest.raises(Reached):
+            sample_prior(SE, np.arange(6688.0), 0)
+        monkeypatch.setattr(gp, "gram", _unreachable)
+        with pytest.raises(CapacityError, match="1 paths over 6689 points"):
+            sample_prior(SE, np.arange(6689.0), 0)
+
+    @pytest.mark.parametrize("nbytes", [10 ** 400, 2.0 ** 1000])
+    def test_counts_of_any_size_are_reported(self, nbytes):
+        with pytest.raises(CapacityError, match=r"needs about \d\.\d\de\+\d+ bytes"):
+            metric._check_budget(nbytes, "a count")
+
+
+class _Counted(Exception):
+    """Raised in place of the budget check, after recording the count it was given."""
+
+
+def _count(module, call) -> int:
+    """The bytes ``call`` passes to the byte budget check through ``module``; nothing after
+    the check runs."""
+    seen = []
+
+    def record(nbytes, what):
+        seen.append(nbytes)
+        raise _Counted
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_check_budget", record)
+        with pytest.raises(_Counted):
+            call()
+    return seen[0]
+
+
+class TestWorkloads:
+    """The benchmark's largest calls sit under the budget by the sites' own counts, so a
+    later budget change cannot quietly refuse a workload."""
+
+    def test_budget_holds_every_workload(self):
+        grid4096 = make_grid(2, 64)
+        se01, se02 = Kernel("se", 0.1), Kernel("se", 0.2)
+        grid256 = canonical_metric_space(se02, make_grid(1, 256))
+        counts = {
+            # optimize-grid4096: the 4096-point prior draw (about 402 MB) and its t=500 loop
+            "prior": _count(gp, lambda: sample_prior(se01, grid4096, [0, 0])),
+            "posterior": _count(bandit, lambda: GPPosterior(se01, 0.01, grid4096, 500)),
+            # replicates-grid64: 20 replicates of 200 queries on 64 points
+            "replicates": _count(bandit, lambda: GPPosterior(se02, 0.01, make_grid(1, 64), 200,
+                                                             replicates=20)),
+            # validate-mix: 1e5 paths over 256 points (about 411 MB), the 1024-point star
+            # and its 1000-path draw
+            "upper": _count(gp, lambda: sample_paths(grid256, se02, 100_000, 0)),
+            "star": _count(harness, lambda: make_star(1024)),
+            "lower": _count(gp, lambda: sample_paths(SimpleNamespace(n=1024), None, 1000, 0)),
+        }
+        assert counts["prior"] == 8 * (3 * 4096 ** 2 + 2 * 4096)
+        assert counts["upper"] == 8 * (3 * 256 ** 2 + 2 * 256 * 100_000)
+        over = {site: n for site, n in counts.items() if n > metric._BUDGET_BYTES}
+        assert not over
+
+
+@pytest.mark.parametrize("dim,per_dim", [(13, 2), (8192, 1), (1, 8192), (2, 91), (5, 3)])
+def test_the_grid_count_covers_its_traced_peak(dim, per_dim):
+    count = _count(harness, lambda: make_grid(dim, per_dim))
+    tracemalloc.start()
+    try:
+        make_grid(dim, per_dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= count

@@ -249,6 +249,29 @@ class TestOmega:
         assert v_geo != pytest.approx(v_ent)
 
 
+class TestEntropyCapacity:
+    @staticmethod
+    def _counted(monkeypatch, space):
+        """A fresh entropy tree over ``space`` and the list of its ``greedy_cover`` calls."""
+        calls = []
+
+        def cover(*args):
+            calls.append(args)
+            return greedy_cover(*args)
+        monkeypatch.setattr(chaining, "greedy_cover", cover)
+        return ChainingTree(space, "entropy", 1, [-1], [0], [0]), calls
+
+    def test_depth_zero_needs_no_cover(self, monkeypatch):
+        tree, calls = self._counted(monkeypatch, FiniteMetricSpace.from_coordinates(np.arange(9.0)))
+        assert tree.capacity(0) == 0.0 and calls == []
+        assert tree.capacity(1) == 2.0 * math.log(len(greedy_cover(tree.space, 2.0)))
+        assert len(calls) == 1
+
+    def test_identical_points_keep_two_log_n(self, monkeypatch):
+        tree, calls = self._counted(monkeypatch, FiniteMetricSpace.from_coordinates(np.zeros(5)))
+        assert tree.capacity(0) == 2.0 * math.log(5) and calls == []
+
+
 class TestLowerValue:
     def test_requires_pruned_tree(self, line5_tree):
         with pytest.raises(ArgumentError):

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from chainopt import chaining, harness, metric
+from chainopt import chaining, gp, harness, metric
 from chainopt.chaining import TreeValidation
 from chainopt.cli import main
 from chainopt.harness import ExperimentConfig, run_experiment
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached past the byte budget check")
 
 
 @pytest.fixture
@@ -163,6 +167,15 @@ class TestOptimize:
         assert code == 2
         assert not out.exists()
 
+    def test_posterior_over_a_small_budget_exits_2(self, tmp_path, cloud_file, capsys,
+                                                  monkeypatch):
+        # 12 points: the ball (144 bytes) and the draw (3648) fit, V (8 x 50 x 12) does not
+        monkeypatch.setattr(metric, "_BUDGET_BYTES", 4096)
+        out = tmp_path / "run.csv"
+        assert main(["optimize", "--space", cloud_file, "--t", "50", "--out", str(out)]) == 2
+        assert "posterior of 1 x 50 queries over 12 points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, cloud_file, capsys):
         code = main(["optimize", "--space", cloud_file, "--t", "3", "--seed", "-1",
                      "--out", str(tmp_path / "r.csv")])
@@ -252,14 +265,27 @@ class TestValidateCommands:
         cfg = tmp_path / "v.cfg"
         cfg.write_text(f"space = {spec}\ntrials = 10\n")
         assert main(["validate-lower", "--config", str(cfg)]) == 2
-        assert "8192-point limit" in capsys.readouterr().err
+        assert f"{spec} needs" in capsys.readouterr().err
 
-    def test_oversized_draw_exits_2(self, tmp_path, capsys):
-        # 64 points x 2^21 paths: refused before the Gram matrix, not a MemoryError
+    def test_oversized_draw_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 64 points x 2^21 paths: refused before any covariance, not a MemoryError
+        monkeypatch.setattr(gp, "gram", _unreachable)
+        monkeypatch.setattr(gp, "chol_with_jitter", _unreachable)
+        for command, space in (("validate-upper", "line:n=64"), ("validate-lower", "star:n=64")):
+            cfg = tmp_path / "v.cfg"
+            cfg.write_text(f"space = {space}\nu = 1.0\ntrials = 2097152\n")
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "2097152 paths over 64 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,config", [
+        ("validate-upper", "space = line:n=8\ntrials = 100\n"),     # the draw
+        ("validate-lower", "space = star:n=14\ntrials = 10\n")])    # the generator
+    def test_over_a_small_budget_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
+        monkeypatch.setattr(metric, "_BUDGET_BYTES", 4096)
         cfg = tmp_path / "v.cfg"
-        cfg.write_text("space = star:n=64\nu = 1.0\ntrials = 2097152\n")
-        assert main(["validate-lower", "--config", str(cfg)]) == 2
-        assert "67108864-value limit" in capsys.readouterr().err
+        cfg.write_text(config)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "4096-byte limit of one call" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["kernel = se:lengthscale=0.2", "model = gaussian:nu=1",
                                       "model = squaredgp:n=2,kappa=1.0",

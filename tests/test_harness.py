@@ -16,7 +16,7 @@ from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetr
                       make_star, parse_config, run_experiment, sample_paths,
                       space_from_spec, validate_lemmas, validate_lower,
                       validate_upper)
-from chainopt import chaining, gp, harness
+from chainopt import chaining, gp, harness, metric
 from chainopt.chaining import TreeValidation
 from conftest import tied_spaces, ultrametric_spaces
 
@@ -137,12 +137,18 @@ class TestGenerators:
         with pytest.raises(ArgumentError):
             space_from_spec("torus:n=3")
 
-    @pytest.mark.parametrize("spec", ["grid:dim=12,per_dim=100", "grid:dim=2,per_dim=91",
-                                      "grid:dim=100000,per_dim=2", "grid:dim=100000,per_dim=1",
-                                      "line:n=8193", "line:n=1000000000000", "star:n=8193"])
+    @pytest.mark.parametrize("spec", ["grid:dim=12,per_dim=100", "grid:dim=100000,per_dim=2",
+                                      "line:n=1000000000000", "star:n=8193", "star:n=6689"])
     def test_oversized_spec_allocates_nothing(self, harness_cannot_allocate, spec):
-        # the count is checked as a Python int before any array or point list is made
-        with pytest.raises(CapacityError, match="8192"):
+        # the byte count is made in Python ints before any array or point list is made
+        with pytest.raises(CapacityError, match=f"{spec} needs .*-byte limit of one call"):
+            space_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["grid:dim=2,per_dim=91", "grid:dim=100000,per_dim=1",
+                                      "line:n=8193", "star:n=6000", "star:n=6688"])
+    def test_past_the_old_point_limit_the_build_starts(self, harness_cannot_allocate, spec):
+        # the byte count passes, so the generator goes on to numpy, which the fixture stops
+        with pytest.raises(AssertionError, match="used before the size check"):
             space_from_spec(spec)
 
     def test_generators_up_to_the_dense_limit(self):
@@ -170,8 +176,41 @@ def _cloud_twin(tmp_path, coords, name="twin.txt"):
     return str(path)
 
 
+@st.composite
+def _coordinate_specs(draw):
+    """A grid, line or ellipsoid spec of at most 64 points."""
+    kind = draw(st.sampled_from(["grid", "line", "ellipsoid"]))
+    if kind == "grid":
+        dim = draw(st.integers(1, 3))
+        per_dim = draw(st.integers(1, round(64 ** (1 / dim))))
+        extent = draw(st.sampled_from([0.5, 1.0, 2.5]))
+        return f"grid:dim={dim},per_dim={per_dim},extent={extent}"
+    if kind == "line":
+        return f"line:n={draw(st.integers(1, 64))}"
+    axes = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]), min_size=1, max_size=31))
+    return "ellipsoid:axes=" + ":".join(map(str, axes))
+
+
 class TestFileSpaces:
     """A ``file:`` point cloud takes the metric its coordinates would take from a generator."""
+
+    @settings(max_examples=20)
+    @given(spec=_coordinate_specs(), kernel=st.sampled_from(["se:ls=0.3", "matern52:ls=1.0"]),
+           schedule=st.sampled_from(["geometric", "entropy"]))
+    def test_a_spec_and_its_file_twin_write_the_same_bytes(self, tmp_path_factory, spec,
+                                                          kernel, schedule):
+        tmp = tmp_path_factory.mktemp("twin")
+        twin = f"file:{_cloud_twin(tmp, space_from_spec(spec).coords)}"
+        outs = []
+        for name, source in (("spec", spec), ("twin", twin)):
+            cfg = ExperimentConfig(space=source, kernel=kernel, schedule=schedule, t_max=20,
+                                   replicates=2, trials=200, seed_base=3,
+                                   out_dir=str(tmp / name))
+            run_experiment(cfg)
+            validate_upper(cfg).write_csv(str(tmp / f"{name}_upper.csv"))
+            outs.append({p.name: p.read_bytes() for p in (tmp / name).iterdir()})
+            outs[-1]["upper"] = (tmp / f"{name}_upper.csv").read_bytes()
+        assert outs[0] == outs[1]
 
     def test_cloud_takes_the_kernel_metric(self, tmp_path):
         kernel = Kernel("se", 0.2)
@@ -285,12 +324,17 @@ class TestSamplePaths:
         monkeypatch.setattr(gp, "gram", _unreachable)
         monkeypatch.setattr(sp, "row", _unreachable)
         monkeypatch.setattr(sp, "rows", _unreachable)
-        with pytest.raises(CapacityError, match="16777217 paths over 4 points"):
-            sample_paths(sp, kernel, 8192 ** 2 // 4 + 1, seed=0)
+        # 8 (3 n^2 + 2 n paths) bytes: 16 777 211 paths over 4 points are the first over 2^30
+        with pytest.raises(CapacityError, match="16777211 paths over 4 points"):
+            sample_paths(sp, kernel, 16_777_211, seed=0)
 
     def test_path_limit_is_inclusive(self, monkeypatch):
+        # 8 (3 n^2 + 2 n paths) bytes: 4 points and 58 paths are 4096 bytes, 59 are 4160
+        monkeypatch.setattr(metric, "_BUDGET_BYTES", 4096)
         monkeypatch.setattr(gp, "_draw", lambda K, n_paths, seed: (K.shape, n_paths))
-        assert sample_paths(make_star(4), None, 8192 ** 2 // 4, seed=0) == ((4, 4), 8192 ** 2 // 4)
+        assert sample_paths(make_star(4), None, 58, seed=0) == ((4, 4), 58)
+        with pytest.raises(CapacityError, match="59 paths over 4 points"):
+            sample_paths(make_star(4), None, 59, seed=0)
 
     @staticmethod
     def _gram(monkeypatch, space):
@@ -344,10 +388,11 @@ class TestValidateUpper:
         assert report.all_pass
 
     def test_capacity_cap(self, monkeypatch):
-        # 64 points x 2^21 paths is twice the 8192^2-value limit of a draw
+        # 64 points x 2^21 paths: the normals and their product alone are 2^31 bytes
         cfg = ExperimentConfig(space="line:n=64", trials=2 ** 21)
+        monkeypatch.setattr(gp, "gram", _unreachable)
         monkeypatch.setattr(gp, "chol_with_jitter", _unreachable)
-        with pytest.raises(CapacityError, match="67108864-value limit"):
+        with pytest.raises(CapacityError, match="2097152 paths over 64 points .* limit of one call"):
             validate_upper(cfg)
 
     def test_past_the_old_point_cap(self):

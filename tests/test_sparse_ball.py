@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from chainopt import (CapacityError, FiniteMetricSpace, Kernel,
                       canonical_metric_space, greedy_cover, metric)
 from chainopt.cli import main
-from chainopt.metric import DENSE_LIMIT
 
 BANDED = ("se", "matern12", "matern32", "matern52")
 
@@ -157,9 +156,6 @@ class TestExactReadsInTheBand:
 
 
 class TestBudget:
-    def test_budget_holds_every_generated_space(self):
-        assert DENSE_LIMIT ** 2 <= metric._BUDGET_BYTES
-
     def test_a_dense_ball_over_budget_is_refused_before_allocating(self):
         # 70 000 points whose ball is the whole space: 4.9e9 booleans
         space = FiniteMetricSpace.from_coordinates(np.arange(70_000.0))
