@@ -23,12 +23,11 @@ from scipy.linalg import solve_triangular
 from .chaining import _SCHEDULES, ChainingTree, build_tree, omega_table
 from .errors import ArgumentError, CapacityError, NumericError, is_int
 from .gp import Kernel, _kernel_diag, _kernel_rows, c_eta, information_gain, squared_gp_bounds
-from .metric import _BLOCK_BYTES, FiniteMetricSpace, _as_points, _check_budget, _point_ids
+from .metric import FiniteMetricSpace, _as_points, _check_budget, _point_ids, _spans
 from .smoothness import SmoothnessModel, confidence_level_u_i
 
 _DEPTH_RULES = ("halflog2", "omega")
 _REBUILD_EVERY = 64       # full refactorization cadence for incremental updates
-_BATCH_BYTES = 1 << 25     # V of the replicates one run loop batch carries
 _VAR_CLAMP_TOL = 1e-10
 
 
@@ -96,9 +95,10 @@ class GPPosterior:
     where L_r factors K + eta2 I over replicate r's queries, and ``mean[r] =
     V[r]^T B[r]`` is kept by rank-one updates, so one update costs O(t n)
     per replicate instead of O(t^2 n).  Every ``_REBUILD_EVERY`` updates the
-    factors are rebuilt from scratch to cap round-off drift.  Several output
-    channels share the queries.  ``replicates=1`` is a single posterior.  To
-    predict at other locations, include them in ``coords``.
+    factors are rebuilt from scratch to cap round-off drift, the replicates in
+    ``_spans`` pieces of t·t floats each.  Several output channels share the
+    queries.  ``replicates=1`` is a single posterior.  To predict at other
+    locations, include them in ``coords``.
 
     No Gram matrix is kept: each update computes the kernel rows of the R
     points just queried, in one call, and a rebuild recomputes the rows of
@@ -188,9 +188,8 @@ class GPPosterior:
 
     def _rebuild(self) -> None:
         t = self.t
-        step = max(1, _BLOCK_BYTES // (8 * t * t))    # replicates per factorization call
-        for lo in range(0, self.q.shape[0], step):
-            sel = self.q[lo:lo + step, :t]
+        for lo, hi in _spans(self.q.shape[0], t * t):    # replicates per factorization call
+            sel = self.q[lo:hi, :t]
             rows = _kernel_rows(self.kernel, self.X[sel.reshape(-1)], self.X)
             rows = rows.reshape(len(sel), t, -1)            # k(queries, points)
             C = np.take_along_axis(rows, sel[:, None, :], axis=2)
@@ -199,9 +198,8 @@ class GPPosterior:
                 L = np.linalg.cholesky(C)
             except np.linalg.LinAlgError as exc:
                 raise NumericError("posterior refactorization failed") from exc
-            self.V[lo:lo + step, :t] = solve_triangular(L, rows, lower=True)
-            self.B[lo:lo + step, :t] = solve_triangular(L, self.Yraw[lo:lo + step, :t],
-                                                        lower=True)
+            self.V[lo:hi, :t] = solve_triangular(L, rows, lower=True)
+            self.B[lo:hi, :t] = solve_triangular(L, self.Yraw[lo:hi, :t], lower=True)
         V = self.V[:, :t]
         self.sumsq = np.einsum("rij,rij->rj", V, V)
         self.mean = np.matmul(V.transpose(0, 2, 1), self.B[:, :t])
@@ -359,8 +357,8 @@ def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
     blank.  ``acquire(cand, mu, sig, u_i, truth)`` scores every replicate's
     candidate rows and returns the UCBs, their widths and per-row channel
     coverage (or None), each of shape (R, |cand|); ``objective`` maps channel
-    values, channels on axis 1, to f.  Replicates run in batches whose
-    posterior factors stay under a fixed memory budget.
+    values, channels on axis 1, to f.  Replicates run in ``_spans`` batches
+    that the whole byte budget holds at the ``8 t_max n`` bytes GPPosterior checks.
     """
     if space.coords is None:
         raise ArgumentError("optimization needs a coordinate-backed space")
@@ -369,12 +367,11 @@ def _run_loop(space: FiniteMetricSpace, kernel: Kernel, config: OptimizerConfig,
     omega_vals = None
     if config.depth_rule == "omega":
         omega_vals = omega_table(tree, config.u, config.a, model)
-    step = max(1, _BATCH_BYTES // (8 * max(config.t_max, 1) * space.n))
     records = []
-    for lo in range(0, len(seeds), step):
-        records += _run_batch(space, kernel, config, seeds[lo:lo + step], tree, model,
+    for lo, hi in _spans(len(seeds), config.t_max * space.n, budget=True):
+        records += _run_batch(space, kernel, config, seeds[lo:hi], tree, model,
                               omega_vals, acquire, objective,
-                              None if truth is None else truth[lo:lo + step], observe)
+                              None if truth is None else truth[lo:hi], observe)
     return records
 
 

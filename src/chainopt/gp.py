@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ArgumentError, NumericError
-from .metric import (_BLOCK_BYTES, FiniteMetricSpace, _as_points, _check_budget,
-                     _euclidean_pairs)
+from .errors import ArgumentError, NumericError, is_int
+from .metric import FiniteMetricSpace, _as_points, _check_budget, _euclidean_pairs, _spans
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
@@ -126,16 +125,14 @@ def _scaled_dist(kernel: Kernel, r):
 def _scaled_dist_inplace(kernel: Kernel, r: np.ndarray) -> np.ndarray:
     """Overwrite the C-contiguous distance array r with its covariance; returns r.
 
-    Works through r in blocks of ``_BLOCK_BYTES``, so the temporaries of the
-    closed forms stay small.  Every element goes through the operations of
-    :func:`_scaled_dist`, so a row computed alone equals the Gram matrix's
-    row bit for bit.
+    Works through the flattened r in the pieces of :func:`metric._spans` at
+    width 1, so the temporaries of the closed forms stay small.  Every
+    element goes through the operations of :func:`_scaled_dist`, so a row
+    computed alone equals the Gram matrix's row bit for bit.
     """
     flat = r.reshape(-1)
-    step = _BLOCK_BYTES // 8
-    for lo in range(0, flat.size, step):
-        blk = flat[lo:lo + step]
-        blk[...] = _scaled_dist(kernel, blk)
+    for lo, hi in _spans(flat.size, 1):
+        flat[lo:hi] = _scaled_dist(kernel, flat[lo:hi])
     return r
 
 
@@ -332,7 +329,9 @@ def chol_with_jitter(M: np.ndarray) -> np.ndarray:
 
 
 def _check_draw(n: int, n_paths: int) -> None:
-    """Refuse a draw of ``n_paths`` paths over n points over the budget (see sample_paths)."""
+    """Refuse ``n_paths`` paths over n points, unless a nonnegative integer under the budget."""
+    if not is_int(n_paths) or n_paths < 0:
+        raise ArgumentError(f"n_paths must be a nonnegative integer, got {n_paths!r}")
     _check_budget(8 * (3 * n * n + 2 * n * int(n_paths)), f"{n_paths} paths over {n} points")
 
 

@@ -24,7 +24,7 @@ from .chaining import (ChainingTree, _cell_excess, build_tree, lower_bound_funct
 from .errors import ArgumentError, ParseError, is_int
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
-from .metric import _BLOCK_BYTES, FiniteMetricSpace, _check_budget, load_space
+from .metric import FiniteMetricSpace, _check_budget, _spans, load_space
 from .smoothness import SmoothnessModel
 
 _TOL = 1e-12
@@ -35,16 +35,18 @@ _TOL = 1e-12
 def make_grid(dim: int, per_dim: int, extent: float = 1.0) -> np.ndarray:
     """Regular grid coordinates in lexicographic order, shape (per_dim^dim, dim).
 
-    Counted bytes: the coordinates twice, plus 96 a point and 96 an axis value for the
-    tuples of ``itertools.product``; in Python ints, the exponent capped at 64."""
+    Counted bytes: the coordinates, the axis and 2 KiB for views and ``linspace``'s
+    temporaries; in Python ints, the exponent capped at 64."""
     if not (is_int(dim) and is_int(per_dim)) or dim < 1 or per_dim < 1:
         raise ArgumentError("grid needs integers dim >= 1 and per_dim >= 1")
     dim, per_dim = int(dim), int(per_dim)
     points = per_dim ** min(dim, 64)
-    _check_budget(16 * dim * points + 96 * points + 96 * dim * per_dim,
-                  f"grid:dim={dim},per_dim={per_dim}")
+    _check_budget(8 * dim * points + 8 * per_dim + 2048, f"grid:dim={dim},per_dim={per_dim}")
     axis = np.linspace(0.0, extent, per_dim)
-    return np.array(list(itertools.product(*([axis] * dim))))
+    out = np.empty((points, dim))
+    for k in range(dim):
+        out[:, k].reshape(per_dim ** k, per_dim, -1)[...] = axis[:, None]
+    return out
 
 
 def make_line(n: int) -> np.ndarray:
@@ -87,8 +89,10 @@ _GENERATORS = {"grid": make_grid, "line": make_line, "star": make_star,
 
 
 def _file_ref(spec: str) -> str | None:
-    """The stripped path of a ``file:<path>`` spec; None for any other head."""
+    """The stripped path of a ``file:<path>`` spec, which must not be blank; else None."""
     kind, _, rest = spec.partition(":")
+    if kind.strip() == "file" and not rest.strip():
+        raise ArgumentError("file spec needs a path")
     return rest.strip() if kind.strip() == "file" else None
 
 
@@ -105,8 +109,6 @@ def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpac
     distance-matrix file keep their matrix.
     """
     path = _file_ref(spec)
-    if path == "":
-        raise ArgumentError("file spec needs a path")
     if path is None:
         head, opts = _parse_spec(spec, _SPACE_SPECS)
         made = _GENERATORS[head](**opts)
@@ -321,10 +323,9 @@ def validate_lower(config: ExperimentConfig) -> ValidationReport:
 
 
 def _row_maxima(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
-    """Row maxima of a ``(rows, m)`` standard normal draw, made about 1 MiB at a time."""
-    step = max(1, _BLOCK_BYTES // (8 * m))
-    return np.concatenate([rng.standard_normal(size=(min(step, rows - lo), m)).max(axis=1)
-                           for lo in range(0, rows, step)])
+    """Row maxima of ``(rows, m)`` standard normals, drawn one ``_spans`` piece at a time."""
+    return np.concatenate([rng.standard_normal(size=(hi - lo, m)).max(axis=1)
+                           for lo, hi in _spans(rows, m)])
 
 
 _SQ_TAIL_GRID = tuple(itertools.product((0.0, 1.0, 3.0), (0.5, 1.0, 2.0), (1.0, 2.0)))

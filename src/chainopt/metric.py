@@ -25,8 +25,9 @@ Covers come in three flavours:
 * ``sample_cover_compact`` - reduction from a compact domain to the
   finite case by i.i.d. uniform sampling.
 
-One size rule serves every call that allocates something quadratic in its
-inputs: it counts its bytes from shapes and passes them to :func:`_check_budget` first.
+One size rule serves every call that allocates something quadratic in its inputs:
+it counts its bytes from shapes and passes them to :func:`_check_budget` first.  One
+block rule cuts every piece of work in every module: :func:`_spans`.
 """
 
 from __future__ import annotations
@@ -372,10 +373,11 @@ class FiniteMetricSpace:
         return _euclidean_pairs(self._coords, i, j)
 
 
-def _spans(count: int, width: int):
-    """``(lo, hi)`` slices of ``count`` rows of ``width`` floats, about 1 MiB each."""
-    step = max(1, _BLOCK_BYTES // (8 * max(1, width)))
-    return ((lo, lo + step) for lo in range(0, count, step))
+def _spans(count: int, width: int, budget: bool = False):
+    """Slices ``(lo, hi)`` of ``count`` rows of ``width`` floats, each as many rows as
+    ``_BLOCK_BYTES`` holds (the whole ``_BUDGET_BYTES`` with ``budget``), but at least one."""
+    step = max(1, (_BUDGET_BYTES if budget else _BLOCK_BYTES) // (8 * max(1, width)))
+    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _check_budget(nbytes: float, what: str) -> None:

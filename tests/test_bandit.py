@@ -15,7 +15,7 @@ from chainopt import (ArgumentError, ChainingTree,
                       information_gain, make_grid, omega_table,
                       prune_backward, regret_bound_rhs, run_gp_ucb,
                       run_squared_gp_ucb, sample_paths)
-from chainopt import bandit
+from chainopt import bandit, metric
 from chainopt.smoothness import SmoothnessModel, confidence_level_u_i
 
 
@@ -374,8 +374,8 @@ class TestReplicateAxis:
         truth, seeds, run = self._runner(channels, "halflog2")
         whole = run(truth, seeds)
         # two replicates per loop batch, one per refactor factorization call
-        monkeypatch.setattr(bandit, "_BATCH_BYTES", 8 * 150 * 40 * 2)
-        monkeypatch.setattr(bandit, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(metric, "_BUDGET_BYTES", 8 * 150 * 40 * 2)
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", 1)
         split = run(truth, seeds)
         assert len(split) == len(whole)
         for got, want in zip(split, whole):
@@ -463,7 +463,7 @@ class TestRecordFingerprints:
         tree = build_tree(space, config.schedule, config.shift, config.u)
         seeds = [[6, r] for r in range(R)]
         if split:       # batches of two replicates and one
-            monkeypatch.setattr(bandit, "_BATCH_BYTES", 8 * t_max * space.n * 2)
+            monkeypatch.setattr(metric, "_BUDGET_BYTES", 8 * t_max * space.n * 2)
         if channels is None:
             truth = sample_paths(space, kernel, R, seed=5)
             records = run_gp_ucb(space, kernel, config, truth, seed=seeds, tree=tree)

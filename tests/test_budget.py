@@ -1,15 +1,20 @@
 """One size rule: every call that allocates something quadratic in its inputs
 counts its bytes from shapes and passes them to ``metric._check_budget`` first.
+One block rule: every piece a large array is worked through in is cut by
+``metric._spans``, and only ``metric`` holds the memory constants.
 
 Most tests here lower the budget to 4096 bytes, so nothing large is allocated.
 """
 
+import importlib
+import pkgutil
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import chainopt
 from chainopt import (CapacityError, FiniteMetricSpace, GPPosterior, Kernel, bandit,
                       canonical_metric_space, gp, greedy_cover, harness, make_ellipsoid,
                       make_grid, make_line, make_star, metric, sample_paths, sample_prior)
@@ -23,9 +28,9 @@ def _line(n):
 
 # site -> (its largest call under a 4096-byte budget, and one size more), by its count
 BOUNDARIES = {
-    # 16 dim points + 96 points + 96 dim per_dim
-    "grid-side": (lambda: make_grid(2, 4), lambda: make_grid(2, 5)),
-    "grid-dim": (lambda: make_grid(35, 1), lambda: make_grid(36, 1)),
+    # 8 dim points + 8 per_dim + 2048
+    "grid-side": (lambda: make_grid(2, 11), lambda: make_grid(2, 12)),
+    "grid-dim": (lambda: make_grid(255, 1), lambda: make_grid(256, 1)),
     "line": (lambda: make_line(512), lambda: make_line(513)),                 # 8 n
     "star": (lambda: make_star(13), lambda: make_star(14)),                   # 24 n^2
     "ellipsoid": (lambda: make_ellipsoid([1.0] * 15),                         # 8 (2D+1) D
@@ -141,3 +146,89 @@ def test_the_grid_count_covers_its_traced_peak(dim, per_dim):
     finally:
         tracemalloc.stop()
     assert peak <= count
+
+
+def test_only_metric_binds_the_memory_constants():
+    names = {"_BLOCK_BYTES", "_BUDGET_BYTES", "_BATCH_BYTES"}
+    modules = {info.name: importlib.import_module(f"chainopt.{info.name}")
+               for info in pkgutil.iter_modules(chainopt.__path__)}
+    bound = {name: sorted(names & set(vars(module))) for name, module in modules.items()}
+    assert bound.pop("metric") == ["_BLOCK_BYTES", "_BUDGET_BYTES"]
+    assert set(bound) >= {"bandit", "gp", "harness"}
+    assert not any(bound.values()), bound
+
+
+class _Counting:
+    """Calls ``call`` and counts the calls."""
+
+    def __init__(self, call):
+        self.call, self.calls = call, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.call(*args, **kwargs)
+
+
+def _blocked(block_bytes, call, count, width):
+    """``call()`` with ``metric._BLOCK_BYTES`` set to ``block_bytes``, and the number of
+    pieces ``metric._spans(count, width)`` cuts there."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metric, "_BLOCK_BYTES", block_bytes)
+        return call(), len(list(metric._spans(count, width)))
+
+
+class TestOneBlockRule:
+    """Patching ``metric._BLOCK_BYTES`` alone recuts the pieces of gp, harness and bandit
+    as ``metric._spans`` says, and every result keeps its bits."""
+
+    def test_the_kernel_transform(self, monkeypatch):
+        kernel = Kernel("matern52", 0.3)
+        A, X = np.linspace(0, 1, 5)[:, None], np.linspace(0, 2, 9)[:, None]
+        results = []
+        for block_bytes, want in ((metric._BLOCK_BYTES, 1), (8 * 7, 7)):    # 45 covariances
+            counted = _Counting(gp._scaled_dist)
+            monkeypatch.setattr(gp, "_scaled_dist", counted)
+            rows, pieces = _blocked(block_bytes, lambda: gp._kernel_rows(kernel, A, X), 45, 1)
+            assert counted.calls == pieces == want
+            results.append(rows)
+        assert np.array_equal(*results)
+
+    @pytest.mark.parametrize("rows,m,per_block", [(10, 5, 3), (7, 2, 2), (2, 3, 1)])
+    def test_the_draws_of_row_maxima(self, rows, m, per_block):
+        class Draws:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(4), 0
+
+            def standard_normal(self, size):
+                self.calls += 1
+                return self.rng.standard_normal(size=size)
+        results = []
+        for block_bytes, want in ((metric._BLOCK_BYTES, 1),
+                                  (8 * m * per_block, -(-rows // per_block))):
+            draws = Draws()
+            maxima, pieces = _blocked(block_bytes, lambda: harness._row_maxima(draws, rows, m),
+                                      rows, m)
+            assert draws.calls == pieces == want
+            results.append((maxima, draws.rng.standard_normal()))
+        (whole, after_whole), (split, after_split) = results
+        assert np.array_equal(whole, split) and after_whole == after_split
+
+    def test_the_factorization_calls_of_a_rebuild(self, monkeypatch):
+        R, t, n = 5, bandit._REBUILD_EVERY, 12
+        js = np.random.default_rng(1).integers(0, n, size=(t, R))
+        ys = np.random.default_rng(2).normal(size=(t, R))
+
+        def run():
+            post = GPPosterior(SE, 0.1, np.linspace(0, 1, n), t, replicates=R)
+            for j, y in zip(js, ys):
+                post.add(j, y)                # the last add rebuilds
+            return post
+        results = []
+        for block_bytes, want in ((metric._BLOCK_BYTES, 1), (8 * t * t * 2, 3)):  # 2 a call
+            cholesky = _Counting(np.linalg.cholesky)
+            monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+            post, pieces = _blocked(block_bytes, run, R, t * t)
+            assert cholesky.calls == pieces == want
+            results.append(post)
+        for name in ("V", "B", "sumsq", "mean"):
+            assert np.array_equal(getattr(results[0], name), getattr(results[1], name)), name

@@ -296,6 +296,13 @@ class TestValidateCommands:
         cfg.write_text(f"{line}\ntrials = 10\n")
         assert main(["validate-upper", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("spec", ["file:", "file:   "])
+    def test_file_spec_without_a_path_exits_2(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"space = {spec}\ntrials = 10\n")
+        assert main(["validate-upper", "--config", str(cfg)]) == 2
+        assert "file spec needs a path" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["validate-lemmas", "--config", str(tmp_path / "no.cfg")]) == 2
 

@@ -196,6 +196,19 @@ class TestSamplePrior:
             assert np.array_equal(sample_prior(k, coords, seed),
                                   sample_paths(space, k, 1, seed)[0])
 
+    @pytest.mark.parametrize("n_paths", [-1, 2.5, True, "3", None])
+    def test_a_bad_path_count_is_refused_before_the_gram(self, monkeypatch, n_paths):
+        def unreachable(*args):
+            raise AssertionError("built before the path count was checked")
+        monkeypatch.setattr(gp, "gram", unreachable)
+        monkeypatch.setattr(gp, "chol_with_jitter", unreachable)
+        k = Kernel("se", 0.5)
+        coords = np.linspace(0, 1, 6)
+        star = FiniteMetricSpace.from_distance_matrix(np.ones((4, 4)) - np.eye(4))
+        for space, kernel in ((canonical_metric_space(k, coords), k), (star, None)):
+            with pytest.raises(ArgumentError, match="n_paths must be a nonnegative integer"):
+                sample_paths(space, kernel, n_paths, 0)
+
 
 class TestCholWithJitter:
     def test_input_unchanged(self):

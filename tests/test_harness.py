@@ -450,7 +450,7 @@ class TestValidateLemmas:
 
     @pytest.mark.parametrize("rows,m,per_block", [(1, 3, 2), (7, 2, 3), (10, 5, 3), (9, 199, 1)])
     def test_row_maxima_equal_one_draw(self, monkeypatch, rows, m, per_block):
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * m * per_block)
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * m * per_block)
         blocked, whole = np.random.default_rng(4), np.random.default_rng(4)
         assert np.array_equal(harness._row_maxima(blocked, rows, m),
                               whole.standard_normal(size=(rows, m)).max(axis=1))
