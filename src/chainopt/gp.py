@@ -260,10 +260,9 @@ class _CanonicalSpace(FiniteMetricSpace):
         return np.maximum((v + v) - 2.0 * _scaled_dist(self._kernel, r), 0.0)
 
     def _set_up_band(self, rmax: float) -> None:
-        """The grid of Euclidean distances from 0 to ``rmax`` and its d², which
-        :meth:`_band` reads, and ``_d_sup = sqrt(v + v)``, the largest value g
-        takes.  A Euclidean diameter that is not finite leaves no band."""
-        self._banded = self._banded and rmax < math.inf
+        """The grid of Euclidean distances from 0 to the finite ``rmax`` and its d²,
+        which :meth:`_band` reads, and ``_d_sup = sqrt(v + v)``, the largest value g
+        takes."""
         if self._banded:
             self._d_sup = math.sqrt(2.0 * self._kernel.variance)
             self._grid = np.linspace(0.0, rmax, _BAND_GRID + 1)
@@ -374,12 +373,17 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
 
 
 def information_gain(kernel: Kernel, X, eta2: float) -> float:
-    """Half log-determinant of I + K/eta2 over the design X."""
+    """Half log-determinant of I + K/eta2 over the design X of t points.
+
+    Counted bytes, checked before the Gram matrix is built: ``32 t²``, for the
+    Gram matrix, the identity, the scaled Gram matrix and their sum."""
     if not 0 < eta2 < math.inf:
         raise ArgumentError("noise variance must be positive and finite")
     if np.asarray(X).size == 0:
         return 0.0
     X = _as_points(X)
+    t = X.shape[0]
+    _check_budget(32 * t * t, f"the information gain of {t} points")
     K = gram(kernel, X)
     M = np.eye(K.shape[0]) + K / eta2
     try:

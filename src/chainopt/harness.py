@@ -24,7 +24,7 @@ from .chaining import (ChainingTree, _cell_excess, build_tree, lower_bound_funct
 from .errors import ArgumentError, ParseError, is_int
 from .gp import (Kernel, _parse_spec, c_eta, canonical_metric_space, parse_kernel,
                  sample_paths, squared_gaussian_interval, squared_gaussian_outside_prob)
-from .metric import FiniteMetricSpace, _check_budget, _spans, load_space
+from .metric import FiniteMetricSpace, _check_budget, _read_space_file, _spans
 from .smoothness import SmoothnessModel
 
 _TOL = 1e-12
@@ -104,21 +104,21 @@ def space_from_spec(spec: str, kernel: Kernel | None = None) -> FiniteMetricSpac
     Options left out take the defaults in ``_SPACE_SPECS``; an unknown one
     is an error, and blanks around a file path are dropped.  Every source
     of coordinates (the grid, line and ellipsoid generators and a point
-    cloud file) takes one metric: the kernel's canonical process metric
-    when a kernel is supplied, the Euclidean one otherwise.  A star and a
-    distance-matrix file keep their matrix.
+    cloud file, read once) takes one metric: the kernel's canonical process
+    metric when a kernel is supplied, the Euclidean one otherwise, and its
+    space is built once.  A star and a distance-matrix file are their
+    matrix's space.
     """
     path = _file_ref(spec)
     if path is None:
         head, opts = _parse_spec(spec, _SPACE_SPECS)
         made = _GENERATORS[head](**opts)
     else:
-        made = load_space(path)
-    # a star or a file is a space; one without coordinates keeps its matrix
-    if isinstance(made, FiniteMetricSpace):
-        if made.coords is None:
-            return made
-        made = made.coords
+        made, cloud = _read_space_file(path)
+        if not cloud:
+            made = FiniteMetricSpace.from_distance_matrix(made)
+    if isinstance(made, FiniteMetricSpace):      # a star or a distance-matrix file
+        return made
     if kernel is not None:
         return canonical_metric_space(kernel, made)
     return FiniteMetricSpace.from_coordinates(made)

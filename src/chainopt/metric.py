@@ -32,8 +32,10 @@ block rule cuts every piece of work in every module: :func:`_spans`.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterable, Sequence
@@ -92,8 +94,8 @@ class FiniteMetricSpace:
     """
 
     def __init__(self, *, coords: np.ndarray | None, matrix: np.ndarray | None):
-        if coords is None and matrix is None:
-            raise ArgumentError("need coordinates or a distance matrix")
+        if (coords is None) == (matrix is None):
+            raise ArgumentError("need exactly one of coordinates and a distance matrix")
         self._coords = None if coords is None else _as_points(coords)
         n = matrix.shape[0] if matrix is not None else self._coords.shape[0]
         if n < 1:
@@ -103,10 +105,6 @@ class FiniteMetricSpace:
             matrix = np.asarray(matrix, dtype=float)
             if matrix.shape != (n, n):
                 raise ArgumentError(f"distance matrix must be square, got {matrix.shape}")
-            if self._coords is not None and self._coords.shape[0] != n:
-                raise ArgumentError(f"{self._coords.shape[0]} coordinate rows for a "
-                                    f"{n}-point distance matrix")
-        if matrix is not None:
             self._dist = _checked_metric(matrix)
             self._diameter = float(self._dist.max())
         else:
@@ -121,13 +119,13 @@ class FiniteMetricSpace:
         return cls(coords=coords, matrix=None)
 
     @classmethod
-    def from_distance_matrix(cls, matrix, coords=None) -> "FiniteMetricSpace":
-        """Build a space from an explicit n-by-n distance matrix.
+    def from_distance_matrix(cls, matrix) -> "FiniteMetricSpace":
+        """Build a space from an explicit n-by-n distance matrix, which it copies.
 
-        ``coords`` may carry the underlying coordinates (needed by kernel
-        machinery) even though distances come from the matrix.
+        The space holds no coordinates: ``coords`` is None exactly on a
+        stored matrix.
         """
-        return cls(coords=coords, matrix=np.array(matrix, dtype=float, order="C"))
+        return cls(coords=None, matrix=np.array(matrix, dtype=float, order="C"))
 
     # -- geometry ----------------------------------------------------------
 
@@ -313,7 +311,7 @@ class FiniteMetricSpace:
         return eps, eps
 
     def _set_up_band(self, rmax: float) -> None:
-        """Set up what :meth:`_band` reads from the Euclidean diameter ``rmax``."""
+        """Set up what :meth:`_band` reads from the finite Euclidean diameter ``rmax``."""
 
     def _coordinate_diameter(self) -> float:
         """The largest distance, which is also the check that every distance is finite.
@@ -321,12 +319,13 @@ class FiniteMetricSpace:
         The Euclidean diameter ``rmax`` comes first, over the candidate ends
         that :func:`_far_ends` keeps for ``lb``, a distance that some pair
         attains, through the exact row ``r`` of the point c nearest the middle
-        of the bounding box.  The exact distance ``top`` of the pair that
-        attains ``rmax`` is the diameter unless some Euclidean distance exceeds
-        ``_band(top)``'s ``r_in``; those pairs are read exactly.  Where there is
-        a band the distance never decreases in the Euclidean one, so the
-        farthest pair is finite only if every pair is; without one every pair
-        is read.
+        of the bounding box; one that overflows is refused before
+        :meth:`_set_up_band`, whatever the formula.  The exact distance ``top``
+        of the pair that attains ``rmax`` is the diameter unless some Euclidean
+        distance exceeds ``_band(top)``'s ``r_in``; those pairs are read
+        exactly.  Where there is a band the distance never decreases in the
+        Euclidean one, so the farthest pair is finite only if every pair is;
+        without one every pair is read.
         """
         x = self._coords
         mid = x.min(axis=0) / 2 + x.max(axis=0) / 2
@@ -340,9 +339,9 @@ class FiniteMetricSpace:
             if blk.flat[k] > rmax:
                 rmax = float(blk.flat[k])
                 pair = ends[[lo + k // len(ends), k % len(ends)]]
+        _check_finite("distance", np.array([rmax]))
         self._set_up_band(rmax)
-        with np.errstate(over="ignore"):     # an overflow is refused just below
-            top = self._pairs(pair[:1], pair[1:])
+        top = self._pairs(pair[:1], pair[1:])
         _check_finite("distance", top)
         best = float(top[0])
         r_in = self._band(best)[0]
@@ -484,20 +483,25 @@ def _check_finite(what: str, arr: np.ndarray) -> None:
 def _checked_metric(d: np.ndarray) -> np.ndarray:
     """Check a square matrix against the pseudo-metric axioms.
 
-    Returns the matrix, replaced by its exactly symmetric average when it
-    was symmetric only up to rounding.
+    Returns the matrix, made exactly symmetric in place (by averaging it
+    with its transpose) when it was symmetric only up to rounding.
     """
     _check_finite("distance", d)
     if np.any(np.abs(np.diag(d)) > 0):
         raise ArgumentError("d(i,i) must be zero for every point")
-    if not _exactly_symmetric(d):
-        scale = max(np.abs(d).max(), 1.0)
-        if not np.allclose(d, d.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * scale):
+    n, b = d.shape[0], 256                   # tile against transposed tile stays in cache
+    tiles = [(slice(i, i + b), slice(j, j + b)) for i in range(0, n, b) for j in range(i, n, b)]
+    if not all(np.array_equal(d[r, c], d[c, r].T) for r, c in tiles):
+        tol = _SYMMETRY_RTOL * max(float(d.max()), -float(d.min()), 1.0)
+        if not all(np.allclose(d[r, c], d[c, r].T, rtol=_SYMMETRY_RTOL, atol=tol)
+                   and np.allclose(d[c, r].T, d[r, c], rtol=_SYMMETRY_RTOL, atol=tol)
+                   for r, c in tiles):
             raise ArgumentError("distance matrix is not symmetric")
-        d = 0.5 * (d + d.T)  # make symmetry exact after tolerance check
+        for r, c in tiles:                   # the bits of 0.5 * (d + d.T)
+            d[r, c] = 0.5 * (d[r, c] + d[c, r].T)
+            d[c, r] = d[r, c].T
     if np.any(d < 0):
         raise ArgumentError("distances must be nonnegative")
-    n = d.shape[0]
     if n <= 2:
         return d
     slack = _TRIANGLE_SLACK * max(float(d.max()), 1.0)
@@ -513,13 +517,6 @@ def _checked_metric(d: np.ndarray) -> np.ndarray:
             b = bad[0]
             raise ArgumentError(f"triangle inequality violated on ({i[b]},{j[b]},{k[b]})")
     return d
-
-
-def _exactly_symmetric(d: np.ndarray) -> bool:
-    """``array_equal(d, d.T)``, compared tile against transposed tile to stay in cache."""
-    b = 256
-    return all(np.array_equal(d[i:i + b, j:j + b], d[j:j + b, i:i + b].T)
-               for i in range(0, d.shape[0], b) for j in range(i, d.shape[0], b))
 
 
 @dataclass(frozen=True)
@@ -696,67 +693,63 @@ def is_cover(space: FiniteMetricSpace, centers: Sequence[int], epsilon: float,
 
 # -- file formats ------------------------------------------------------------
 
-def _numbered_lines(path: str) -> list[tuple[int, str]]:
-    """The file's non-blank lines, stripped, each with its 1-based line number."""
+def _read_space_file(path: str, cloud: bool | None = None) -> tuple[np.ndarray, bool]:
+    """The array a space file holds, read in one pass, and whether the file is a cloud.
+
+    The first non-blank line tells the formats apart, unless ``cloud`` names
+    one: a cloud's ``# dim=<D>`` or a matrix's point count n, at least 1.
+    Rows are parsed straight into one buffer of doubles.  A matrix is checked
+    against the byte budget from its header as ``24 n²`` bytes (the rows,
+    the space's copy and one n×n temporary of its axiom check), a cloud as
+    its buffer grows.  A ParseError names the line at fault."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [(num, ln.strip()) for num, ln in enumerate(fh, start=1) if ln.strip()]
-
-
-def _float_rows(lines: list[tuple[int, str]], width: int, noun: str) -> np.ndarray:
-    """Rows of ``width`` reals from numbered lines; a ParseError names the file line."""
-    rows = []
-    for num, ln in lines:
-        parts = ln.split()
-        if len(parts) != width:
-            raise ParseError(f"expected {width} {noun}, got {len(parts)}", line=num)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"bad value in {ln!r}", line=num) from exc
-    return np.asarray(rows, dtype=float)
+        lines = ((num, ln.strip()) for num, ln in enumerate(fh, start=1))
+        lines = ((num, ln) for num, ln in lines if ln)
+        num, first = next(lines, (1, ""))
+        cloud = first.startswith("#") if cloud is None else cloud
+        header = re.fullmatch(r"#+\s*dim=\s*([+-]?\d+)" if cloud else r"([+-]?\d+)", first)
+        width = int(header[1]) if header else 0
+        if width < 1:
+            form = "a '# dim=<D>' header" if cloud else "the point count"
+            raise ParseError(f"expected {form} of at least 1, got {first!r}", line=num)
+        if not cloud:
+            _check_budget(24 * width ** 2, f"a {width}-point distance matrix")
+        values, rows = array.array("d"), 0
+        for num, ln in lines:
+            parts = ln.split()
+            if not cloud and rows == width:
+                raise ParseError(f"expected {width} matrix rows, found more", line=num)
+            if len(parts) != width:
+                raise ParseError(f"expected {width} values, got {len(parts)}", line=num)
+            if cloud:
+                _check_budget(8 * (len(values) + width), f"the point cloud {path}")
+            try:
+                values.extend([float(p) for p in parts])
+            except ValueError as exc:
+                raise ParseError(f"bad value in {ln!r}", line=num) from exc
+            rows += 1
+    if rows < (1 if cloud else width):
+        raise ParseError("point cloud file contains no points" if cloud
+                         else f"expected {width} matrix rows, found {rows}")
+    return np.frombuffer(values, dtype=float).reshape(rows, width), cloud
 
 
 def load_point_cloud(path: str) -> np.ndarray:
     """Read a point cloud file: header ``# dim=<D>`` then one point per line."""
-    lines = _numbered_lines(path)
-    num, header = lines[0] if lines else (1, "")
-    if not header.startswith("#"):
-        raise ParseError("point cloud file must start with a '# dim=<D>' header", line=num)
-    header = header.lstrip("#").strip()
-    if not header.startswith("dim="):
-        raise ParseError("header must have the form '# dim=<D>'", line=num)
-    try:
-        dim = int(header[4:])
-    except ValueError as exc:
-        raise ParseError(f"bad dimension in header: {header!r}", line=num) from exc
-    if len(lines) == 1:
-        raise ParseError("point cloud file contains no points")
-    return _float_rows(lines[1:], dim, "coordinates")
+    return _read_space_file(path, cloud=True)[0]
 
 
 def load_distance_matrix(path: str) -> np.ndarray:
     """Read a distance matrix file: first line ``n``, then n rows of n reals."""
-    lines = _numbered_lines(path)
-    if not lines:
-        raise ParseError("empty distance matrix file")
-    num, first = lines[0]
-    try:
-        n = int(first)
-    except ValueError as exc:
-        raise ParseError(f"first line must be the point count, got {first!r}",
-                         line=num) from exc
-    if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    return _float_rows(lines[1:], n, "entries")
+    return _read_space_file(path, cloud=False)[0]
 
 
 def load_space(path: str) -> FiniteMetricSpace:
     """Load a space from either file format, told apart by the first non-blank line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = next((ln for ln in fh if ln.strip()), "")
-    if first.lstrip().startswith("#"):
-        return FiniteMetricSpace.from_coordinates(load_point_cloud(path))
-    return FiniteMetricSpace.from_distance_matrix(load_distance_matrix(path))
+    values, cloud = _read_space_file(path)
+    if cloud:
+        return FiniteMetricSpace.from_coordinates(values)
+    return FiniteMetricSpace.from_distance_matrix(values)
 
 
 def write_cover_csv(cover: CoverResult, path: str) -> None:

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 import chainopt
-from chainopt import (CapacityError, FiniteMetricSpace, GPPosterior, Kernel, bandit,
-                      canonical_metric_space, gp, greedy_cover, harness, make_ellipsoid,
-                      make_grid, make_line, make_star, metric, sample_paths, sample_prior)
+from chainopt import (CapacityError, FiniteMetricSpace, GPPosterior, Kernel, ParseError, bandit,
+                      canonical_metric_space, gp, greedy_cover, harness, information_gain,
+                      load_distance_matrix, load_point_cloud, load_space, make_ellipsoid,
+                      make_grid, make_line, make_star, metric, sample_paths, sample_prior,
+                      space_from_spec)
 
 SE = Kernel("se", 0.5)
 
@@ -43,6 +45,9 @@ BOUNDARIES = {
                   lambda: GPPosterior(SE, 0.1, np.arange(16.0), 17, replicates=2)),
     # m^2 booleans
     "cover": (lambda: greedy_cover(_line(64), 63.0), lambda: greedy_cover(_line(65), 64.0)),
+    # 32 t^2
+    "information-gain": (lambda: information_gain(SE, np.arange(11.0), 0.1),
+                         lambda: information_gain(SE, np.arange(12.0), 0.1)),
 }
 
 
@@ -83,6 +88,39 @@ class TestRefusedBeforeAllocating:
         monkeypatch.setattr(gp, "gram", _unreachable)
         with pytest.raises(CapacityError, match="1 paths over 6689 points"):
             sample_prior(SE, np.arange(6689.0), 0)
+
+    def test_an_information_gain_over_5793_points(self, monkeypatch):
+        # 32 t^2 bytes: 5792 points fit the budget and 5793 do not
+        monkeypatch.setattr(gp, "gram", _unreachable)
+        with pytest.raises(CapacityError, match="information gain of 5793 points"):
+            information_gain(SE, np.arange(5793.0), 0.1)
+
+    @pytest.mark.parametrize("load", [load_distance_matrix, load_space,
+                                      lambda path: space_from_spec(f"file:{path}", SE)])
+    def test_a_matrix_file_from_its_header(self, tmp_path, load):
+        # 24 n^2 bytes: 6688 points fit the budget and 6689 do not, refused before the
+        # malformed row is parsed
+        path = tmp_path / "dist.txt"
+        path.write_text("6688\n0 1\n")
+        with pytest.raises(ParseError, match="line 2: expected 6688 values, got 2"):
+            load(str(path))
+        path.write_text("6689\n0 1\n")
+        with pytest.raises(CapacityError, match="a 6689-point distance matrix"):
+            load(str(path))
+
+    @pytest.mark.parametrize("load", [load_point_cloud, load_space,
+                                      lambda path: space_from_spec(f"file:{path}", SE)])
+    def test_a_point_cloud_as_it_grows(self, tmp_path, monkeypatch, load):
+        # 8 bytes a value: 256 points of 2 coordinates fit 4096 bytes, and the 257th is
+        # refused before it is read
+        monkeypatch.setattr(metric, "_BUDGET_BYTES", 4096)
+        path = tmp_path / "cloud.txt"
+        rows = [f"{k} 0\n" for k in range(256)]
+        path.write_text("# dim=2\n" + "".join(rows))
+        load(str(path))
+        path.write_text("# dim=2\n" + "".join(rows) + "x y\n")
+        with pytest.raises(CapacityError, match="the point cloud .* 4096-byte limit"):
+            load(str(path))
 
     @pytest.mark.parametrize("nbytes", [10 ** 400, 2.0 ** 1000])
     def test_counts_of_any_size_are_reported(self, nbytes):
@@ -136,16 +174,44 @@ class TestWorkloads:
         assert not over
 
 
+def _traced(call):
+    """``call()`` and the most bytes ``tracemalloc`` sees held at once during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("dim,per_dim", [(13, 2), (8192, 1), (1, 8192), (2, 91), (5, 3)])
 def test_the_grid_count_covers_its_traced_peak(dim, per_dim):
     count = _count(harness, lambda: make_grid(dim, per_dim))
-    tracemalloc.start()
-    try:
-        make_grid(dim, per_dim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert _traced(lambda: make_grid(dim, per_dim))[1] <= count
+
+
+@pytest.mark.parametrize("symmetric", ["exactly", "up to rounding"])
+def test_the_matrix_file_count_covers_the_traced_peak_of_load_space(tmp_path, symmetric):
+    # 600 points: the axiom check's fixed temporaries (its 10 000 sampled triangles and
+    # its 256 x 256 tiles) sit under one of the three counted n x n arrays
+    x = np.random.default_rng(0).uniform(size=(600, 2))
+    D = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    if symmetric == "up to rounding":
+        D[np.triu_indices(600, 1)] *= 1 + 1e-15
+    path = tmp_path / "dist.txt"
+    path.write_text("600\n" + "".join(" ".join(map(repr, row)) + "\n" for row in D.tolist()))
+    count = _count(metric, lambda: load_space(str(path)))
+    space, peak = _traced(lambda: load_space(str(path)))
     assert peak <= count
+    assert np.array_equal(space.pairwise(range(600)), (D + D.T) / 2)
+
+
+@pytest.mark.parametrize("family", ["se", "linear", "matern52"])
+def test_the_information_gain_count_covers_its_traced_peak(family):
+    # 1000 points: the kernel transform's temporaries, a few blocks of metric._spans that
+    # no count includes, sit under one of the four counted t x t arrays
+    X = np.linspace(0.0, 1.0, 1000)
+    count = _count(gp, lambda: information_gain(Kernel(family, 0.2), X, 0.1))
+    assert _traced(lambda: information_gain(Kernel(family, 0.2), X, 0.1))[1] <= count
 
 
 def test_only_metric_binds_the_memory_constants():

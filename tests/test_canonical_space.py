@@ -34,29 +34,30 @@ def _oracle(kernel, X):
     return np.sqrt(D), float(diag.max())
 
 
-def _matrix_twin(D, X, scale):
+def _matrix_twin(D, scale):
     """The oracle as a stored-matrix space, its pseudo-metric axioms checked first.
 
-    ``metric._checked_metric`` takes the oracle as it is: finite, zero on the
-    diagonal, exactly symmetric and nonnegative.  It may refuse the triangle
-    inequality only by less than the rounding of the cancellation in
+    ``metric._checked_metric`` takes the oracle as it is, unchanged: finite,
+    zero on the diagonal, exactly symmetric and nonnegative.  It may refuse
+    the triangle inequality only by less than the rounding of the cancellation in
     ``(k(x,x) + k(y,y)) - 2k(x,y)``: a d² off by a few ulps of ``scale`` is a
     d off by up to their square root.
     """
+    before = D.tobytes()
     try:
-        assert metric._checked_metric(D) is D
+        assert metric._checked_metric(D) is D and D.tobytes() == before
     except ArgumentError as exc:
         assert "triangle inequality" in str(exc)
         worst = (D[:, None, :] - D[:, :, None] - D[None, :, :]).max()
         assert worst <= 4 * math.sqrt(1e-14 * scale)
-    return _stored(D, X)
+    return _stored(D)
 
 
-def _stored(D, X):
+def _stored(D):
     """The oracle as a stored-matrix space, its axioms unchecked."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metric, "_checked_metric", lambda d: d)
-        return FiniteMetricSpace.from_distance_matrix(D, coords=X)
+        return FiniteMetricSpace.from_distance_matrix(D)
 
 
 @st.composite
@@ -107,13 +108,13 @@ class TestAgainstTheStoredMatrix:
             blocks = [b for _, b in sp.row_blocks(rows, cols)]
         assert np.array_equal(np.concatenate(blocks or [D[:0, cols]]), D[np.ix_(rows, cols)])
         assert sp.diameter == D.max()
-        _matrix_twin(D, X, scale)
+        _matrix_twin(D, scale)
 
     @given(cloud=_clouds(), data=st.data())
     def test_covers_bounds_and_trees_match(self, cloud, data):
         kernel, X = cloud
         D, scale = _oracle(kernel, X)
-        spaces = (canonical_metric_space(kernel, X), _matrix_twin(D, X, scale))
+        spaces = (canonical_metric_space(kernel, X), _matrix_twin(D, scale))
         n = len(X)
         eps = data.draw(st.sampled_from(sorted(set(D[D > 0].tolist())) or [1.0]))  # ties at eps
         subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1) | st.none())
@@ -143,7 +144,7 @@ class TestAgainstTheStoredMatrix:
         X = np.concatenate([pts, pts[:60], pts[:60] + [1e-11, 0.0], pts[:40] + 3.0])
         kernel = Kernel(family, 0.1, 1.7)
         D, scale = _oracle(kernel, X)
-        sp, twin = canonical_metric_space(kernel, X), _matrix_twin(D, X, scale)
+        sp, twin = canonical_metric_space(kernel, X), _matrix_twin(D, scale)
         assert sp.diameter == D.max()
         assert np.array_equal(sp.pairwise(np.arange(len(X))), D)
         levels = [sp.diameter, *np.quantile(D[D > 0], [0.001, 0.01, 0.1, 0.5], method="lower")]
@@ -167,7 +168,7 @@ class TestAgainstTheStoredMatrix:
         X = np.linspace(0.0, 8.0, 60)
         with np.errstate(over="ignore", invalid="ignore"):
             D, _ = _oracle(kernel, X[:, None])
-            sp, twin = canonical_metric_space(kernel, X), _stored(D, X)
+            sp, twin = canonical_metric_space(kernel, X), _stored(D)
             assert sp.diameter == D.max()
             assert sp.min_positive(np.arange(60)) == twin.min_positive(np.arange(60))
             for eps in sorted(set(D[D > 0].tolist()))[::7]:

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from chainopt import (ArgumentError, CapacityError, ExperimentConfig, FiniteMetr
                       validate_upper)
 from chainopt import chaining, gp, harness, metric
 from chainopt.chaining import TreeValidation
+from chainopt.cli import main
 from conftest import tied_spaces, ultrametric_spaces
 
 
@@ -224,6 +225,23 @@ class TestFileSpaces:
     def test_cloud_without_a_kernel_is_euclidean(self, tmp_path):
         sp = space_from_spec(f"file:{_cloud_twin(tmp_path, make_grid(1, 9))}")
         assert sp.distance(0, 8) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,coords", [
+        ("ellipsoid:axes=1e308", make_ellipsoid([1e308])),
+        ("grid:dim=2,per_dim=3,extent=1e308", make_grid(2, 3, 1e308))], ids=["ellipsoid", "grid"])
+    def test_an_overflow_is_refused_for_a_spec_and_its_file_twin(self, tmp_path, capsys, spec,
+                                                                  coords):
+        # finite coordinates whose Euclidean distance overflows, under a kernel whose
+        # process distance would stay finite
+        message = "every distance must be finite, found inf"
+        for name, source in (("spec", spec), ("twin", f"file:{_cloud_twin(tmp_path, coords)}")):
+            text = f"space = {source}\nkernel = se:ls=1\nt_max = 5\ntrials = 20\n"
+            cfg = parse_config(_write_config(tmp_path, text, f"{name}.cfg"))
+            with pytest.raises(ArgumentError, match=f"^{message}$"):
+                run_experiment(replace(cfg, out_dir=str(tmp_path / name)))
+            assert main(["validate-upper", "--config", str(tmp_path / f"{name}.cfg")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_matrix_file_keeps_its_matrix(self, tmp_path):
         path = tmp_path / "dist.txt"

@@ -10,11 +10,12 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainopt import (ChainoptError, ExperimentConfig, Kernel, load_distance_matrix,
-                      load_point_cloud, parse_config, parse_kernel, space_from_spec)
+                      load_point_cloud, load_space, parse_config, parse_kernel,
+                      space_from_spec)
 from chainopt.cli import main
 
 _NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=24)
@@ -104,11 +105,29 @@ _SPACE_FILES = st.one_of(
 
 @settings(max_examples=50)
 @given(_SPACE_FILES)
+@example("# dim=2\n0 0.1\n\n-2.5 1e300\n0 0.1\n")
+@example("3\n0 1 2.5\n1 0 1.5\n2.5 1.5 0\n")
 def test_space_files(scratch, text):
+    # every reader returns or raises a ChainoptError, and a space read from a file that
+    # one of the two formats reads holds that array bit for bit
     path = scratch / "space.txt"
     path.write_text(text, encoding="utf-8")
+    arrays = {}
     for load in (load_point_cloud, load_distance_matrix):
-        _returns_or_chainopt_error(load, str(path))
+        try:
+            arrays[load] = load(str(path))
+        except ChainoptError:
+            pass
+    for load in (load_space, lambda p: space_from_spec(f"file:{p}"),
+                 lambda p: space_from_spec(f"file:{p}", Kernel("se", 0.3))):
+        try:
+            space = load(str(path))
+        except ChainoptError:
+            continue
+        cloud = space.coords is not None
+        held = space.coords if cloud else space.pairwise(range(space.n))
+        read = arrays[load_point_cloud if cloud else load_distance_matrix]
+        assert held.tobytes() == read.tobytes() and held.shape == read.shape
 
 
 _PATHS = {"--space": "space.txt", "--config": "exp.cfg", "--out": "out.csv"}

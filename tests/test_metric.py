@@ -88,8 +88,6 @@ class TestFiniteMetricSpace:
     def test_coordinates_must_be_1d_or_2d(self, coords):
         with pytest.raises(ArgumentError, match="1-D or 2-D"):
             FiniteMetricSpace.from_coordinates(coords)
-        with pytest.raises(ArgumentError, match="1-D or 2-D"):
-            FiniteMetricSpace.from_distance_matrix(np.zeros((2, 2)), coords=coords)
 
     def test_zero_column_cloud_has_all_distances_zero(self):
         sp = FiniteMetricSpace.from_coordinates(np.zeros((4, 0)))
@@ -131,13 +129,6 @@ class TestFiniteMetricSpace:
         D = np.array([[0.1, 1.0], [1.0, 0.0]])
         with pytest.raises(ArgumentError):
             FiniteMetricSpace.from_distance_matrix(D)
-
-    @pytest.mark.parametrize("rows", [2, 4])
-    def test_coordinate_rows_must_match_matrix(self, rows):
-        D = np.ones((3, 3)) - np.eye(3)
-        coords = np.arange(rows, dtype=float)[:, None]
-        with pytest.raises(ArgumentError, match=f"{rows} coordinate rows for a 3-point"):
-            FiniteMetricSpace.from_distance_matrix(D, coords=coords)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -433,7 +424,7 @@ class TestCoordinatesAgreeWithTheirMatrix:
         # the same cloud as coordinates and as its stored cdist matrix
         D = cdist(coords, coords)
         spaces = (FiniteMetricSpace.from_coordinates(coords),
-                  FiniteMetricSpace.from_distance_matrix(D, coords=coords))
+                  FiniteMetricSpace.from_distance_matrix(D))
         eps = data.draw(st.sampled_from(sorted(set(D[D > 0].tolist())) or [1.0]))
         subset = data.draw(st.sets(st.integers(0, len(coords) - 1), min_size=1) | st.none())
         block_bytes = data.draw(st.sampled_from([1, metric._BLOCK_BYTES]))   # 1: a row a block
@@ -819,9 +810,14 @@ class TestFileFormats:
         (load_distance_matrix, "3\n\n0 1 1\n1 0 x\n1 1 0\n", 4),
         (load_distance_matrix, "\n\n2\n0 1\n1\n", 5),
         (load_distance_matrix, "\nx\n", 2),
+        (load_distance_matrix, "2\n0 1\n\n1 0\n0 0\n1 1\n", 5),
+        (load_distance_matrix, "\n-1\n0\n", 2),
         (load_point_cloud, "# dim=1\n\n0\n\n1 2\n", 5),
-        (load_point_cloud, "\n# dim=x\n0\n", 2)],
-        ids=["matrix-entry", "matrix-count", "matrix-size", "cloud-count", "cloud-header"])
+        (load_point_cloud, "\n# dim=x\n0\n", 2),
+        (load_point_cloud, "# dim=-1\n0\n", 1),
+        (load_point_cloud, "\n# dim=0\n", 2)],
+        ids=["matrix-entry", "matrix-count", "matrix-size", "matrix-extra-row",
+             "matrix-point-count", "cloud-count", "cloud-header", "cloud-dim", "cloud-dim-0"])
     def test_errors_name_the_file_line(self, tmp_path, load, text, line):
         path = tmp_path / "space.txt"
         path.write_text(text)

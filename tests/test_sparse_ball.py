@@ -112,7 +112,7 @@ class TestSparseBallEqualsDenseBall:
 
     def test_matrix_spaces_and_unbanded_kernels_stay_dense(self):
         X = np.linspace(0.0, 1.0, 30)[:, None]
-        matrix = FiniteMetricSpace.from_distance_matrix(np.abs(X - X.T), coords=X)
+        matrix = FiniteMetricSpace.from_distance_matrix(np.abs(X - X.T))
         linear = canonical_metric_space(Kernel("linear"), X)
         huge = canonical_metric_space(Kernel("matern52", 0.1, 1e305), X)
         with pytest.MonkeyPatch.context() as patch:
