@@ -331,14 +331,23 @@ def _check_draw(n: int, n_paths: int) -> None:
     """Refuse ``n_paths`` paths over n points, unless a nonnegative integer under the budget."""
     if not is_int(n_paths) or n_paths < 0:
         raise ArgumentError(f"n_paths must be a nonnegative integer, got {n_paths!r}")
-    _check_budget(8 * (3 * n * n + 2 * n * int(n_paths)), f"{n_paths} paths over {n} points")
+    paths = int(n_paths)
+    block = next((hi - lo for lo, hi in _spans(paths, n)), 0)   # columns per product
+    _check_budget(8 * (3 * n * n + n * (paths + block)), f"{n_paths} paths over {n} points")
 
 
 def _draw(K: np.ndarray, n_paths: int, seed) -> np.ndarray:
-    """``n_paths`` centered Gaussian draws with covariance K, shape (n_paths, n)."""
+    """``n_paths`` centered Gaussian draws with covariance K, shape (n_paths, n).
+
+    The normals are drawn as one (n, n_paths) array and overwritten by ``L @ z``
+    one ``_spans`` block of columns at a time, so the product never holds a
+    second array of the normals' size.  A draw inside one block is one product.
+    """
     L = chol_with_jitter(K)
-    rng = np.random.default_rng(seed)
-    return (L @ rng.standard_normal((K.shape[0], n_paths))).T
+    z = np.random.default_rng(seed).standard_normal((K.shape[0], n_paths))
+    for lo, hi in _spans(n_paths, K.shape[0]):
+        z[:, lo:hi] = L @ z[:, lo:hi]
+    return z.T
 
 
 def sample_prior(kernel: Kernel, coords, seed) -> np.ndarray:
@@ -356,10 +365,11 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
     the metric through the centered Gram transform ``(d(0,i)^2 + d(0,j)^2 -
     d(i,j)^2) / 2``, built in one n×n buffer, which reproduces the distances
     exactly whenever the metric is of negative type.  Returns an array of
-    shape (n_paths, n).  A draw whose ``8 (3 n^2 + 2 n n_paths)`` bytes (the
-    matrix, numpy's Cholesky work copy, the factor, the normals and their
-    product) are over the byte budget is a CapacityError, raised before
-    anything is built.
+    shape (n_paths, n).  A draw whose ``8 (3 n^2 + n n_paths + n w)`` bytes (the
+    matrix, numpy's Cholesky work copy, the factor, the normals, and the
+    product of one block of w columns, the first :func:`metric._spans` width,
+    which is written back into the normals) are over the byte budget is a
+    CapacityError, raised before anything is built.
     """
     _check_draw(space.n, n_paths)
     if kernel is not None and space.coords is not None:
@@ -375,19 +385,21 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
 def information_gain(kernel: Kernel, X, eta2: float) -> float:
     """Half log-determinant of I + K/eta2 over the design X of t points.
 
-    Counted bytes, checked before the Gram matrix is built: ``32 t²``, for the
-    Gram matrix, the identity, the scaled Gram matrix and their sum."""
+    Counted bytes, checked before the Gram matrix is built: ``24 t²``, for the
+    Gram matrix (which becomes I + K/eta2 in place), numpy's Cholesky work copy
+    of it and the factor."""
     if not 0 < eta2 < math.inf:
         raise ArgumentError("noise variance must be positive and finite")
     if np.asarray(X).size == 0:
         return 0.0
     X = _as_points(X)
     t = X.shape[0]
-    _check_budget(32 * t * t, f"the information gain of {t} points")
+    _check_budget(24 * t * t, f"the information gain of {t} points")
     K = gram(kernel, X)
-    M = np.eye(K.shape[0]) + K / eta2
+    K /= eta2
+    np.fill_diagonal(K, K.diagonal() + 1.0)
     try:
-        L = np.linalg.cholesky(M)
+        L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise NumericError("information-gain factorization failed") from exc
     return float(np.log(np.diag(L)).sum())

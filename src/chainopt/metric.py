@@ -506,10 +506,11 @@ def _checked_metric(d: np.ndarray) -> np.ndarray:
         return d
     slack = _TRIANGLE_SLACK * max(float(d.max()), 1.0)
     if n <= _TRIANGLE_FULL_LIMIT:
-        lhs = d[:, None, :]                       # d(i,k)
-        rhs = d[:, :, None] + d[None, :, :]       # d(i,j)+d(j,k)
-        if np.any(lhs > rhs + slack):
-            raise ArgumentError("triangle inequality violated")
+        for i in range(n):                        # one n×n array at a time, not n×n×n
+            bad = np.argwhere(d[i, None, :] > d[i, :, None] + d + slack)   # d(i,k) > d(i,j)+d(j,k)
+            if bad.size:
+                j, k = bad[0]
+                raise ArgumentError(f"triangle inequality violated on ({i},{j},{k})")
     else:
         i, j, k = np.random.default_rng(0).integers(0, n, size=(_TRIANGLE_SAMPLES, 3)).T
         bad = np.flatnonzero(d[i, k] > d[i, j] + d[j, k] + slack)

@@ -37,7 +37,8 @@ BOUNDARIES = {
     "star": (lambda: make_star(13), lambda: make_star(14)),                   # 24 n^2
     "ellipsoid": (lambda: make_ellipsoid([1.0] * 15),                         # 8 (2D+1) D
                   lambda: make_ellipsoid([1.0] * 16)),
-    # 8 (3 n^2 + 2 n paths); test_harness's test_path_limit_is_inclusive is sample_paths' own
+    # 8 (3 n^2 + n paths + n w), w the first metric._spans width: 8 (3 n^2 + 2 n) for one
+    # path; test_harness's test_path_limit_is_inclusive is sample_paths' own
     "prior": (lambda: sample_prior(SE, np.arange(12.0), 0),
               lambda: sample_prior(SE, np.arange(13.0), 0)),
     # 8 R capacity n
@@ -45,9 +46,9 @@ BOUNDARIES = {
                   lambda: GPPosterior(SE, 0.1, np.arange(16.0), 17, replicates=2)),
     # m^2 booleans
     "cover": (lambda: greedy_cover(_line(64), 63.0), lambda: greedy_cover(_line(65), 64.0)),
-    # 32 t^2
-    "information-gain": (lambda: information_gain(SE, np.arange(11.0), 0.1),
-                         lambda: information_gain(SE, np.arange(12.0), 0.1)),
+    # 24 t^2
+    "information-gain": (lambda: information_gain(SE, np.arange(13.0), 0.1),
+                         lambda: information_gain(SE, np.arange(14.0), 0.1)),
 }
 
 
@@ -89,11 +90,11 @@ class TestRefusedBeforeAllocating:
         with pytest.raises(CapacityError, match="1 paths over 6689 points"):
             sample_prior(SE, np.arange(6689.0), 0)
 
-    def test_an_information_gain_over_5793_points(self, monkeypatch):
-        # 32 t^2 bytes: 5792 points fit the budget and 5793 do not
+    def test_an_information_gain_over_6688_points(self, monkeypatch):
+        # 24 t^2 bytes: 6688 points fit the budget and 6689 do not
         monkeypatch.setattr(gp, "gram", _unreachable)
-        with pytest.raises(CapacityError, match="information gain of 5793 points"):
-            information_gain(SE, np.arange(5793.0), 0.1)
+        with pytest.raises(CapacityError, match="information gain of 6689 points"):
+            information_gain(SE, np.arange(6689.0), 0.1)
 
     @pytest.mark.parametrize("load", [load_distance_matrix, load_space,
                                       lambda path: space_from_spec(f"file:{path}", SE)])
@@ -162,14 +163,15 @@ class TestWorkloads:
             # replicates-grid64: 20 replicates of 200 queries on 64 points
             "replicates": _count(bandit, lambda: GPPosterior(se02, 0.01, make_grid(1, 64), 200,
                                                              replicates=20)),
-            # validate-mix: 1e5 paths over 256 points (about 411 MB), the 1024-point star
+            # validate-mix: 1e5 paths over 256 points (about 207 MB), the 1024-point star
             # and its 1000-path draw
             "upper": _count(gp, lambda: sample_paths(grid256, se02, 100_000, 0)),
             "star": _count(harness, lambda: make_star(1024)),
             "lower": _count(gp, lambda: sample_paths(SimpleNamespace(n=1024), None, 1000, 0)),
         }
         assert counts["prior"] == 8 * (3 * 4096 ** 2 + 2 * 4096)
-        assert counts["upper"] == 8 * (3 * 256 ** 2 + 2 * 256 * 100_000)
+        # the normals and one 512-column block of their product
+        assert counts["upper"] == 8 * (3 * 256 ** 2 + 256 * (100_000 + 512))
         over = {site: n for site, n in counts.items() if n > metric._BUDGET_BYTES}
         assert not over
 
@@ -208,10 +210,22 @@ def test_the_matrix_file_count_covers_the_traced_peak_of_load_space(tmp_path, sy
 @pytest.mark.parametrize("family", ["se", "linear", "matern52"])
 def test_the_information_gain_count_covers_its_traced_peak(family):
     # 1000 points: the kernel transform's temporaries, a few blocks of metric._spans that
-    # no count includes, sit under one of the four counted t x t arrays
+    # no count includes, sit under one of the three counted t x t arrays
     X = np.linspace(0.0, 1.0, 1000)
     count = _count(gp, lambda: information_gain(Kernel(family, 0.2), X, 0.1))
     assert _traced(lambda: information_gain(Kernel(family, 0.2), X, 0.1))[1] <= count
+
+
+def test_the_draw_count_covers_its_traced_peak():
+    # 20 000 paths over 256 points, in the 512-column blocks of validate-mix's 1e5-path draw:
+    # the products are written back into the normals, so the peak stays within 10% of the
+    # normals and the three n x n arrays, where a whole product would nearly double it
+    se02 = Kernel("se", 0.2)
+    grid256 = canonical_metric_space(se02, make_grid(1, 256))
+    count = _count(gp, lambda: sample_paths(grid256, se02, 20_000, 0))
+    peak = _traced(lambda: sample_paths(grid256, se02, 20_000, 0))[1]
+    assert peak <= count
+    assert peak <= 1.1 * 8 * (256 * 20_000 + 3 * 256 ** 2)
 
 
 def test_only_metric_binds_the_memory_constants():

@@ -13,9 +13,9 @@ from chainopt import (ArgumentError, CapacityError, FiniteMetricSpace,
                       GPPosterior, Kernel, NumericError, c_eta,
                       canonical_metric_space, gamma_t, gram,
                       information_gain, kernel_eval, make_grid, parse_kernel,
-                      sample_paths, sample_prior, squared_gaussian_interval,
+                      sample_paths, sample_prior, space_from_spec, squared_gaussian_interval,
                       squared_gaussian_outside_prob, squared_gp_bounds)
-from chainopt import bandit, gp
+from chainopt import bandit, gp, metric
 from chainopt.gp import _kernel_rows, chol_with_jitter
 
 ALL_FAMILIES = ("se", "matern12", "matern32", "matern52", "linear")
@@ -208,6 +208,33 @@ class TestSamplePrior:
         for space, kernel in ((canonical_metric_space(k, coords), k), (star, None)):
             with pytest.raises(ArgumentError, match="n_paths must be a nonnegative integer"):
                 sample_paths(space, kernel, n_paths, 0)
+
+
+class TestBlockedDraw:
+    """A draw writes ``L @ z`` back into its normals one ``metric._spans`` block of columns
+    at a time.  On these shapes the blocks give the bits of the single product."""
+
+    @pytest.mark.parametrize("spec,kernel,n_paths,width", [
+        # 512-column blocks, as validate-mix's 1e5-path draw over the 256-point grid
+        ("grid:dim=1,per_dim=256", Kernel("se", 0.2), 20_000, 512),
+        # 128-column blocks, as validate-mix's 1000-path draw over the 1024-point star
+        ("star:n=1024", None, 1000, 128),
+        # inside one block: one product
+        ("grid:dim=1,per_dim=64", Kernel("se", 0.2), 500, 500),
+    ])
+    def test_equals_the_single_product(self, monkeypatch, spec, kernel, n_paths, width):
+        space = space_from_spec(spec, kernel)
+        assert next(metric._spans(n_paths, space.n)) == (0, width)
+        factored = []
+        draw = gp._draw
+
+        def recorded(K, n_paths, seed):
+            factored.append(K.copy())
+            return draw(K, n_paths, seed)
+        monkeypatch.setattr(gp, "_draw", recorded)
+        paths = sample_paths(space, kernel, n_paths, [0, 1])
+        z = np.random.default_rng([0, 1]).standard_normal((space.n, n_paths))
+        assert np.array_equal(paths, (chol_with_jitter(factored[0]) @ z).T)
 
 
 class TestCholWithJitter:

@@ -342,12 +342,14 @@ class TestSamplePaths:
         monkeypatch.setattr(gp, "gram", _unreachable)
         monkeypatch.setattr(sp, "row", _unreachable)
         monkeypatch.setattr(sp, "rows", _unreachable)
-        # 8 (3 n^2 + 2 n paths) bytes: 16 777 211 paths over 4 points are the first over 2^30
-        with pytest.raises(CapacityError, match="16777211 paths over 4 points"):
-            sample_paths(sp, kernel, 16_777_211, seed=0)
+        # 8 (3 n^2 + n paths + n w) bytes, w = 32 768 columns a block: 33 521 653 paths over
+        # 4 points are the first over 2^30
+        with pytest.raises(CapacityError, match="33521653 paths over 4 points"):
+            sample_paths(sp, kernel, 33_521_653, seed=0)
 
     def test_path_limit_is_inclusive(self, monkeypatch):
-        # 8 (3 n^2 + 2 n paths) bytes: 4 points and 58 paths are 4096 bytes, 59 are 4160
+        # 8 (3 n^2 + n paths + n w) bytes, the whole draw one block (w = paths): 4 points
+        # and 58 paths are 4096 bytes, 59 are 4160
         monkeypatch.setattr(metric, "_BUDGET_BYTES", 4096)
         monkeypatch.setattr(gp, "_draw", lambda K, n_paths, seed: (K.shape, n_paths))
         assert sample_paths(make_star(4), None, 58, seed=0) == ((4, 4), 58)

@@ -176,6 +176,14 @@ class TestFiniteMetricSpace:
         sp = FiniteMetricSpace.from_distance_matrix(D)
         assert sp.n == 80  # construction ran the sampled validation
 
+    def test_exhaustive_triangle_check_reports_triple(self):
+        # 64 points, every triangle checked: the first violation in (i, j, k) order
+        D = np.ones((64, 64)) - np.eye(64)
+        D[3, 7] = D[7, 3] = 50.0
+        with pytest.raises(ArgumentError,
+                           match=r"^triangle inequality violated on \(3,0,7\)$"):
+            FiniteMetricSpace.from_distance_matrix(D)
+
     def test_sampled_triangle_check_reports_triple(self):
         D = np.ones((100, 100)) - np.eye(100)
         D[3, 7] = D[7, 3] = 50.0
