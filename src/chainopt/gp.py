@@ -12,6 +12,7 @@ lives in :mod:`chainopt.bandit`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-6
 
 _MATERN_P = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
-_IN_PLACE_BYTES = 1 << 25  # smallest matrix chol_with_jitter factors without a copy
 _KERNEL_SPECS = {fam: {"ls": 1.0, "var": 1.0} for fam in ("se", "ou", *_MATERN_P)}
 _KERNEL_SPECS["linear"] = {"var": 1.0}    # a linear kernel has no lengthscale
 # A canonical space decides on Euclidean distances within a slack on the computed
@@ -293,37 +293,47 @@ class _CanonicalSpace(FiniteMetricSpace):
         return float(fine[hit[-1]] if hit.size else r[k])
 
 
-def chol_with_jitter(M: np.ndarray) -> np.ndarray:
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 matrix A with its lower-triangular factor; returns A.
+
+    numpy's own Cholesky gufunc, the one behind ``np.linalg.cholesky``, writing
+    into A: the same bits, with numpy's work copy as the only other n×n array.
+    A matrix that is not positive definite raises ``LinAlgError`` and leaves A
+    filled with NaN.
+    """
+    with np.errstate(call=_not_positive_definite, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return np.linalg._umath_linalg.cholesky_lo(A, out=A, signature="d->d")
+
+
+def chol_with_jitter(build: Callable[[], np.ndarray]) -> np.ndarray:
     """Lower-triangular factor of M + jitter I, the smallest jitter that works.
+
+    ``build()`` returns a fresh writable float64 matrix M; it is called once
+    per attempt, because each attempt factors its matrix in that matrix's own
+    buffer and a failed attempt leaves it filled with NaN.  The failed buffer
+    is dropped before the next is built, so an attempt holds M and numpy's
+    work copy of it and nothing else n×n.
 
     The jitter starts at 1e-10 and grows tenfold per failure up to 1e-6.
     There is no unjittered attempt: it always fails on the centered Gram
     matrix of a matrix space (whose first row is zero) and on the
     squared-exponential Gram matrix of a fine grid, so it would cost one
     wasted factorization per draw.
-
-    M reads unchanged afterwards.  A writable float array of 32 MiB or more
-    is factored without a copy: the jitter goes onto M's own diagonal, and
-    the original diagonal is written back before returning, also on
-    failure.  Any other M is copied first.  glibc's malloc gives buffers of
-    that size their own mappings, so there the avoided copy lowers peak
-    memory by its full size; below it, skipping the copy measured worse,
-    because it changed which freed heap memory the allocator kept.
     """
-    A = np.asarray(M, dtype=float)
-    if A.nbytes < _IN_PLACE_BYTES or not A.flags.writeable:
-        A = A.copy()
-    base = A.diagonal().copy()
     jitter = _JITTER_START
-    try:
-        while jitter <= _JITTER_LIMIT * (1 + 1e-12):
-            np.fill_diagonal(A, base + jitter)
-            try:
-                return np.linalg.cholesky(A)
-            except np.linalg.LinAlgError:
-                jitter *= 10.0
-    finally:
-        np.fill_diagonal(A, base)
+    while jitter <= _JITTER_LIMIT * (1 + 1e-12):
+        A = build()
+        np.fill_diagonal(A, A.diagonal() + jitter)
+        try:
+            return _cholesky_in_place(A)
+        except np.linalg.LinAlgError:
+            A = None    # the failed buffer, NaN now, goes before the next is built
+            jitter *= 10.0
     raise NumericError(f"factorization failed even with jitter {_JITTER_LIMIT:g}")
 
 
@@ -333,19 +343,21 @@ def _check_draw(n: int, n_paths: int) -> None:
         raise ArgumentError(f"n_paths must be a nonnegative integer, got {n_paths!r}")
     paths = int(n_paths)
     block = next((hi - lo for lo, hi in _spans(paths, n)), 0)   # columns per product
-    _check_budget(8 * (3 * n * n + n * (paths + block)), f"{n_paths} paths over {n} points")
+    _check_budget(8 * (2 * n * n + n * (paths + block)), f"{n_paths} paths over {n} points")
 
 
-def _draw(K: np.ndarray, n_paths: int, seed) -> np.ndarray:
-    """``n_paths`` centered Gaussian draws with covariance K, shape (n_paths, n).
+def _draw(build: Callable[[], np.ndarray], n_paths: int, seed) -> np.ndarray:
+    """``n_paths`` centered Gaussian draws with covariance ``build()``, shape (n_paths, n).
 
-    The normals are drawn as one (n, n_paths) array and overwritten by ``L @ z``
-    one ``_spans`` block of columns at a time, so the product never holds a
-    second array of the normals' size.  A draw inside one block is one product.
+    The covariance is factored in its own buffer by :func:`chol_with_jitter`,
+    which calls ``build`` once per attempt.  The normals are drawn as one
+    (n, n_paths) array and overwritten by ``L @ z`` one ``_spans`` block of
+    columns at a time, so the product never holds a second array of the
+    normals' size.  A draw inside one block is one product.
     """
-    L = chol_with_jitter(K)
-    z = np.random.default_rng(seed).standard_normal((K.shape[0], n_paths))
-    for lo, hi in _spans(n_paths, K.shape[0]):
+    L = chol_with_jitter(build)
+    z = np.random.default_rng(seed).standard_normal((L.shape[0], n_paths))
+    for lo, hi in _spans(n_paths, L.shape[0]):
         z[:, lo:hi] = L @ z[:, lo:hi]
     return z.T
 
@@ -354,7 +366,17 @@ def sample_prior(kernel: Kernel, coords, seed) -> np.ndarray:
     """One centered prior draw over the coordinate set; deterministic per seed."""
     X = _as_points(coords)
     _check_draw(X.shape[0], 1)
-    return _draw(gram(kernel, X), 1, seed)[0]
+    return _draw(lambda: gram(kernel, X), 1, seed)[0]
+
+
+def _centered_gram(space: FiniteMetricSpace) -> np.ndarray:
+    """``(d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2`` over the space, in one n×n buffer."""
+    sq = space.row(0) ** 2
+    K = np.add.outer(sq, sq)
+    for lo, blk in space.row_blocks(np.arange(space.n)):
+        K[lo:lo + len(blk)] -= blk ** 2
+    K *= 0.5
+    return K
 
 
 def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
@@ -364,42 +386,38 @@ def sample_paths(space: FiniteMetricSpace, kernel: Kernel | None,
     Coordinate spaces use the kernel covariance directly.  Matrix spaces embed
     the metric through the centered Gram transform ``(d(0,i)^2 + d(0,j)^2 -
     d(i,j)^2) / 2``, built in one n×n buffer, which reproduces the distances
-    exactly whenever the metric is of negative type.  Returns an array of
-    shape (n_paths, n).  A draw whose ``8 (3 n^2 + n n_paths + n w)`` bytes (the
-    matrix, numpy's Cholesky work copy, the factor, the normals, and the
+    exactly whenever the metric is of negative type.  Either matrix is
+    factored in its own buffer.  Returns an array of shape (n_paths, n).  A
+    draw whose ``8 (2 n^2 + n n_paths + n w)`` bytes (the matrix, which
+    becomes its factor, numpy's Cholesky work copy, the normals, and the
     product of one block of w columns, the first :func:`metric._spans` width,
     which is written back into the normals) are over the byte budget is a
     CapacityError, raised before anything is built.
     """
     _check_draw(space.n, n_paths)
     if kernel is not None and space.coords is not None:
-        return _draw(gram(kernel, space.coords), n_paths, seed)
-    sq = space.row(0) ** 2
-    K = np.add.outer(sq, sq)
-    for lo, blk in space.row_blocks(np.arange(space.n)):
-        K[lo:lo + len(blk)] -= blk ** 2
-    K *= 0.5
-    return _draw(K, n_paths, seed)
+        return _draw(lambda: gram(kernel, space.coords), n_paths, seed)
+    return _draw(lambda: _centered_gram(space), n_paths, seed)
 
 
 def information_gain(kernel: Kernel, X, eta2: float) -> float:
     """Half log-determinant of I + K/eta2 over the design X of t points.
 
-    Counted bytes, checked before the Gram matrix is built: ``24 t²``, for the
-    Gram matrix (which becomes I + K/eta2 in place), numpy's Cholesky work copy
-    of it and the factor."""
+    Counted bytes, checked before the Gram matrix is built: ``16 t²``, for the
+    Gram matrix, which becomes I + K/eta2 and then its own factor in place, and
+    numpy's Cholesky work copy of it."""
     if not 0 < eta2 < math.inf:
         raise ArgumentError("noise variance must be positive and finite")
     if np.asarray(X).size == 0:
         return 0.0
     X = _as_points(X)
     t = X.shape[0]
-    _check_budget(24 * t * t, f"the information gain of {t} points")
+    _check_budget(16 * t * t, f"the information gain of {t} points")
     K = gram(kernel, X)
     K /= eta2
     np.fill_diagonal(K, K.diagonal() + 1.0)
     try:
-        L = np.linalg.cholesky(K)
+        L = _cholesky_in_place(K)
     except np.linalg.LinAlgError as exc:
         raise NumericError("information-gain factorization failed") from exc
     return float(np.log(np.diag(L)).sum())

@@ -43,6 +43,8 @@ def make_grid(dim: int, per_dim: int, extent: float = 1.0) -> np.ndarray:
     points = per_dim ** min(dim, 64)
     _check_budget(8 * dim * points + 8 * per_dim + 2048, f"grid:dim={dim},per_dim={per_dim}")
     axis = np.linspace(0.0, extent, per_dim)
+    if per_dim == 1:    # one point: every coordinate is the axis' one value, with no loop
+        return np.full((1, dim), axis[0])
     out = np.empty((points, dim))
     for k in range(dim):
         out[:, k].reshape(per_dim ** k, per_dim, -1)[...] = axis[:, None]

@@ -37,18 +37,18 @@ BOUNDARIES = {
     "star": (lambda: make_star(13), lambda: make_star(14)),                   # 24 n^2
     "ellipsoid": (lambda: make_ellipsoid([1.0] * 15),                         # 8 (2D+1) D
                   lambda: make_ellipsoid([1.0] * 16)),
-    # 8 (3 n^2 + n paths + n w), w the first metric._spans width: 8 (3 n^2 + 2 n) for one
+    # 8 (2 n^2 + n paths + n w), w the first metric._spans width: 8 (2 n^2 + 2 n) for one
     # path; test_harness's test_path_limit_is_inclusive is sample_paths' own
-    "prior": (lambda: sample_prior(SE, np.arange(12.0), 0),
-              lambda: sample_prior(SE, np.arange(13.0), 0)),
+    "prior": (lambda: sample_prior(SE, np.arange(15.0), 0),
+              lambda: sample_prior(SE, np.arange(16.0), 0)),
     # 8 R capacity n
     "posterior": (lambda: GPPosterior(SE, 0.1, np.arange(16.0), 16, replicates=2),
                   lambda: GPPosterior(SE, 0.1, np.arange(16.0), 17, replicates=2)),
     # m^2 booleans
     "cover": (lambda: greedy_cover(_line(64), 63.0), lambda: greedy_cover(_line(65), 64.0)),
-    # 24 t^2
-    "information-gain": (lambda: information_gain(SE, np.arange(13.0), 0.1),
-                         lambda: information_gain(SE, np.arange(14.0), 0.1)),
+    # 16 t^2
+    "information-gain": (lambda: information_gain(SE, np.arange(16.0), 0.1),
+                         lambda: information_gain(SE, np.arange(17.0), 0.1)),
 }
 
 
@@ -76,8 +76,8 @@ class TestRefusedBeforeAllocating:
         with pytest.raises(CapacityError, match="posterior of 1 x 1000000000000 queries"):
             GPPosterior(SE, 0.1, np.arange(16.0), 10 ** 12)
 
-    def test_a_prior_draw_over_6688_points(self, monkeypatch):
-        # 8 (3 n^2 + 2 n) bytes: 6688 points fit the budget and 6689 do not, even for one path
+    def test_a_prior_draw_over_8191_points(self, monkeypatch):
+        # 8 (2 n^2 + 2 n) bytes: 8191 points fit the budget and 8192 do not, even for one path
         class Reached(Exception):
             pass
 
@@ -85,16 +85,24 @@ class TestRefusedBeforeAllocating:
             raise Reached
         monkeypatch.setattr(gp, "gram", reached)
         with pytest.raises(Reached):
-            sample_prior(SE, np.arange(6688.0), 0)
+            sample_prior(SE, np.arange(8191.0), 0)
         monkeypatch.setattr(gp, "gram", _unreachable)
-        with pytest.raises(CapacityError, match="1 paths over 6689 points"):
-            sample_prior(SE, np.arange(6689.0), 0)
+        with pytest.raises(CapacityError, match="1 paths over 8192 points"):
+            sample_prior(SE, np.arange(8192.0), 0)
 
-    def test_an_information_gain_over_6688_points(self, monkeypatch):
-        # 24 t^2 bytes: 6688 points fit the budget and 6689 do not
+    def test_an_information_gain_over_8192_points(self, monkeypatch):
+        # 16 t^2 bytes: 8192 points fit the budget and 8193 do not
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(gp, "gram", reached)
+        with pytest.raises(Reached):
+            information_gain(SE, np.arange(8192.0), 0.1)
         monkeypatch.setattr(gp, "gram", _unreachable)
-        with pytest.raises(CapacityError, match="information gain of 6689 points"):
-            information_gain(SE, np.arange(6689.0), 0.1)
+        with pytest.raises(CapacityError, match="information gain of 8193 points"):
+            information_gain(SE, np.arange(8193.0), 0.1)
 
     @pytest.mark.parametrize("load", [load_distance_matrix, load_space,
                                       lambda path: space_from_spec(f"file:{path}", SE)])
@@ -157,7 +165,7 @@ class TestWorkloads:
         se01, se02 = Kernel("se", 0.1), Kernel("se", 0.2)
         grid256 = canonical_metric_space(se02, make_grid(1, 256))
         counts = {
-            # optimize-grid4096: the 4096-point prior draw (about 402 MB) and its t=500 loop
+            # optimize-grid4096: the 4096-point prior draw (about 269 MB) and its t=500 loop
             "prior": _count(gp, lambda: sample_prior(se01, grid4096, [0, 0])),
             "posterior": _count(bandit, lambda: GPPosterior(se01, 0.01, grid4096, 500)),
             # replicates-grid64: 20 replicates of 200 queries on 64 points
@@ -169,9 +177,9 @@ class TestWorkloads:
             "star": _count(harness, lambda: make_star(1024)),
             "lower": _count(gp, lambda: sample_paths(SimpleNamespace(n=1024), None, 1000, 0)),
         }
-        assert counts["prior"] == 8 * (3 * 4096 ** 2 + 2 * 4096)
+        assert counts["prior"] == 8 * (2 * 4096 ** 2 + 2 * 4096)
         # the normals and one 512-column block of their product
-        assert counts["upper"] == 8 * (3 * 256 ** 2 + 256 * (100_000 + 512))
+        assert counts["upper"] == 8 * (2 * 256 ** 2 + 256 * (100_000 + 512))
         over = {site: n for site, n in counts.items() if n > metric._BUDGET_BYTES}
         assert not over
 
@@ -210,7 +218,7 @@ def test_the_matrix_file_count_covers_the_traced_peak_of_load_space(tmp_path, sy
 @pytest.mark.parametrize("family", ["se", "linear", "matern52"])
 def test_the_information_gain_count_covers_its_traced_peak(family):
     # 1000 points: the kernel transform's temporaries, a few blocks of metric._spans that
-    # no count includes, sit under one of the three counted t x t arrays
+    # no count includes, sit under one of the two counted t x t arrays
     X = np.linspace(0.0, 1.0, 1000)
     count = _count(gp, lambda: information_gain(Kernel(family, 0.2), X, 0.1))
     assert _traced(lambda: information_gain(Kernel(family, 0.2), X, 0.1))[1] <= count
@@ -219,13 +227,40 @@ def test_the_information_gain_count_covers_its_traced_peak(family):
 def test_the_draw_count_covers_its_traced_peak():
     # 20 000 paths over 256 points, in the 512-column blocks of validate-mix's 1e5-path draw:
     # the products are written back into the normals, so the peak stays within 10% of the
-    # normals and the three n x n arrays, where a whole product would nearly double it
+    # normals and the two n x n arrays, where a whole product would nearly double it
     se02 = Kernel("se", 0.2)
     grid256 = canonical_metric_space(se02, make_grid(1, 256))
     count = _count(gp, lambda: sample_paths(grid256, se02, 20_000, 0))
     peak = _traced(lambda: sample_paths(grid256, se02, 20_000, 0))[1]
     assert peak <= count
-    assert peak <= 1.1 * 8 * (256 * 20_000 + 3 * 256 ** 2)
+    assert peak <= 1.1 * 8 * (256 * 20_000 + 2 * 256 ** 2)
+
+
+def test_a_prior_draw_factors_its_gram_in_place():
+    # 1024 points: the Gram becomes its own factor, so the traced peak is the Gram and the
+    # kernel transform's blocks; a separate factor or a copy of the Gram would add 8 n^2
+    n = 1024
+    peak = _traced(lambda: sample_prior(Kernel("se", 0.2), make_grid(1, n), 0))[1]
+    assert peak < 1.5 * 8 * n * n
+
+
+def test_a_jitter_retry_stays_within_the_draw_count(monkeypatch):
+    # the SE Gram of a 1024-point grid less 5e-9 on its diagonal fails at jitters 1e-10 and
+    # 1e-9 and factors at 1e-8: each failed matrix is dropped before the next is built, so
+    # three attempts hold no more than one
+    se02, X = Kernel("se", 0.2), make_grid(1, 1024)
+    gram, built = gp.gram, []
+
+    def shifted(kernel, X):
+        K = gram(kernel, X)
+        np.fill_diagonal(K, K.diagonal() - 5e-9)
+        built.append(K.shape)
+        return K
+    monkeypatch.setattr(gp, "gram", shifted)
+    count = _count(gp, lambda: sample_prior(se02, X, 0))
+    peak = _traced(lambda: sample_prior(se02, X, 0))[1]
+    assert len(built) == 3
+    assert peak <= count
 
 
 def test_only_metric_binds_the_memory_constants():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,50 +229,64 @@ class TestBlockedDraw:
         factored = []
         draw = gp._draw
 
-        def recorded(K, n_paths, seed):
-            factored.append(K.copy())
-            return draw(K, n_paths, seed)
+        def recorded(build, n_paths, seed):
+            factored.append(build())
+            return draw(build, n_paths, seed)
         monkeypatch.setattr(gp, "_draw", recorded)
         paths = sample_paths(space, kernel, n_paths, [0, 1])
         z = np.random.default_rng([0, 1]).standard_normal((space.n, n_paths))
-        assert np.array_equal(paths, (chol_with_jitter(factored[0]) @ z).T)
+        assert np.array_equal(paths, (chol_with_jitter(factored[0].copy) @ z).T)
+
+
+class _Builds:
+    """A builder for chol_with_jitter: a fresh copy of M per call, counted."""
+
+    def __init__(self, M):
+        self.M, self.calls = M, 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.M.copy()
 
 
 class TestCholWithJitter:
     def test_input_unchanged(self):
         M = np.ones((3, 3)) - 5e-9 * np.eye(3)
         before = M.copy()
-        chol_with_jitter(M)
+        chol_with_jitter(M.copy)
         assert np.array_equal(M, before)
 
     def test_smallest_working_jitter(self):
-        # M + 1e-9 I still has eigenvalue -4e-9; 1e-8 is the first rung that factors
+        # M + 1e-9 I still has eigenvalue -4e-9; 1e-8 is the first rung that factors, on
+        # the third matrix built, since a failed attempt leaves its matrix NaN
         M = np.ones((3, 3)) - 5e-9 * np.eye(3)
-        L = chol_with_jitter(M)
+        build = _Builds(M)
+        L = chol_with_jitter(build)
+        assert build.calls == 3
         assert np.array_equal(L, np.tril(L))
-        assert np.allclose(L @ L.T, M + 1e-8 * np.eye(3), rtol=0.0, atol=1e-15)
+        assert np.array_equal(L, np.linalg.cholesky(M + 1e-8 * np.eye(3)))
 
     def test_indefinite_raises(self):
-        M = -np.eye(3)
-        with pytest.raises(NumericError):
-            chol_with_jitter(M)
-        assert np.array_equal(M, -np.eye(3))    # the jittered diagonal was put back
+        build = _Builds(-np.eye(3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError):
+                chol_with_jitter(build)
+        assert build.calls == 5                 # jitters 1e-10 .. 1e-6
+        assert not caught
 
-    def test_in_place_input_restored(self, monkeypatch):
-        # matrices under 32 MiB are copied; a size floor of 0 factors these in place
-        monkeypatch.setattr(gp, "_IN_PLACE_BYTES", 0)
-        M = np.ones((3, 3)) - 5e-9 * np.eye(3)      # fails twice before it factors
-        before = M.copy()
-        L = chol_with_jitter(M)
-        assert np.array_equal(M, before)
-        assert np.allclose(L @ L.T, M + 1e-8 * np.eye(3), rtol=0.0, atol=1e-15)
-        M = -np.eye(3)
-        with pytest.raises(NumericError):
-            chol_with_jitter(M)
-        assert np.array_equal(M, -np.eye(3))
-        M = 4.0 * np.eye(3)
-        M.setflags(write=False)                      # read-only input is copied
-        assert np.allclose(chol_with_jitter(M), 2.0 * np.eye(3), rtol=0.0, atol=1e-9)
+    @pytest.mark.parametrize("spec,kernel", [("grid:dim=1,per_dim=1024", Kernel("se", 0.2)),
+                                             ("star:n=1024", None)])
+    def test_in_place_factor_equals_numpys(self, spec, kernel):
+        # the SE Gram of a fine grid and the centered Gram of a star, jittered as a draw's
+        # first attempt: numpy's gufunc writing into the matrix gives np.linalg.cholesky's bits
+        space = space_from_spec(spec, kernel)
+        K = gram(kernel, space.coords) if kernel else gp._centered_gram(space)
+        np.fill_diagonal(K, K.diagonal() + 1e-10)
+        want = np.linalg.cholesky(K)
+        L = gp._cholesky_in_place(K)
+        assert L is K
+        assert np.array_equal(L, want)
 
 
 class TestKernelRows:

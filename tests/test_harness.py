@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -156,6 +157,16 @@ class TestGenerators:
         assert make_grid(1, 8192).shape == (8192, 1)
         assert make_grid(13, 2).shape == (8192, 13)
         assert make_line(8192).shape == (8192, 1)
+
+    def test_a_one_point_grid_costs_no_time_per_axis(self):
+        # per_dim=1: every coordinate is linspace(0, extent, 1)[0] = 0.0, filled at once;
+        # a loop of one view per axis took about 1 s over a million axes
+        start = time.perf_counter()
+        g = make_grid(10 ** 6, 1)
+        elapsed = time.perf_counter() - start
+        assert g.shape == (1, 10 ** 6)
+        assert not g.any() and not np.signbit(g).any()
+        assert elapsed < 0.2
 
     @pytest.mark.parametrize("spec", ["grid:dim=1,perdim=4", "grid:dim", "line:m=3",
                                       "star:size=4", "ellipsoid:axis=1:2", "line:n=3,"])
@@ -342,25 +353,25 @@ class TestSamplePaths:
         monkeypatch.setattr(gp, "gram", _unreachable)
         monkeypatch.setattr(sp, "row", _unreachable)
         monkeypatch.setattr(sp, "rows", _unreachable)
-        # 8 (3 n^2 + n paths + n w) bytes, w = 32 768 columns a block: 33 521 653 paths over
+        # 8 (2 n^2 + n paths + n w) bytes, w = 32 768 columns a block: 33 521 657 paths over
         # 4 points are the first over 2^30
-        with pytest.raises(CapacityError, match="33521653 paths over 4 points"):
-            sample_paths(sp, kernel, 33_521_653, seed=0)
+        with pytest.raises(CapacityError, match="33521657 paths over 4 points"):
+            sample_paths(sp, kernel, 33_521_657, seed=0)
 
     def test_path_limit_is_inclusive(self, monkeypatch):
-        # 8 (3 n^2 + n paths + n w) bytes, the whole draw one block (w = paths): 4 points
-        # and 58 paths are 4096 bytes, 59 are 4160
+        # 8 (2 n^2 + n paths + n w) bytes, the whole draw one block (w = paths): 4 points
+        # and 60 paths are 4096 bytes, 61 are 4160
         monkeypatch.setattr(metric, "_BUDGET_BYTES", 4096)
-        monkeypatch.setattr(gp, "_draw", lambda K, n_paths, seed: (K.shape, n_paths))
-        assert sample_paths(make_star(4), None, 58, seed=0) == ((4, 4), 58)
-        with pytest.raises(CapacityError, match="59 paths over 4 points"):
-            sample_paths(make_star(4), None, 59, seed=0)
+        monkeypatch.setattr(gp, "_draw", lambda build, n_paths, seed: (build().shape, n_paths))
+        assert sample_paths(make_star(4), None, 60, seed=0) == ((4, 4), 60)
+        with pytest.raises(CapacityError, match="61 paths over 4 points"):
+            sample_paths(make_star(4), None, 61, seed=0)
 
     @staticmethod
     def _gram(monkeypatch, space):
         """The matrix sample_paths factors for a space without a kernel."""
         seen = []
-        monkeypatch.setattr(gp, "_draw", lambda K, n_paths, seed: seen.append(K.copy()))
+        monkeypatch.setattr(gp, "_draw", lambda build, n_paths, seed: seen.append(build()))
         sample_paths(space, None, 1, seed=0)
         return seen[0]
 
